@@ -32,7 +32,7 @@ import numpy as np
 
 from .correction import CorrectionPath
 from .energy import EnergyReport, ModeEnergies
-from .timestepping import IntegrationStats, integrate_fixed_rk4
+from .timestepping import IntegrationStats, integrate_fixed_rk4, power_iteration
 from .weighted import WeightedGrid
 
 logger = logging.getLogger(__name__)
@@ -81,14 +81,6 @@ class PlanarModeOperator:
         self.params = grid.params
         self.mode = int(mode)
 
-    def damping(self, t: float) -> float:
-        p = self.params
-        return (1.0 + t) ** (-p.lam) + 2.0 * float(self.path.theta_t_at(t)) / float(
-            self.path.theta_at(t))
-
-    def wave_coefficient(self, t: float) -> float:
-        return float(self.path.theta_at(t)) ** (-self.params.damping_power)
-
     def force_potential(self, pf: np.ndarray, pg: np.ndarray) -> np.ndarray:
         """q_Phi with force = grad(r^l q_Phi cos(l phi)) on the mode."""
         g, p, ell = self.grid, self.params, self.mode
@@ -101,7 +93,8 @@ class PlanarModeOperator:
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         m = y.size // 4
         pf, pg, pf_t, pg_t = y[:m], y[m:2 * m], y[2 * m:3 * m], y[3 * m:]
-        d, c = self.damping(t), self.wave_coefficient(t)
+        coeffs = self.path.coefficients(t)
+        d, c = coeffs.d[0], coeffs.c[0]
         acc_f = -d * pf_t - c * self.force_potential(pf, pg)
         acc_g = -d * pg_t
         return np.concatenate([pf_t, pg_t, acc_f, acc_g])
@@ -134,13 +127,9 @@ class PlanarModeOperator:
         def q_of(pair):
             return (self.force_potential(*pair), np.zeros_like(pair[1]))
 
-        d0, c0 = self.damping(t), self.wave_coefficient(t)
-        eps = 1e-5 * (1.0 + t)
-        d_p = (self.damping(t + eps) - self.damping(t - eps)) / (2.0 * eps)
-        c_p = (self.wave_coefficient(t + eps) - self.wave_coefficient(t - eps)) / (2.0 * eps)
-        d_pp = (self.damping(t + eps) - 2.0 * d0 + self.damping(t - eps)) / eps ** 2
-        c_pp = (self.wave_coefficient(t + eps) - 2.0 * c0
-                + self.wave_coefficient(t - eps)) / eps ** 2
+        coeffs = self.path.coefficients(t)
+        d0, d_p, d_pp = coeffs.d
+        c0, c_p, c_pp = coeffs.c
 
         def axpy(*terms):
             out_f = sum(a * v[0] for a, v in terms)
@@ -159,20 +148,13 @@ class PlanarModeOperator:
         return derivs
 
     def stable_step(self, safety: float = 0.5, iterations: int = 60) -> float:
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(self.grid.num_nodes)
-        v /= np.linalg.norm(v)
-        zero = np.zeros_like(v)
-        lam_est = 1.0
-        for _ in range(iterations):
-            v = self.force_potential(v, zero)
-            norm = np.linalg.norm(v)
-            if norm == 0.0:
-                break
-            lam_est = norm
-            v /= norm
-        omega_max = np.sqrt(self.wave_coefficient(0.0) * lam_est)
-        return float(safety * 2.8 / max(omega_max, self.damping(0.0)))
+        m = self.grid.num_nodes
+        zero = np.zeros(m)
+        rho = power_iteration(lambda v: self.force_potential(v, zero), m,
+                              iterations, seed=1)
+        coeffs = self.path.coefficients(0.0)
+        omega_max = np.sqrt(coeffs.c[0] * rho)
+        return float(safety * 2.8 / max(omega_max, coeffs.d[0]))
 
 
 class ToroidalModeOperator:
@@ -188,14 +170,10 @@ class ToroidalModeOperator:
         self.params = grid.params
         self.mode = int(mode)
 
-    def damping(self, t: float) -> float:
-        return (1.0 + t) ** (-self.params.lam) + 2.0 * float(
-            self.path.theta_t_at(t)) / float(self.path.theta_at(t))
-
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         m = y.size // 2
         p, p_t = y[:m], y[m:]
-        return np.concatenate([p_t, -self.damping(t) * p_t])
+        return np.concatenate([p_t, -self.path.coefficients(t).d[0] * p_t])
 
     def curl_norm(self, p_t: np.ndarray) -> float:
         """|| sigma^((iota+1)/2) curl w_t || for the toroidal field chi LY."""
@@ -211,7 +189,7 @@ class ToroidalModeOperator:
         return float(np.sqrt(g.integrate(p.iota + 1.0, integrand)))
 
     def stable_step(self, safety: float = 0.5) -> float:
-        return float(safety * 2.8 / self.damping(0.0))
+        return float(safety * 2.8 / self.path.coefficients(0.0).d[0])
 
 
 @dataclass

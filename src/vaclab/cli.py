@@ -175,8 +175,7 @@ def cmd_verify(args) -> int:
     """Full property suite with named pass/fail report."""
     from .suite import verify
 
-    report = verify(only=args.only, fault=args.inject_fault, seed=args.seed or 0,
-                    workers=args.workers)
+    report = verify(only=args.only, fault=args.inject_fault, seed=args.seed or 0)
     for line in report.summary_lines():
         print(line)
     if args.out:
@@ -250,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="run only checks whose name contains this")
     p.add_argument("--out", help="write suite.json here")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=4)
     p.add_argument("--inject-fault", choices=["pressure-sign"],
                    help=argparse.SUPPRESS)  # negative-test hook
     p.set_defaults(func=cmd_verify)

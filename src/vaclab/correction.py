@@ -62,6 +62,20 @@ def _correction_jac(params: PhysParams):
     return jac
 
 
+@dataclass(frozen=True)
+class TimeCoefficients:
+    """The time coefficients of every perturbation equation at one time t,
+
+        d(t) = (1+t)^(-lam) + 2 theta_t/theta,   c(t) = theta^-(n*gamma-n+2),
+
+    each as (value, first, second) time derivative.
+    """
+
+    t: float
+    d: tuple[float, float, float]
+    c: tuple[float, float, float]
+
+
 @dataclass
 class CorrectionPath:
     """Solved correction trajectory with dense evaluation.
@@ -81,6 +95,7 @@ class CorrectionPath:
     theta_t: np.ndarray
     step_times: np.ndarray = field(repr=False)
     _dense: object = field(repr=False)
+    _last_coefficients: TimeCoefficients | None = field(default=None, init=False, repr=False)
 
     def h_at(self, t):
         return self._dense(np.asarray(t, dtype=float))[0]
@@ -97,33 +112,56 @@ class CorrectionPath:
         p = self.params
         return p.kappa * (1.0 + t) ** (p.kappa - 1.0) + self.h_t_at(t)
 
-    def theta_tt_at(self, t):
+    def theta_derivatives(self, t):
+        """(theta, theta_t, theta_tt, theta_ttt) from one dense evaluation;
+        the second and third derivatives come from the ODE
+        theta'' + (1+t)^(-lam) theta' = kappa theta^q and its derivative."""
         t = np.asarray(t, dtype=float)
         p = self.params
         q = p.n - p.n * p.gamma - 1.0
-        return p.kappa * self.theta_at(t) ** q - (1.0 + t) ** (-p.lam) * self.theta_t_at(t)
-
-    def theta_ttt_at(self, t):
-        t = np.asarray(t, dtype=float)
-        p = self.params
-        q = p.n - p.n * p.gamma - 1.0
-        th, th_t, th_tt = self.theta_at(t), self.theta_t_at(t), self.theta_tt_at(t)
-        return (
+        h, h_t = self._dense(t)
+        th = (1.0 + t) ** p.kappa + h
+        th_t = p.kappa * (1.0 + t) ** (p.kappa - 1.0) + h_t
+        th_tt = p.kappa * th ** q - (1.0 + t) ** (-p.lam) * th_t
+        th_ttt = (
             p.kappa * q * th ** (q - 1.0) * th_t
             + p.lam * (1.0 + t) ** (-p.lam - 1.0) * th_t
             - (1.0 + t) ** (-p.lam) * th_tt
         )
+        return th, th_t, th_tt, th_ttt
 
     def theta_derivative(self, t, order: int):
         if order == 0:
             return self.theta_at(t)
         if order == 1:
             return self.theta_t_at(t)
-        if order == 2:
-            return self.theta_tt_at(t)
-        if order == 3:
-            return self.theta_ttt_at(t)
+        if order in (2, 3):
+            return self.theta_derivatives(t)[order]
         raise ValueError(f"theta derivatives available up to order 3, got {order}")
+
+    def coefficients(self, t: float) -> TimeCoefficients:
+        """d, c and their first two derivatives at a scalar t.  The last
+        result is kept, so the coefficients of one time cost one dense
+        evaluation however many callers read them."""
+        last = self._last_coefficients
+        if last is not None and last.t == t:
+            return last
+        lam, e = self.params.lam, self.params.damping_power
+        th, th1, th2, th3 = (float(v) for v in self.theta_derivatives(t))
+        u = 1.0 + t
+        d = (
+            u ** (-lam) + 2.0 * th1 / th,
+            -lam * u ** (-lam - 1.0) + 2.0 * (th2 / th - th1 ** 2 / th ** 2),
+            lam * (lam + 1.0) * u ** (-lam - 2.0) + 2.0 * (
+                th3 / th - 3.0 * th1 * th2 / th ** 2 + 2.0 * th1 ** 3 / th ** 3),
+        )
+        c = (
+            th ** (-e),
+            -e * th ** (-e - 1.0) * th1,
+            e * (e + 1.0) * th ** (-e - 2.0) * th1 ** 2 - e * th ** (-e - 1.0) * th2,
+        )
+        coefficients = self._last_coefficients = TimeCoefficients(t=t, d=d, c=c)
+        return coefficients
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

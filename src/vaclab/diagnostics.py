@@ -18,7 +18,7 @@ from .correction import CorrectionPath
 from .energy import EnergyReport
 from .fitting import DecayFit, decay_fit
 from .params import PhysParams
-from .radial import RadialTrajectory
+from .radial import RadialOperator, RadialTrajectory
 
 GAP_NAMES = ("position", "density", "velocity")
 
@@ -47,6 +47,8 @@ def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
         velocity gap  = |h_t r + theta_t w + theta w_t|.
     """
     n = params.n
+    op = RadialOperator(trajectory.grid)
+    r = trajectory.grid.r
     times, pos, dens, vel, sup = [], [], [], [], []
     for state in trajectory.states:
         t = state.t
@@ -57,9 +59,8 @@ def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
         theta, theta_t = nu + h, nu_t + h_t
         times.append(t)
         sup.append(float(np.max(np.abs(state.w))))
-        r = _node_radii(trajectory, params)
         pos.append(float(np.max(np.abs(h * r + theta * state.w))))
-        log_j = _log_jacobian(trajectory, params, state.w)
+        log_j = op.log_jacobian(state.w)
         dens.append(float(np.max(np.abs(
             nu ** (-n) * np.expm1(-n * np.log1p(h / nu) - log_j)
         ))))
@@ -67,30 +68,6 @@ def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
     return GapSeries(times=np.array(times), position=np.array(pos),
                      density=np.array(dens), velocity=np.array(vel),
                      sup_w=np.array(sup))
-
-
-_GRID_CACHE: dict = {}
-
-
-def _grid_for(trajectory: RadialTrajectory, params: PhysParams):
-    from .weighted import WeightedGrid
-
-    key = (params.n, params.lam, params.gamma, params.mass, trajectory.num_nodes)
-    if key not in _GRID_CACHE:
-        _GRID_CACHE[key] = WeightedGrid(params, trajectory.num_nodes)
-    return _GRID_CACHE[key]
-
-
-def _node_radii(trajectory: RadialTrajectory, params: PhysParams) -> np.ndarray:
-    return _grid_for(trajectory, params).r
-
-
-def _log_jacobian(trajectory: RadialTrajectory, params: PhysParams,
-                  w: np.ndarray) -> np.ndarray:
-    g = _grid_for(trajectory, params)
-    pvals = w / g.r
-    u = pvals + 2.0 * g.s * (g.d_s @ pvals)
-    return np.log1p(u) + (params.n - 1.0) * np.log1p(pvals)
 
 
 def closed_form_gaps(path: CorrectionPath, params: PhysParams, times,

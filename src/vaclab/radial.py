@@ -25,10 +25,10 @@ import numpy as np
 from .correction import CorrectionPath
 from .energy import EnergyReport, RadialEnergies, energy_indices
 from .kinematics import box_grid, build_deformation, radial_vector_field
-from .params import PhysParams
 from .quadrature import resample_matrix
 from .timestepping import (IntegrationStats, StepSizeUnderflow,
-                           integrate_adaptive, integrate_fixed_rk4)
+                           integrate_adaptive, integrate_fixed_rk4,
+                           power_iteration)
 from .weighted import WeightedGrid
 
 logger = logging.getLogger(__name__)
@@ -60,12 +60,16 @@ class RadialState:
 class RadialOperator:
     """Discrete radial pressure operator and its directional derivatives."""
 
-    def __init__(self, grid: WeightedGrid, path: CorrectionPath):
+    def __init__(self, grid: WeightedGrid, path: CorrectionPath | None = None,
+                 fault: str | None = None):
+        """``path`` supplies the time coefficients and may be omitted for
+        pressure-only use.  ``fault='pressure-sign'`` flips the sign of the
+        tangential pressure term (negative test of the oracle checks)."""
         self.grid = grid
         self.path = path
         self.params = grid.params
+        self.fault = fault
         p = self.params
-        self.exp_e = p.damping_power            # n*gamma - n + 2
         self._p1 = -p.gamma                     # alpha = X^p1 Y^q1 - 1
         self._q1 = (p.n - 1.0) * (1.0 - p.gamma)
         self._p2 = 1.0 - p.gamma                # beta = X^p2 Y^q2 - 1
@@ -98,12 +102,19 @@ class RadialOperator:
         one_plus_beta = np.exp(self._p2 * la + self._q2 * lb)
         # (alpha - beta)/r = -(1+beta) * (2r/R0^2) p'(s) / X, exactly
         w_tangential = -one_plus_beta * self._two_over_r0sq * g.r * dp / x
+        if self.fault == "pressure-sign":
+            w_tangential = -w_tangential
         alpha_prime = self._two_over_r0sq * g.r * (g.d_s @ alpha)
         return (
             self.sigma_prime * (p.iota + 1.0) * alpha
             + self.sigma * alpha_prime
             + (p.n - 1.0) * self.sigma * w_tangential
         )
+
+    def log_jacobian(self, w: np.ndarray) -> np.ndarray:
+        """log J = log(1 + w_r) + (n-1) log(1 + w/r) of the deformation."""
+        pvals, _, u, _, _ = self._factors(w)
+        return np.log1p(u) + (self.params.n - 1.0) * np.log1p(pvals)
 
     def stiffness(self, w: np.ndarray, t: float | None = None) -> np.ndarray:
         """K(w) = kappa w + N(w)."""
@@ -161,38 +172,18 @@ class RadialOperator:
 
     # -- time-dependent coefficients ---------------------------------------
     def damping(self, t: float, order: int = 0) -> float:
-        p = self.path
-        lam = self.params.lam
-        th = float(p.theta_at(t))
-        th1 = float(p.theta_t_at(t))
-        u = 1.0 + t
-        if order == 0:
-            return u ** (-lam) + 2.0 * th1 / th
-        th2 = float(p.theta_tt_at(t))
-        if order == 1:
-            return -lam * u ** (-lam - 1.0) + 2.0 * (th2 / th - th1 ** 2 / th ** 2)
-        th3 = float(p.theta_ttt_at(t))
-        return lam * (lam + 1.0) * u ** (-lam - 2.0) + 2.0 * (
-            th3 / th - 3.0 * th1 * th2 / th ** 2 + 2.0 * th1 ** 3 / th ** 3
-        )
+        """d(t) or its derivative of the given order (at most 2)."""
+        return self.path.coefficients(t).d[order]
 
     def wave_coefficient(self, t: float, order: int = 0) -> float:
-        e = self.exp_e
-        th = float(self.path.theta_at(t))
-        if order == 0:
-            return th ** (-e)
-        th1 = float(self.path.theta_t_at(t))
-        if order == 1:
-            return -e * th ** (-e - 1.0) * th1
-        th2 = float(self.path.theta_tt_at(t))
-        return e * (e + 1.0) * th ** (-e - 2.0) * th1 ** 2 - e * th ** (-e - 1.0) * th2
+        """c(t) or its derivative of the given order (at most 2)."""
+        return self.path.coefficients(t).c[order]
 
     # -- dynamics ----------------------------------------------------------
     def rhs(self, t: float, state: np.ndarray) -> np.ndarray:
         m = state.size // 2
         w, w_t = state[:m], state[m:]
-        acc = -self.damping(t) * w_t - self.wave_coefficient(t) * self.stiffness(w, t)
-        return np.concatenate([w_t, acc])
+        return np.concatenate([w_t, self.acceleration(t, w, w_t)])
 
     def acceleration(self, t: float, w: np.ndarray, w_t: np.ndarray) -> np.ndarray:
         return -self.damping(t) * w_t - self.wave_coefficient(t) * self.stiffness(w, t)
@@ -226,19 +217,9 @@ class RadialOperator:
     def spectral_radius(self, iterations: int = 80, seed: int = 0) -> float:
         """Power-iteration bound on the linearized stiffness about w = 0;
         the generalized CFL cap scales it by the decaying wave coefficient."""
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(self.grid.num_nodes)
-        v /= np.linalg.norm(v)
         zero = np.zeros(self.grid.num_nodes)
-        lam_est = 1.0
-        for _ in range(iterations):
-            v = self.stiffness_linearized(zero, v)
-            norm = np.linalg.norm(v)
-            if norm == 0.0:
-                return 1.0
-            lam_est = norm
-            v /= norm
-        return float(lam_est)
+        return power_iteration(lambda v: self.stiffness_linearized(zero, v),
+                               self.grid.num_nodes, iterations, seed)
 
     def step_cap(self, cfl_safety: float = 0.5):
         rho = self.spectral_radius()
@@ -264,8 +245,7 @@ class Reconstruction:
 
 @dataclass
 class RadialTrajectory:
-    params: PhysParams
-    num_nodes: int
+    grid: WeightedGrid
     times: np.ndarray
     states: list[RadialState]
     energies: EnergyReport | None
@@ -347,12 +327,10 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
     indices = energy_indices(energy_level)
     evaluator = RadialEnergies(grid) if collect_energies else None
     comp: dict[tuple, list] = {idx: [] for idx in indices}
-    times: list[float] = []
 
     def on_output(t, y):
         state = RadialState(t=t, w=y[:n].copy(), w_t=y[n:].copy())
         states.append(state)
-        times.append(t)
         if collect_reconstructions:
             recons.append(reconstruct_physical(op, state))
         if evaluator is not None:
@@ -361,38 +339,37 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
                 comp[idx].append(evaluator.component(derivs, *idx, t))
 
     status, failure = "completed", None
+    stats = IntegrationStats()   # filled in place, kept when a step fails
     try:
         if stepper == "adaptive":
-            result = integrate_adaptive(
+            integrate_adaptive(
                 op.rhs, initial.t, y0, output_times, rel_tol=rel_tol,
                 abs_tol=abs_tol, max_step=op.step_cap(cfl_safety),
-                on_output=on_output,
+                on_output=on_output, stats=stats,
             )
         elif stepper == "rk4":
             if fixed_dt is None:
                 raise ValueError("fixed_dt is required for the rk4 stepper")
-            result = integrate_fixed_rk4(op.rhs, initial.t, y0, output_times,
-                                         fixed_dt, on_output=on_output)
+            integrate_fixed_rk4(op.rhs, initial.t, y0, output_times,
+                                fixed_dt, on_output=on_output, stats=stats)
         else:
             raise ValueError(f"unknown stepper {stepper!r}")
-        stats = result.stats
     except (RadialInvariantError, StepSizeUnderflow) as exc:
         status = "failed"
         failure = {"time": getattr(exc, "t", float("nan")), "reason": str(exc)}
-        stats = IntegrationStats()
         logger.warning("radial evolution truncated: %s", exc)
 
+    times = np.array([s.t for s in states])
     energies = None
-    if evaluator is not None and times:
+    if evaluator is not None and states:
         energies = EnergyReport(
-            times=np.array(times),
+            times=times,
             components={idx: np.array(vals) for idx, vals in comp.items()},
             indices=indices,
         )
     return RadialTrajectory(
-        params=grid.params, num_nodes=n, times=np.array(times), states=states,
-        energies=energies, reconstructions=recons, stats=stats,
-        status=status, failure=failure,
+        grid=grid, times=times, states=states, energies=energies,
+        reconstructions=recons, stats=stats, status=status, failure=failure,
     )
 
 
@@ -435,7 +412,7 @@ def radial_oracle_check(grid: WeightedGrid, num_samples: int = 3,
     """
     p = grid.params
     rng = np.random.default_rng(seed)
-    op = _PressureOnly(grid, fault=fault)
+    op = RadialOperator(grid, fault=fault)
     half_width = 0.95 * p.R0 / np.sqrt(p.n)
     bgrid = box_grid(p.n, half_width, box_points)
     axis = bgrid.axes[0]
@@ -470,34 +447,6 @@ def radial_oracle_check(grid: WeightedGrid, num_samples: int = 3,
         scale_ref = np.max(np.abs(cart_on_ray)) + 1e-300
         worst = max(worst, float(np.max(np.abs(cart_on_ray - radial_on_ray)) / scale_ref))
     return worst
-
-
-class _PressureOnly(RadialOperator):
-    """Pressure evaluation without a correction path (oracle checks)."""
-
-    def __init__(self, grid: WeightedGrid, fault: str | None = None):
-        self.grid = grid
-        self.params = grid.params
-        p = grid.params
-        self.exp_e = p.damping_power
-        self._p1 = -p.gamma
-        self._q1 = (p.n - 1.0) * (1.0 - p.gamma)
-        self._p2 = 1.0 - p.gamma
-        self._q2 = self._q1 - 1.0
-        self.sigma = p.sigma(grid.r)
-        self.sigma_prime = -2.0 * p.B_bar * grid.r
-        self._two_over_r0sq = 2.0 / p.R0 ** 2
-        self._fault = fault
-
-    def pressure(self, w, t=None):
-        value = super().pressure(w, t)
-        if self._fault == "pressure-sign":
-            g, p = self.grid, self.params
-            pvals, dp, u, x, _ = self._factors(w, t)
-            one_plus_beta = np.exp(self._p2 * np.log1p(u) + self._q2 * np.log1p(pvals))
-            tang = -one_plus_beta * self._two_over_r0sq * g.r * dp / x
-            value = value - 2.0 * (p.n - 1.0) * self.sigma * tang
-        return value
 
 
 def _cartesian_pressure(bgrid, fld, weight, jfac):

@@ -27,7 +27,8 @@ import numpy as np
 
 from .config import RunConfig
 from .correction import CorrectionPath, solve_correction
-from .diagnostics import boundedness_report, gap_series, theorem_rate_report
+from .diagnostics import (GapSeries, boundedness_report, gap_series,
+                          theorem_rate_report)
 from .params import PhysParams, derive_constants
 from .radial import (RadialOperator, RadialState, RadialTrajectory, evolve,
                      output_schedule, reconstructed_mass, seed_profile)
@@ -68,9 +69,9 @@ def _read_state(path: Path) -> tuple[RadialState, int]:
                        w_t=np.array(data["w_t"])), int(data["output_index"])
 
 
-def _series_rows(trajectory: RadialTrajectory, path: CorrectionPath,
-                 params: PhysParams, grid: WeightedGrid) -> list[list[float]]:
-    series = gap_series(trajectory, path, params)
+def _series_rows(trajectory: RadialTrajectory, series: GapSeries,
+                 path: CorrectionPath, params: PhysParams,
+                 grid: WeightedGrid) -> list[list[float]]:
     op = RadialOperator(grid, path)
     rows = []
     for k, state in enumerate(trajectory.states):
@@ -102,8 +103,9 @@ def read_series_csv(path) -> dict[str, np.ndarray]:
 RATE_GATE_HORIZON = 5e3   # below this, tail fits are pre-asymptotic
 
 
-def best_effort_rates(trajectory: RadialTrajectory, path: CorrectionPath,
-                      params: PhysParams, grid: WeightedGrid, slack: float):
+def best_effort_rates(trajectory: RadialTrajectory, series: GapSeries,
+                      path: CorrectionPath, params: PhysParams,
+                      grid: WeightedGrid, slack: float):
     """Rate report when the stored series supports a two-decade tail fit,
     else None (reporting is best-effort; gating is a separate decision)."""
     from .fitting import FitWindowError
@@ -111,7 +113,6 @@ def best_effort_rates(trajectory: RadialTrajectory, path: CorrectionPath,
     if trajectory.status != "completed" or len(trajectory.states) < 8:
         return None
     try:
-        series = gap_series(trajectory, path, params)
         return theorem_rate_report(series, path, params,
                                    r_max=float(grid.r.max()), slack=slack)
     except (FitWindowError, ValueError):
@@ -119,8 +120,8 @@ def best_effort_rates(trajectory: RadialTrajectory, path: CorrectionPath,
 
 
 def _evaluate_assertions(cfg: RunConfig, trajectory: RadialTrajectory,
-                         path: CorrectionPath, params: PhysParams,
-                         grid: WeightedGrid) -> dict:
+                         series: GapSeries, path: CorrectionPath,
+                         params: PhysParams, grid: WeightedGrid) -> dict:
     report: dict = {"status": trajectory.status}
     checks: dict[str, bool] = {"completed": trajectory.status == "completed"}
     if trajectory.failure:
@@ -132,7 +133,7 @@ def _evaluate_assertions(cfg: RunConfig, trajectory: RadialTrajectory,
         report["preservation_sup"] = sup
         checks["preservation"] = sup <= cfg.acceptance.preservation_tol
 
-    rates = best_effort_rates(trajectory, path, params, grid,
+    rates = best_effort_rates(trajectory, series, path, params, grid,
                               cfg.acceptance.exponent_slack)
     if cfg.acceptance.check_rates == "always":
         checks["rates"] = rates is not None and rates.ok
@@ -156,13 +157,12 @@ def _evaluate_assertions(cfg: RunConfig, trajectory: RadialTrajectory,
 
 def _persist(run_dir: Path, cfg: RunConfig, path: CorrectionPath,
              params: PhysParams, grid: WeightedGrid,
-             trajectory: RadialTrajectory, report: dict,
-             first_state_index: int = 0) -> None:
+             trajectory: RadialTrajectory, series: GapSeries, report: dict) -> None:
     states_dir = run_dir / "states"
     states_dir.mkdir(parents=True, exist_ok=True)
     cfg.dump(run_dir / "config.json")
     path.write_csv(run_dir / "correction.csv")
-    rows = _series_rows(trajectory, path, params, grid)
+    rows = _series_rows(trajectory, series, path, params, grid)
     _write_csv(run_dir / "series.csv", SERIES_HEADER, rows)
     if trajectory.energies is not None:
         trajectory.energies.write_csv(run_dir / "energies.csv")
@@ -170,8 +170,7 @@ def _persist(run_dir: Path, cfg: RunConfig, path: CorrectionPath,
     last = len(trajectory.states) - 1
     for k, state in enumerate(trajectory.states):
         if k % every == 0 or k == last:
-            idx = first_state_index + k
-            _write_state(states_dir / f"{idx:04d}.json", state, idx)
+            _write_state(states_dir / f"{k:04d}.json", state, k)
     if trajectory.reconstructions:
         recon_rows = []
         for k, rec in enumerate(trajectory.reconstructions):
@@ -210,11 +209,12 @@ def run(cfg: RunConfig, stop_after_outputs: int | None = None) -> RunResult:
         cfl_safety=cfg.solver.cfl_safety, stepper=cfg.solver.stepper,
         fixed_dt=cfg.solver.fixed_dt, collect_energies=cfg.solver.collect_energies,
     )
-    report = _evaluate_assertions(cfg, trajectory, path, params, grid)
+    series = gap_series(trajectory, path, params)
+    report = _evaluate_assertions(cfg, trajectory, series, path, params, grid)
     report["wall_seconds"] = time.time() - t_start
     report["rng_seed"] = cfg.rng_seed
     run_dir = Path(cfg.outputs.directory)
-    _persist(run_dir, cfg, path, params, grid, trajectory, report)
+    _persist(run_dir, cfg, path, params, grid, trajectory, series, report)
     logger.info("run %s: ok=%s (%.1fs)", run_dir, report["ok"], report["wall_seconds"])
     return RunResult(directory=run_dir, ok=report["ok"], report=report,
                      trajectory=trajectory)
@@ -253,7 +253,8 @@ def resume(run_dir) -> RunResult:
     keep = old_series["t"] <= state.t + 1e-12
     prefix_rows = [[old_series[name][k] for name in SERIES_HEADER]
                    for k in range(int(np.count_nonzero(keep)))]
-    new_rows = _series_rows(trajectory, path, params, grid)
+    series = gap_series(trajectory, path, params)
+    new_rows = _series_rows(trajectory, series, path, params, grid)
     _write_csv(run_dir / "series.csv", SERIES_HEADER, prefix_rows + new_rows)
     if trajectory.energies is not None and (run_dir / "energies.csv").exists():
         from .energy import read_energy_csv
@@ -274,7 +275,7 @@ def resume(run_dir) -> RunResult:
                                   for idx in trajectory.energies.indices]
                                + [total_new[k]])
         _write_csv(run_dir / "energies.csv", header, merged_rows)
-    report = _evaluate_assertions(cfg, trajectory, path, params, grid)
+    report = _evaluate_assertions(cfg, trajectory, series, path, params, grid)
     report["resumed_from"] = {"t": state.t, "output_index": index}
     states_dir = run_dir / "states"
     every = cfg.outputs.checkpoint_every
@@ -302,8 +303,6 @@ def refit(run_dir) -> dict:
                             cfg.ode.rel_tol, cfg.ode.abs_tol)
     series = read_series_csv(run_dir / "series.csv")
     grid = WeightedGrid(params, cfg.solver.num_nodes)
-
-    from .diagnostics import GapSeries
 
     gaps = GapSeries(times=series["t"], position=series["position_gap"],
                      density=series["density_gap"], velocity=series["velocity_gap"],

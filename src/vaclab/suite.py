@@ -1,16 +1,15 @@
 """One-shot verification suite: named property checks with a JSON report.
 
 Each check is independent and deterministic given the seed; the suite runs
-them in parallel and reports pass/fail per name.  A deliberate fault can
-be injected into the radial-pressure cross-check to exercise the suite's
-failure reporting (negative test).
+them one after another and reports pass/fail and wall time per name.  A
+deliberate fault can be injected into the radial-pressure cross-check to
+exercise the suite's failure reporting (negative test).
 """
 from __future__ import annotations
 
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -345,11 +344,12 @@ CHECKS = {
 
 
 def verify(only: str | None = None, fault: str | None = None,
-           seed: int = 0, workers: int = 4) -> SuiteReport:
+           seed: int = 0) -> SuiteReport:
     """Run the property suite (optionally a name-filtered subset).
 
-    ``fault`` injects a wrong sign into the test-only radial pressure path;
-    the radial-oracle check must then fail and be reported by name.
+    ``fault`` injects a wrong sign into the radial pressure that the
+    radial-oracle check compares; that check must then fail and be
+    reported by name.
     """
     names = [n for n in CHECKS if only is None or only in n]
     if not names:
@@ -366,9 +366,4 @@ def verify(only: str | None = None, fault: str | None = None,
         return CheckResult(name=name, passed=bool(passed), details=details,
                            seconds=time.time() - t0)
 
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, names))
-    else:
-        results = [run_one(n) for n in names]
-    return SuiteReport(results=results, fault=fault)
+    return SuiteReport(results=[run_one(n) for n in names], fault=fault)

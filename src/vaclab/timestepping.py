@@ -8,7 +8,7 @@ times, which keeps output deterministic across runs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,9 +45,33 @@ class IntegrationStats:
 
 @dataclass
 class IntegrationResult:
-    times: np.ndarray
-    states: list[np.ndarray]
-    stats: IntegrationStats = field(default_factory=IntegrationStats)
+    stats: IntegrationStats
+
+
+def _counted(rhs: Callable, stats: IntegrationStats) -> Callable:
+    """``rhs`` counting its calls into ``stats`` (a raising call counts)."""
+    def counted(t, y):
+        stats.rhs_evaluations += 1
+        return rhs(t, y)
+
+    return counted
+
+
+def power_iteration(apply: Callable, size: int, iterations: int, seed: int) -> float:
+    """Spectral-radius estimate of the linear map ``apply`` on R^size by
+    power iteration from a seeded Gaussian vector (stability caps)."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(size)
+    v /= np.linalg.norm(v)
+    estimate = 1.0
+    for _ in range(iterations):
+        v = apply(v)
+        norm = np.linalg.norm(v)
+        if norm == 0.0:
+            break
+        estimate = norm
+        v /= norm
+    return float(estimate)
 
 
 def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
@@ -55,42 +79,37 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
                        rel_tol: float = 1e-7, abs_tol: float = 1e-11,
                        max_step: Callable[[float], float] | None = None,
                        first_step: float | None = None,
-                       on_output: Callable | None = None) -> IntegrationResult:
+                       on_output: Callable | None = None,
+                       stats: IntegrationStats | None = None) -> IntegrationResult:
     """Integrate y' = rhs(t, y) from (t0, y0) through sorted output times.
 
     Error control uses the embedded 4th-order solution with a PI
     controller; ``max_step(t)`` bounds the step (stability cap).
     ``on_output(t, y)`` is invoked at every output time, including t0 if it
-    is listed.
+    is listed.  Counters accumulate in ``stats`` when one is passed, so
+    they survive an exception raised by ``rhs``.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
     outputs = [float(tt) for tt in output_times]
     if any(tt < t0 for tt in outputs):
         raise ValueError("output times must not precede the initial time")
-    stats = IntegrationStats()
-    collected: list[np.ndarray] = []
-    times: list[float] = []
-
-    def emit(tt, yy):
-        times.append(tt)
-        collected.append(yy.copy())
-        if on_output is not None:
-            on_output(tt, yy)
+    stats = IntegrationStats() if stats is None else stats
+    rhs = _counted(rhs, stats)
+    emit = on_output or (lambda tt, yy: None)
 
     idx = 0
     while idx < len(outputs) and outputs[idx] <= t:
         emit(t, y)
         idx += 1
     if idx >= len(outputs):
-        return IntegrationResult(np.array(times), collected, stats)
+        return IntegrationResult(stats)
     t_final = outputs[-1]
 
     cap = max_step(t) if max_step is not None else (t_final - t0)
     dt = first_step if first_step is not None else min(cap, 1e-4 * max(1.0, t_final - t0))
     dt = min(dt, cap)
     k_last = np.asarray(rhs(t, y), dtype=float)
-    stats.rhs_evaluations += 1
     err_prev = 1.0
     k = np.empty((7,) + y.shape)
 
@@ -108,7 +127,6 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
         for stage in range(1, 7):
             inc = sum(a * k[j] for j, a in enumerate(_A[stage]) if a != 0.0)
             k[stage] = rhs(t + _C[stage] * dt, y + dt * inc)
-        stats.rhs_evaluations += 6
         y5 = y + dt * np.tensordot(_B5, k, axes=1)
         err_vec = dt * np.tensordot(_B5 - _B4, k, axes=1)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
@@ -130,27 +148,22 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
         else:
             stats.rejected += 1
             dt = dt * min(1.0, max(0.2, 0.9 * err ** -0.2))
-    return IntegrationResult(np.array(times), collected, stats)
+    return IntegrationResult(stats)
 
 
 def integrate_fixed_rk4(rhs: Callable, t0: float, y0: np.ndarray,
                         output_times: Sequence[float], dt: float,
-                        on_output: Callable | None = None) -> IntegrationResult:
+                        on_output: Callable | None = None,
+                        stats: IntegrationStats | None = None) -> IntegrationResult:
     """Classical fixed-step RK4 through the output times (steps clipped so
     outputs are hit exactly; used for refinement studies)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     y = np.array(y0, dtype=float)
     t = float(t0)
-    stats = IntegrationStats()
-    collected: list[np.ndarray] = []
-    times: list[float] = []
-
-    def emit(tt, yy):
-        times.append(tt)
-        collected.append(yy.copy())
-        if on_output is not None:
-            on_output(tt, yy)
+    stats = IntegrationStats() if stats is None else stats
+    rhs = _counted(rhs, stats)
+    emit = on_output or (lambda tt, yy: None)
 
     for t_target in output_times:
         t_target = float(t_target)
@@ -166,8 +179,7 @@ def integrate_fixed_rk4(rhs: Callable, t0: float, y0: np.ndarray,
             y = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
             t += step
             stats.steps += 1
-            stats.rhs_evaluations += 4
             stats.last_dt = step
         t = t_target
         emit(t, y)
-    return IntegrationResult(np.array(times), collected, stats)
+    return IntegrationResult(stats)

@@ -232,3 +232,25 @@ def test_envelope_formula_shape(setup2):
     theta = path.theta_at(t[1:])
     manual = theta ** (-2.0) * np.exp(-((1.0 + t[1:]) ** 1.0 - 1.0) / 1.0)
     assert np.allclose(env[1:], manual, rtol=1e-14)
+
+
+def test_mode_time_derivative_chain_matches_trajectory_differences(setup2):
+    # orders 3 and 4 of the chain against differences of the accelerations
+    # (order 2) along a finely stepped mode trajectory; early, where the
+    # coefficient derivatives are largest (measured error 3e-4)
+    _, path, g = setup2
+    op = PlanarModeOperator(g, path, 2)
+    t_probe, dt = 1.0, 0.01
+    traj = evolve_mode(g, path, default_planar_state(g, 2), t_probe + dt,
+                       num_outputs=101, dt=op.stable_step() / 8.0,
+                       collect_energies=False)
+    before, mid, after = traj.states[-3:]
+    assert [s.t for s in (before, mid, after)] == pytest.approx(
+        [t_probe - dt, t_probe, t_probe + dt], rel=1e-12)
+    accs = [op.time_derivatives(s.t, s, order=2)[2] for s in (before, mid, after)]
+    derivs = op.time_derivatives(mid.t, mid)
+    for k in range(2):       # potentials f and g
+        fd3 = (accs[2][k] - accs[0][k]) / (2.0 * dt)
+        fd4 = (accs[2][k] - 2.0 * accs[1][k] + accs[0][k]) / dt ** 2
+        assert np.max(np.abs(fd3 - derivs[3][k])) <= 1e-3 * np.max(np.abs(derivs[3][k]))
+        assert np.max(np.abs(fd4 - derivs[4][k])) <= 1e-3 * np.max(np.abs(derivs[4][k]))

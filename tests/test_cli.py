@@ -203,9 +203,9 @@ def test_sweep_records_cell_failure_without_abort(tmp_path):
 
 
 def test_verify_subset_and_fault_injection():
-    report = verify(only="quadrature", workers=1)
+    report = verify(only="quadrature")
     assert report.ok and len(report.results) == 1
-    faulty = verify(only="radial-oracle", fault="pressure-sign", workers=1)
+    faulty = verify(only="radial-oracle", fault="pressure-sign")
     assert not faulty.ok
     assert faulty.results[0].name == "radial-oracle"
     unknown = pytest.raises(ValueError, verify, only="no-such-check")

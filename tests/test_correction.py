@@ -158,3 +158,50 @@ def test_csv_export_columns(tmp_path, path3):
     path3.write_csv(out)
     header = out.read_text().splitlines()[0]
     assert header == "t,h,h_t,theta,theta_t"
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_time_coefficient_derivatives_match_differences(n, lam):
+    # d', d'', c', c'' from the ODE chain against Richardson-extrapolated
+    # central differences of d and c themselves
+    path = solve_correction(derive_constants(n, lam, 2.0, 1.0), 1e4)
+
+    def values(t):
+        co = path.coefficients(t)
+        return np.array([co.d[0], co.c[0]])
+
+    for t in (0.5, 5.0, 100.0, 5e3):
+        step = 1e-2 * (1.0 + t)
+
+        def central(h):
+            plus, mid, minus = values(t + h), values(t), values(t - h)
+            return (plus - minus) / (2.0 * h), (plus - 2.0 * mid + minus) / h ** 2
+
+        (first_h, second_h), (first_h2, second_h2) = central(step), central(step / 2.0)
+        first = (4.0 * first_h2 - first_h) / 3.0
+        second = (4.0 * second_h2 - second_h) / 3.0
+        co = path.coefficients(t)
+        exact_first = np.array([co.d[1], co.c[1]])
+        exact_second = np.array([co.d[2], co.c[2]])
+        assert np.all(np.abs(first - exact_first) <= 1e-4 * np.abs(exact_first)), t
+        assert np.all(np.abs(second - exact_second) <= 1e-4 * np.abs(exact_second)), t
+
+
+def test_time_coefficients_reuse_one_dense_evaluation(params3, path3, monkeypatch):
+    calls = []
+    dense = path3._dense
+
+    def counting(t):
+        calls.append(float(t))
+        return dense(t)
+
+    monkeypatch.setattr(path3, "_dense", counting)
+    first = path3.coefficients(7.25)
+    assert path3.coefficients(7.25) is first
+    assert calls == [7.25]
+    th, th_t, _, _ = path3.theta_derivatives(7.25)
+    assert float(th) == float(path3.theta_at(7.25))
+    assert float(th_t) == float(path3.theta_t_at(7.25))
+    assert first.d[0] == pytest.approx((8.25) ** (-params3.lam) + 2.0 * th_t / th, rel=1e-15)
+    assert first.c[0] == float(th) ** (-params3.damping_power)

@@ -5,7 +5,7 @@ import pytest
 from vaclab.correction import solve_correction
 from vaclab.params import derive_constants
 from vaclab.quadrature import resample_matrix
-from vaclab.radial import (RadialOperator, RadialState, _PressureOnly, evolve,
+from vaclab.radial import (RadialOperator, RadialState, evolve,
                            radial_oracle_check, reconstruct_physical,
                            reconstructed_mass, seed_profile)
 from vaclab.weighted import WeightedGrid
@@ -87,7 +87,7 @@ def test_radial_reduction_affine_case():
 
     p = derive_constants(3, 0.0, 2.0, 1.0)
     g = WeightedGrid(p, 32)
-    op = _PressureOnly(g)
+    op = RadialOperator(g)
     c = 0.02
     w_nodes = c * g.r
     n_vals = op.pressure(w_nodes) * p.sigma(g.r) ** p.iota
@@ -208,6 +208,61 @@ def test_invariant_violation_truncates_with_metadata(setup):
     assert "node" in traj.failure["reason"]
 
 
+def test_failed_run_keeps_its_stats(monkeypatch):
+    # the first step breaks 1 + w_r > 0 at its fifth stage (t = 8/9 * 1e-3)
+    p = derive_constants(3, 0.0, 2.0, 1.0)
+    path = solve_correction(p, 1e6)
+    g = WeightedGrid(p, 32)
+    calls = []
+    rhs = RadialOperator.rhs
+
+    def counting(self, t, state):
+        calls.append(t)
+        return rhs(self, t, state)
+
+    monkeypatch.setattr(RadialOperator, "rhs", counting)
+    w0 = seed_profile("parabolic", 1.575, g)
+    traj = evolve(g, path, RadialState(0.0, w0, np.zeros_like(w0)), 10.0,
+                  collect_energies=False)
+    assert traj.status == "failed"
+    assert traj.failure["time"] == pytest.approx(8.0 / 9.0 * 1e-3, rel=1e-12)
+    assert len(calls) == 5
+    assert traj.stats.rhs_evaluations == len(calls)
+    assert traj.stats.steps == 0
+
+
+def test_rhs_makes_one_dense_evaluation_per_time(setup, monkeypatch):
+    _, path, g, op = setup
+    dense_times = []
+    dense = path._dense
+
+    def counting(t):
+        dense_times.append(float(t))
+        return dense(t)
+
+    monkeypatch.setattr(path, "_dense", counting)
+    monkeypatch.setattr(path, "_last_coefficients", None)
+    state = np.concatenate([seed_profile("parabolic", 1e-3, g), np.zeros(g.num_nodes)])
+    op.rhs(3.125, state)
+    op.rhs(3.125, state)
+    assert dense_times == [3.125]
+    # along adaptive steps, including the step cap: no time is evaluated twice
+    rhs_times = []
+    rhs = RadialOperator.rhs
+
+    def recording(self, t, y):
+        rhs_times.append(float(t))
+        return rhs(self, t, y)
+
+    monkeypatch.setattr(RadialOperator, "rhs", recording)
+    dense_times.clear()
+    traj = evolve(g, path, RadialState(0.0, state[:g.num_nodes], state[g.num_nodes:]),
+                  2.0, output_times=[0.0, 1.0, 2.0], collect_energies=False,
+                  collect_reconstructions=False)
+    assert traj.stats.rhs_evaluations == len(rhs_times) > 20
+    assert len(dense_times) == len(set(dense_times)) == len(set(rhs_times))
+
+
 def test_time_integration_fourth_order(setup):
     p, path, g, _ = setup
     w0 = seed_profile("quartic", 1e-2, g)
@@ -230,7 +285,7 @@ def test_spatial_refinement_spectral(setup):
     # algebraic order (spectral collocation)
     p, _, _, _ = setup
     g_ref = WeightedGrid(p, 192)
-    op_ref = _PressureOnly(g_ref)
+    op_ref = RadialOperator(g_ref)
 
     def w_fun(r):
         s = (r / p.R0) ** 2
@@ -240,7 +295,7 @@ def test_spatial_refinement_spectral(setup):
     errs = {}
     for nodes in (16, 32, 64):
         g = WeightedGrid(p, nodes)
-        vals = _PressureOnly(g).pressure(w_fun(g.r))
+        vals = RadialOperator(g).pressure(w_fun(g.r))
         interp = resample_matrix(g.s, g_ref.s)
         errs[nodes] = np.max(np.abs((interp @ (vals / g.r)) * g_ref.r - ref_vals))
     assert errs[32] <= errs[16] / 8.0
