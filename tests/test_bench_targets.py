@@ -20,9 +20,13 @@ def test_every_trace_target_resolves():
     assert targets
     missing = []
     for name, module, attribute, _record in targets:
-        owner = importlib.import_module(module)
-        for part in attribute.split("."):
-            owner = getattr(owner, part, None)
-        if not callable(owner):
+        loaded = importlib.import_module(module)
+        owner_name, _, method = attribute.rpartition(".")
+        if owner_name:       # a method must be defined on its class itself
+            owner = getattr(loaded, owner_name, None)
+            found = isinstance(owner, type) and callable(vars(owner).get(method))
+        else:
+            found = callable(getattr(loaded, method, None))
+        if not found:
             missing.append(f"{name}: {module}.{attribute}")
     assert not missing, missing
