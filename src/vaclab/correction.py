@@ -105,12 +105,11 @@ class CorrectionPath:
 
     def theta_at(self, t):
         t = np.asarray(t, dtype=float)
-        return (1.0 + t) ** self.params.kappa + self.h_at(t)
+        return self.params.nu(t) + self.h_at(t)
 
     def theta_t_at(self, t):
         t = np.asarray(t, dtype=float)
-        p = self.params
-        return p.kappa * (1.0 + t) ** (p.kappa - 1.0) + self.h_t_at(t)
+        return self.params.nu_t(t) + self.h_t_at(t)
 
     def theta_derivatives(self, t):
         """(theta, theta_t, theta_tt, theta_ttt) from one dense evaluation;
@@ -120,8 +119,8 @@ class CorrectionPath:
         p = self.params
         q = p.n - p.n * p.gamma - 1.0
         h, h_t = self._dense(t)
-        th = (1.0 + t) ** p.kappa + h
-        th_t = p.kappa * (1.0 + t) ** (p.kappa - 1.0) + h_t
+        th = p.nu(t) + h
+        th_t = p.nu_t(t) + h_t
         th_tt = p.kappa * th ** q - (1.0 + t) ** (-p.lam) * th_t
         th_ttt = (
             p.kappa * q * th ** (q - 1.0) * th_t

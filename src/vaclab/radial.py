@@ -79,11 +79,15 @@ class RadialOperator:
         self._two_over_r0sq = 2.0 / p.R0 ** 2
 
     # -- pointwise deformation factors ------------------------------------
-    def _factors(self, w, t=None):
+    def _deformation(self, w):
+        """(p, p'(s), w_r) with p = w/r."""
         g = self.grid
         pvals = w / g.r
         dp = g.d_s @ pvals
-        u = pvals + 2.0 * g.s * dp
+        return pvals, dp, pvals + 2.0 * g.s * dp
+
+    def _factors(self, w, t=None):
+        pvals, dp, u = self._deformation(w)
         x = 1.0 + u          # 1 + w_r
         y = 1.0 + pvals      # 1 + w/r
         if np.any(x <= 0.0) or np.any(y <= 0.0):
@@ -112,8 +116,12 @@ class RadialOperator:
         )
 
     def log_jacobian(self, w: np.ndarray) -> np.ndarray:
-        """log J = log(1 + w_r) + (n-1) log(1 + w/r) of the deformation."""
-        pvals, _, u, _, _ = self._factors(w)
+        """log J = log(1 + w_r) + (n-1) log(1 + w/r) of the deformation.
+
+        Unlike the dynamics this does not check the invariant: where the
+        deformation is not invertible log J is NaN, so the last state of a
+        failed trajectory can still be reported."""
+        pvals, _, u = self._deformation(w)
         return np.log1p(u) + (self.params.n - 1.0) * np.log1p(pvals)
 
     def stiffness(self, w: np.ndarray, t: float | None = None) -> np.ndarray:
@@ -171,13 +179,13 @@ class RadialOperator:
         )
 
     # -- time-dependent coefficients ---------------------------------------
-    def damping(self, t: float, order: int = 0) -> float:
-        """d(t) or its derivative of the given order (at most 2)."""
-        return self.path.coefficients(t).d[order]
+    def damping(self, t: float) -> tuple[float, float, float]:
+        """(d, d', d'') at t."""
+        return self.path.coefficients(t).d
 
-    def wave_coefficient(self, t: float, order: int = 0) -> float:
-        """c(t) or its derivative of the given order (at most 2)."""
-        return self.path.coefficients(t).c[order]
+    def wave_coefficient(self, t: float) -> tuple[float, float, float]:
+        """(c, c', c'') at t."""
+        return self.path.coefficients(t).c
 
     # -- dynamics ----------------------------------------------------------
     def rhs(self, t: float, state: np.ndarray) -> np.ndarray:
@@ -186,7 +194,7 @@ class RadialOperator:
         return np.concatenate([w_t, self.acceleration(t, w, w_t)])
 
     def acceleration(self, t: float, w: np.ndarray, w_t: np.ndarray) -> np.ndarray:
-        return -self.damping(t) * w_t - self.wave_coefficient(t) * self.stiffness(w, t)
+        return -self.damping(t)[0] * w_t - self.wave_coefficient(t)[0] * self.stiffness(w, t)
 
     def time_derivatives(self, t: float, w: np.ndarray, w_t: np.ndarray,
                          order: int = MAX_TIME_DERIVATIVE) -> dict[int, np.ndarray]:
@@ -196,16 +204,15 @@ class RadialOperator:
         derivs = {0: w, 1: w_t}
         if order < 2:
             return derivs
-        d0, c0 = self.damping(t), self.wave_coefficient(t)
+        d0, d1, d2 = self.damping(t)
+        c0, c1, c2 = self.wave_coefficient(t)
         k0 = self.stiffness(w, t)
         acc = -d0 * w_t - c0 * k0
         derivs[2] = acc
         if order >= 3:
-            d1, c1 = self.damping(t, 1), self.wave_coefficient(t, 1)
             k1_wt = self.stiffness_linearized(w, w_t)
             derivs[3] = -d1 * w_t - d0 * acc - c1 * k0 - c0 * k1_wt
         if order >= 4:
-            d2, c2 = self.damping(t, 2), self.wave_coefficient(t, 2)
             k2 = self.stiffness_second(w, w_t)
             k1_acc = self.stiffness_linearized(w, acc)
             derivs[4] = (
@@ -225,8 +232,8 @@ class RadialOperator:
         rho = self.spectral_radius()
 
         def cap(t: float) -> float:
-            wave = cfl_safety * 2.8 / np.sqrt(self.wave_coefficient(t) * rho)
-            damp = 2.5 / self.damping(t)
+            wave = cfl_safety * 2.8 / np.sqrt(self.wave_coefficient(t)[0] * rho)
+            damp = 2.5 / self.damping(t)[0]
             return float(min(wave, damp))
 
         return cap
@@ -360,10 +367,12 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
         logger.warning("radial evolution truncated: %s", exc)
 
     times = np.array([s.t for s in states])
+    # the state at which a run failed is kept without energies or reconstruction
+    evaluated = len(comp[indices[0]])
     energies = None
-    if evaluator is not None and states:
+    if evaluator is not None and evaluated:
         energies = EnergyReport(
-            times=times,
+            times=times[:evaluated],
             components={idx: np.array(vals) for idx, vals in comp.items()},
             indices=indices,
         )

@@ -75,7 +75,8 @@ def _series_rows(trajectory: RadialTrajectory, series: GapSeries,
     op = RadialOperator(grid, path)
     rows = []
     for k, state in enumerate(trajectory.states):
-        recon = trajectory.reconstructions[k] if trajectory.reconstructions else None
+        recon = (trajectory.reconstructions[k]
+                 if k < len(trajectory.reconstructions) else None)
         boundary = recon.boundary_radius if recon else float("nan")
         mass_err = (abs(reconstructed_mass(op, recon) - params.mass) / params.mass
                     if recon else float("nan"))

@@ -200,6 +200,24 @@ def test_sweep_records_cell_failure_without_abort(tmp_path):
     status = {r["epsilon"]: r for r in rows}
     assert status[0.0]["ok"]
     assert not status[5.0]["ok"]
+    assert status[5.0]["status"] == "failed"
+
+
+def test_run_whose_seed_breaks_the_invariant_keeps_its_artifacts(tmp_path):
+    cfg = parse_config(base_config(
+        tmp_path, **{"solver.t_end": 20.0, "ode.t_end": 40.0, "solver.num_nodes": 24,
+                     "solver.seed": {"shape": "parabolic", "amplitude": 5.0},
+                     "acceptance": {"check_rates": "never"}}))
+    result = run(cfg)
+    assert not result.ok
+    assert result.report["status"] == "failed"
+    assert result.trajectory.states[0].t == 0.0
+    d = result.directory
+    report = json.loads((d / "run_report.json").read_text())
+    assert report["status"] == "failed" and not report["ok"]
+    series = read_series_csv(d / "series.csv")
+    assert series["t"][0] == 0.0
+    assert np.isnan(series["density_gap"][0])
 
 
 def test_verify_subset_and_fault_injection():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from vaclab.correction import solve_correction
+from vaclab.diagnostics import gap_series
 from vaclab.params import derive_constants
 from vaclab.quadrature import resample_matrix
 from vaclab.radial import (RadialOperator, RadialState, evolve,
@@ -64,7 +65,7 @@ def test_pressure_pushes_compression_outward(setup):
     acc = op.acceleration(0.0, w, np.zeros_like(w))
     assert np.all(acc > 0.0)
     # record the scale for regression visibility
-    assert np.max(acc) == pytest.approx(np.max(-op.wave_coefficient(0.0)
+    assert np.max(acc) == pytest.approx(np.max(-op.wave_coefficient(0.0)[0]
                                                * (op.params.kappa * w + pressure)),
                                         rel=1e-12)
 
@@ -229,6 +230,25 @@ def test_failed_run_keeps_its_stats(monkeypatch):
     assert len(calls) == 5
     assert traj.stats.rhs_evaluations == len(calls)
     assert traj.stats.steps == 0
+
+
+def test_state_that_fails_at_an_output_is_kept_and_reported():
+    # an RK4 output state at t = 0.1 breaks 1 + w_r > 0: it is recorded,
+    # has no energies or reconstruction, and its density gap reads NaN
+    p = derive_constants(3, 0.0, 2.0, 1.0)
+    path = solve_correction(p, 100.0)
+    g = WeightedGrid(p, 24)
+    w0 = seed_profile("parabolic", 1.3, g)
+    traj = evolve(g, path, RadialState(0.0, w0, np.zeros_like(w0)), 20.0,
+                  output_times=np.linspace(0.0, 20.0, 201), stepper="rk4", fixed_dt=0.2)
+    assert traj.status == "failed" and traj.failure["time"] == pytest.approx(0.1)
+    assert [s.t for s in traj.states] == pytest.approx([0.0, 0.1])
+    assert len(traj.reconstructions) == 1
+    assert traj.energies.times.tolist() == [0.0]
+    with np.errstate(invalid="ignore"):
+        series = gap_series(traj, path, p)
+    assert np.isfinite(series.density[0]) and np.isnan(series.density[1])
+    assert np.all(np.isfinite(series.position))
 
 
 def test_rhs_makes_one_dense_evaluation_per_time(setup, monkeypatch):
