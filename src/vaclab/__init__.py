@@ -13,9 +13,10 @@ from .angular import (CurlEnvelopeReport, ModeTrajectory, PlanarModeState,
                       default_planar_state, evolve_mode)
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .correction import (CorrectionPath, HEnvelopeFit, ThetaPropertyReport,
-                         fit_h_envelope, integrating_factor_bound_check,
-                         lyapunov_violations, ode_residual, rk4_reference,
-                         solve_correction, verify_theta_properties)
+                         correction_path, fit_h_envelope,
+                         integrating_factor_bound_check, lyapunov_violations,
+                         ode_residual, rk4_reference, solve_correction,
+                         verify_theta_properties)
 from .diagnostics import (BoundednessReport, GapSeries, RateReport,
                           boundedness_report, closed_form_gaps, gap_series,
                           theorem_rate_report)

@@ -81,10 +81,17 @@ def mass_integral(n: int, gamma: float, a_bar: float, b_bar: float,
     is exact to rounding.
     """
     iota = 1.0 / (gamma - 1.0)
-    r0_sq = a_bar / b_bar
     _, w = jacobi_rule_01(num_nodes, iota, n / 2.0 - 1.0)
+    return _mass_from_weights(n, iota, a_bar, b_bar, w.sum())
+
+
+def _mass_from_weights(n: int, iota: float, a_bar: float, b_bar: float,
+                       weight_sum: float) -> float:
+    """The mass integral for a Gauss-Jacobi weight sum, which does not
+    depend on a_bar or b_bar."""
+    r0_sq = a_bar / b_bar
     return float(
-        unit_sphere_area(n) * 0.5 * r0_sq ** (n / 2.0) * a_bar ** iota * w.sum()
+        unit_sphere_area(n) * 0.5 * r0_sq ** (n / 2.0) * a_bar ** iota * weight_sum
     )
 
 
@@ -108,23 +115,28 @@ def derive_constants(n: int, lam: float, gamma: float, mass: float,
     iota = 1.0 / (gamma - 1.0)
     b_bar = (gamma - 1.0) / (2.0 * gamma) * kappa
 
-    # Bracket the root of mass_integral(A) = mass; the integral scales like
+    weight_sum = jacobi_rule_01(96, iota, n / 2.0 - 1.0)[1].sum()
+
+    def mass_of(a_bar: float) -> float:
+        return _mass_from_weights(n, iota, a_bar, b_bar, weight_sum)
+
+    # Bracket the root of mass_of(A) = mass; the integral scales like
     # A^(iota + n/2), so geometric expansion finds a bracket quickly.
     lo, hi = 1.0, 1.0
-    if mass_integral(n, gamma, 1.0, b_bar) < mass:
-        while mass_integral(n, gamma, hi, b_bar) < mass:
+    if mass_of(1.0) < mass:
+        while mass_of(hi) < mass:
             hi *= 4.0
             if hi > 1e40:
                 raise ParameterError("A_bar bracketing failed (mass too large)")
     else:
-        while mass_integral(n, gamma, lo, b_bar) > mass:
+        while mass_of(lo) > mass:
             lo /= 4.0
             if lo < 1e-40:
                 raise ParameterError("A_bar bracketing failed (mass too small)")
 
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
-        if mass_integral(n, gamma, mid, b_bar) < mass:
+        if mass_of(mid) < mass:
             lo = mid
         else:
             hi = mid

@@ -128,15 +128,21 @@ class RadialOperator:
         """K(w) = kappa w + N(w)."""
         return self.params.kappa * w + self.pressure(w, t)
 
+    def _stretch_factors(self, w):
+        """(p'(s), X, Y, 1 + alpha, 1 + beta) at w, with X = 1 + w_r and
+        Y = 1 + w/r, for the directional derivatives of the pressure."""
+        pvals, dp, u, x, y = self._factors(w)
+        la, lb = np.log1p(u), np.log1p(pvals)
+        return (dp, x, y, np.exp(self._p1 * la + self._q1 * lb),
+                np.exp(self._p2 * la + self._q2 * lb))
+
     def stiffness_linearized(self, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """Directional derivative K'(w)[delta]."""
         g, p = self.grid, self.params
-        pvals, dp, u, x, y = self._factors(w)
+        dp, x, y, one_plus_alpha, one_plus_beta = self._stretch_factors(w)
         d_p = delta / g.r
         d_dp = g.d_s @ d_p
         d_u = d_p + 2.0 * g.s * d_dp
-        one_plus_alpha = np.exp(self._p1 * np.log1p(u) + self._q1 * np.log1p(pvals))
-        one_plus_beta = np.exp(self._p2 * np.log1p(u) + self._q2 * np.log1p(pvals))
         d_alpha = one_plus_alpha * (self._p1 * d_u / x + self._q1 * d_p / y)
         d_beta = one_plus_beta * (self._p2 * d_u / x + self._q2 * d_p / y)
         slope = dp / x
@@ -153,13 +159,11 @@ class RadialOperator:
     def stiffness_second(self, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """Second directional derivative K''(w)[delta, delta]."""
         g, p = self.grid, self.params
-        pvals, dp, u, x, y = self._factors(w)
+        dp, x, y, one_plus_alpha, one_plus_beta = self._stretch_factors(w)
         d_p = delta / g.r
         d_dp = g.d_s @ d_p
         d_u = d_p + 2.0 * g.s * d_dp
         rx, ry = d_u / x, d_p / y
-        one_plus_alpha = np.exp(self._p1 * np.log1p(u) + self._q1 * np.log1p(pvals))
-        one_plus_beta = np.exp(self._p2 * np.log1p(u) + self._q2 * np.log1p(pvals))
         lin_a = self._p1 * rx + self._q1 * ry
         lin_b = self._p2 * rx + self._q2 * ry
         dd_alpha = one_plus_alpha * (lin_a ** 2 - self._p1 * rx ** 2 - self._q1 * ry ** 2)
@@ -436,26 +440,32 @@ def radial_oracle_check(grid: WeightedGrid, num_samples: int = 3,
             s = (r / p.R0) ** 2
             return scale * r * (coeffs[0] + coeffs[1] * s + coeffs[2] * s ** 2)
 
-        # Cartesian route: G^k_i = sigma^(iota+1) (A^k_i J^(1-gamma) - delta),
-        # pressure_i = d_k G^k_i, evaluated with the FD machinery.
-        omega = radial_vector_field(bgrid, w_of_r)
-        fld = build_deformation(bgrid, omega)
-        sigma = p.A_bar - p.B_bar * bgrid.radius() ** 2
-        weight = sigma ** (p.iota + 1.0)
-        jfac = fld.jacobian ** (1.0 - p.gamma)
-        cart = _cartesian_pressure(bgrid, fld, weight, jfac)
+        cart_on_ray = _cartesian_pressure_on_ray(bgrid, p, w_of_r,
+                                                 np.searchsorted(axis, ray))
         # radial route, interpolated to the ray radii
         w_nodes = w_of_r(grid.r)
         n_vals = op.pressure(w_nodes)
         interp = resample_matrix(grid.s, (ray / p.R0) ** 2)
         radial_on_ray = (interp @ (n_vals / grid.r)) * ray
         radial_on_ray *= p.sigma(ray) ** p.iota
-        center = tuple(bgrid.shape[k] // 2 for k in range(1, p.n))
-        ray_idx = np.searchsorted(axis, ray)
-        cart_on_ray = np.array([cart[(i,) + center + (0,)] for i in ray_idx])
         scale_ref = np.max(np.abs(cart_on_ray)) + 1e-300
         worst = max(worst, float(np.max(np.abs(cart_on_ray - radial_on_ray)) / scale_ref))
     return worst
+
+
+def _cartesian_pressure_on_ray(bgrid, p, w_of_r, ray_idx) -> np.ndarray:
+    """Cartesian route, G^k_i = sigma^(iota+1) (A^k_i J^(1-gamma) - delta),
+    pressure_i = d_k G^k_i, evaluated with the FD machinery and read along
+    the first axis.  Its tensor-grid fields are released on return, before
+    the next sample builds its own."""
+    omega = radial_vector_field(bgrid, w_of_r)
+    fld = build_deformation(bgrid, omega)
+    sigma = p.A_bar - p.B_bar * bgrid.radius() ** 2
+    weight = sigma ** (p.iota + 1.0)
+    jfac = fld.jacobian ** (1.0 - p.gamma)
+    cart = _cartesian_pressure(bgrid, fld, weight, jfac)
+    center = tuple(bgrid.shape[k] // 2 for k in range(1, p.n))
+    return np.array([cart[(i,) + center + (0,)] for i in ray_idx])
 
 
 def _cartesian_pressure(bgrid, fld, weight, jfac):

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .correction import CorrectionPath, solve_correction
+from .correction import CorrectionPath, correction_path
 from .diagnostics import (GapSeries, boundedness_report, gap_series,
                           theorem_rate_report)
 from .params import PhysParams, derive_constants
@@ -189,15 +189,21 @@ def _persist(run_dir: Path, cfg: RunConfig, path: CorrectionPath,
         json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
+def _setup(cfg: RunConfig) -> tuple[PhysParams, CorrectionPath, WeightedGrid]:
+    """Constants, correction path and grid of a run; runs of one process
+    with equal constants and ode settings share the path."""
+    params = derive_constants(cfg.params.n, cfg.params.lam, cfg.params.gamma,
+                              cfg.params.mass)
+    path = correction_path(params, max(cfg.ode.t_end, cfg.solver.t_end),
+                           cfg.ode.rel_tol, cfg.ode.abs_tol)
+    return params, path, WeightedGrid(params, cfg.solver.num_nodes)
+
+
 def run(cfg: RunConfig, stop_after_outputs: int | None = None) -> RunResult:
     """Execute the configured pipeline: ODE solve, radial evolution,
     diagnostics, persistence.  Partial artifacts are retained on failure."""
     t_start = time.time()
-    params = derive_constants(cfg.params.n, cfg.params.lam, cfg.params.gamma,
-                              cfg.params.mass)
-    ode_t_end = max(cfg.ode.t_end, cfg.solver.t_end)
-    path = solve_correction(params, ode_t_end, cfg.ode.rel_tol, cfg.ode.abs_tol)
-    grid = WeightedGrid(params, cfg.solver.num_nodes)
+    params, path, grid = _setup(cfg)
     rng = np.random.default_rng(cfg.rng_seed)
     w0 = seed_profile(cfg.solver.seed.shape, cfg.solver.seed.amplitude, grid, rng)
     initial = RadialState(t=0.0, w=w0, w_t=np.zeros_like(w0))
@@ -236,11 +242,7 @@ def resume(run_dir) -> RunResult:
     if not state_files:
         raise FileNotFoundError(f"no checkpoints found under {run_dir}/states")
     state, index = _read_state(state_files[-1])
-    params = derive_constants(cfg.params.n, cfg.params.lam, cfg.params.gamma,
-                              cfg.params.mass)
-    ode_t_end = max(cfg.ode.t_end, cfg.solver.t_end)
-    path = solve_correction(params, ode_t_end, cfg.ode.rel_tol, cfg.ode.abs_tol)
-    grid = WeightedGrid(params, cfg.solver.num_nodes)
+    params, path, grid = _setup(cfg)
     schedule = output_schedule(cfg.solver.t_end, cfg.solver.outputs_per_decade)
     remaining = schedule[schedule > state.t + 1e-12]
     trajectory = evolve(
@@ -298,12 +300,8 @@ def refit(run_dir) -> dict:
 
     run_dir = Path(run_dir)
     cfg = load_config(run_dir / "config.json")
-    params = derive_constants(cfg.params.n, cfg.params.lam, cfg.params.gamma,
-                              cfg.params.mass)
-    path = solve_correction(params, max(cfg.ode.t_end, cfg.solver.t_end),
-                            cfg.ode.rel_tol, cfg.ode.abs_tol)
+    params, path, grid = _setup(cfg)
     series = read_series_csv(run_dir / "series.csv")
-    grid = WeightedGrid(params, cfg.solver.num_nodes)
 
     gaps = GapSeries(times=series["t"], position=series["position_gap"],
                      density=series["density_gap"], velocity=series["velocity_gap"],

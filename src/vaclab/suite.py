@@ -1,9 +1,12 @@
 """One-shot verification suite: named property checks with a JSON report.
 
 Each check is independent and deterministic given the seed; the suite runs
-them one after another and reports pass/fail and wall time per name.  A
-deliberate fault can be injected into the radial-pressure cross-check to
-exercise the suite's failure reporting (negative test).
+them one after another and reports pass/fail, wall time and CPU time per
+name.  Correction paths are solved once per process and shared (see
+``correction.correction_path``), so a shared path's solve is charged to the
+first check that asks for it.  A deliberate fault can be injected into the
+radial-pressure cross-check to exercise the suite's failure reporting
+(negative test).
 """
 from __future__ import annotations
 
@@ -16,6 +19,8 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
+ODE_LAMBDAS = (0.0, 0.3, 0.7)   # damping exponents of the correction-ODE checks
+
 
 @dataclass
 class CheckResult:
@@ -23,6 +28,7 @@ class CheckResult:
     passed: bool
     details: dict = field(default_factory=dict)
     seconds: float = 0.0
+    cpu_seconds: float = 0.0
 
 
 @dataclass
@@ -40,7 +46,7 @@ class SuiteReport:
             "fault_injected": self.fault,
             "checks": [
                 {"name": r.name, "passed": r.passed, "seconds": round(r.seconds, 3),
-                 "details": r.details}
+                 "cpu_seconds": round(r.cpu_seconds, 3), "details": r.details}
                 for r in self.results
             ],
         }
@@ -171,15 +177,22 @@ def _check_jacobian_expansion(seed, fault):
     return ok, out
 
 
-def _check_ode_properties(seed, fault):
-    from .correction import ode_residual, solve_correction, verify_theta_properties
+def _long_path(lam: float):
+    """The correction path of n = 3, gamma = 2, M = 1 to t = 1e6, which the
+    ODE checks share (each is solved in the first check that asks for it)."""
+    from .correction import correction_path
     from .params import derive_constants
+
+    return correction_path(derive_constants(3, lam, 2.0, 1.0), 1e6)
+
+
+def _check_ode_properties(seed, fault):
+    from .correction import ode_residual, verify_theta_properties
 
     details = {}
     ok = True
-    for lam in (0.0, 0.3, 0.7):
-        p = derive_constants(3, lam, 2.0, 1.0)
-        path = solve_correction(p, 1e5)
+    for lam in ODE_LAMBDAS:
+        path = _long_path(lam)
         rep = verify_theta_properties(path)
         resid = ode_residual(path)
         slopes_ok = all(rep.derivative_slopes[m] <= rep.derivative_slope_targets[m] + 0.12
@@ -196,14 +209,12 @@ def _check_ode_properties(seed, fault):
 
 
 def _check_h_envelope(seed, fault):
-    from .correction import fit_h_envelope, solve_correction
-    from .params import derive_constants
+    from .correction import fit_h_envelope
 
     details = {}
     ok = True
-    for lam in (0.0, 0.3, 0.7):
-        p = derive_constants(3, lam, 2.0, 1.0)
-        path = solve_correction(p, 1e6)
+    for lam in ODE_LAMBDAS:
+        path = _long_path(lam)
         env = fit_h_envelope(path, window=(1e2, 1e6))
         err = abs(env.best_exponent() - env.expected_exponent)
         ok &= err <= 0.05
@@ -228,13 +239,11 @@ def _check_integrating_factor(seed, fault):
 
 
 def _check_lyapunov(seed, fault):
-    from .correction import lyapunov_violations, solve_correction
-    from .params import derive_constants
+    from .correction import lyapunov_violations
 
     counts = {}
-    for lam in (0.0, 0.3, 0.7):
-        p = derive_constants(3, lam, 2.0, 1.0)
-        counts[f"lam{lam:g}"] = lyapunov_violations(solve_correction(p, 1e5))
+    for lam in ODE_LAMBDAS:
+        counts[f"lam{lam:g}"] = lyapunov_violations(_long_path(lam))
     return all(v == 0 for v in counts.values()), counts
 
 
@@ -259,14 +268,11 @@ def _check_radial_oracle(seed, fault):
 
 
 def _check_zero_run_preservation(seed, fault):
-    from .correction import solve_correction
-    from .params import derive_constants
     from .radial import RadialState, evolve
     from .weighted import WeightedGrid
 
-    p = derive_constants(3, 0.0, 2.0, 1.0)
-    path = solve_correction(p, 2e3)
-    g = WeightedGrid(p, 48)
+    path = _long_path(0.0)
+    g = WeightedGrid(path.params, 48)
     traj = evolve(g, path, RadialState(0.0, np.zeros(48), np.zeros(48)), 1e3,
                   collect_energies=False, collect_reconstructions=False)
     sup = float(traj.sup_norms().max()) if traj.states else float("inf")
@@ -275,7 +281,7 @@ def _check_zero_run_preservation(seed, fault):
 
 def _check_curl_envelope(seed, fault):
     from .angular import curl_decay_fit, default_planar_state, evolve_mode
-    from .correction import solve_correction
+    from .correction import correction_path
     from .params import derive_constants
     from .weighted import WeightedGrid
 
@@ -283,7 +289,7 @@ def _check_curl_envelope(seed, fault):
     ok = True
     for lam in (0.0, 0.5):
         p = derive_constants(2, lam, 2.0, 1.0)
-        path = solve_correction(p, 100.0)
+        path = correction_path(p, 100.0)
         g = WeightedGrid(p, 32)
         st = default_planar_state(g, 2)
         traj = evolve_mode(g, path, st, 20.0)
@@ -356,7 +362,7 @@ def verify(only: str | None = None, fault: str | None = None,
         raise ValueError(f"no checks match {only!r}; available: {list(CHECKS)}")
 
     def run_one(name: str) -> CheckResult:
-        t0 = time.time()
+        t0, cpu0 = time.time(), time.process_time()
         check_fault = fault if name == "radial-oracle" else None
         try:
             passed, details = CHECKS[name](seed, check_fault)
@@ -364,6 +370,7 @@ def verify(only: str | None = None, fault: str | None = None,
             logger.exception("check %s crashed", name)
             passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
         return CheckResult(name=name, passed=bool(passed), details=details,
-                           seconds=time.time() - t0)
+                           seconds=time.time() - t0,
+                           cpu_seconds=time.process_time() - cpu0)
 
     return SuiteReport(results=[run_one(n) for n in names], fault=fault)

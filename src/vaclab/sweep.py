@@ -20,7 +20,7 @@ def _cell_name(lam: float, gamma: float, eps: float) -> str:
 
 
 def _run_cell(cfg_dict: dict) -> dict:
-    """Executed in a worker process; never raises."""
+    """Runs one cell; never raises."""
     from .config import parse_config
     from .runio import run
 
@@ -47,6 +47,11 @@ def _run_cell(cfg_dict: dict) -> dict:
                 "exp_velocity": None, "boundedness_ratio": None}
 
 
+def _run_cells(cfg_dicts: list[dict]) -> list[dict]:
+    """Cells run one after another in one process (a worker's task)."""
+    return [_run_cell(cfg) for cfg in cfg_dicts]
+
+
 def sweep(base_config, lambdas, gammas, epsilons, out_dir,
           workers: int | None = None) -> list[dict]:
     """Run every (lambda, gamma, epsilon) combination independently and
@@ -54,9 +59,12 @@ def sweep(base_config, lambdas, gammas, epsilons, out_dir,
     never abort the sweep."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = []
+    # Cells of one (lambda, gamma) differ only in epsilon and so share their
+    # correction path; each group runs in one process, which solves it once.
+    groups = []
     for lam in lambdas:
         for gamma in gammas:
+            group = []
             for eps in epsilons:
                 cfg = copy.deepcopy(base_config.to_dict())
                 cfg["params"]["lambda"] = lam
@@ -66,15 +74,18 @@ def sweep(base_config, lambdas, gammas, epsilons, out_dir,
                     cfg["solver"]["seed"]["shape"] = "parabolic"
                 name = _cell_name(lam, gamma, eps)
                 cfg["outputs"]["directory"] = str(out_dir / name)
-                cells.append((name, lam, gamma, eps, cfg))
+                group.append((name, lam, gamma, eps, cfg))
+            groups.append(group)
+    cells = [cell for group in groups for cell in group]
 
     if workers is None:
-        workers = min(len(cells), 4)
+        workers = min(len(groups), 4)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, [c[-1] for c in cells]))
+            tasks = [[cell[-1] for cell in group] for group in groups]
+            outcomes = [o for results in pool.map(_run_cells, tasks) for o in results]
     else:
-        outcomes = [_run_cell(c[-1]) for c in cells]
+        outcomes = _run_cells([cell[-1] for cell in cells])
 
     rows = []
     for (name, lam, gamma, eps, _), outcome in zip(cells, outcomes):

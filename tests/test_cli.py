@@ -168,14 +168,19 @@ def test_refit_reproduces_reports(tmp_path):
         json.loads((result.directory / "boundedness.json").read_text())["total_ratio"])
 
 
+SWEEP_GRID = ([0.0, 0.3, 0.7], [1.5, 2.0], [0.0, 1e-3])
+
+
+def sweep_grid_config(tmp_path):
+    return parse_config(base_config(
+        tmp_path, **{"solver.t_end": 1000.0, "ode.t_end": 2000.0,
+                     "solver.num_nodes": 24}))
+
+
 def test_sweep_grid(tmp_path):
     from vaclab.sweep import sweep
 
-    base = parse_config(base_config(
-        tmp_path, **{"solver.t_end": 1000.0, "ode.t_end": 2000.0,
-                     "solver.num_nodes": 24}))
-    rows = sweep(base, [0.0, 0.3, 0.7], [1.5, 2.0], [0.0, 1e-3],
-                 tmp_path / "sweep", workers=4)
+    rows = sweep(sweep_grid_config(tmp_path), *SWEEP_GRID, tmp_path / "sweep", workers=4)
     assert len(rows) == 12
     assert all(r["status"] == "completed" for r in rows)
     for row in rows:
@@ -185,6 +190,20 @@ def test_sweep_grid(tmp_path):
     summary = (tmp_path / "sweep" / "summary.csv").read_text().splitlines()
     assert len(summary) == 13
     assert (tmp_path / "sweep" / "summary.json").exists()
+
+
+def test_sweep_rows_do_not_depend_on_the_worker_count(tmp_path):
+    # a pool runs the cells of one (lambda, gamma) in one task, sharing its
+    # correction path; the rows must equal those of the serial sweep
+    from vaclab.sweep import sweep
+
+    base = sweep_grid_config(tmp_path)
+    serial = sweep(base, *SWEEP_GRID, tmp_path / "serial", workers=1)
+    pooled = sweep(base, *SWEEP_GRID, tmp_path / "pooled", workers=2)
+    assert [r["cell"] for r in serial] == [r["cell"] for r in pooled]
+    assert serial == pooled
+    assert ((tmp_path / "serial" / "summary.csv").read_text()
+            == (tmp_path / "pooled" / "summary.csv").read_text())
 
 
 def test_sweep_records_cell_failure_without_abort(tmp_path):
@@ -228,6 +247,29 @@ def test_verify_subset_and_fault_injection():
     assert faulty.results[0].name == "radial-oracle"
     unknown = pytest.raises(ValueError, verify, only="no-such-check")
     assert "no checks match" in str(unknown.value)
+
+
+def test_verify_solves_each_correction_path_once(monkeypatch):
+    from vaclab import correction
+
+    correction._memoized_path.cache_clear()
+    solves = []
+    solve = correction.solve_correction
+
+    def counting(params, t_end, *args):
+        solves.append((params.n, params.lam, t_end))
+        return solve(params, t_end, *args)
+
+    monkeypatch.setattr(correction, "solve_correction", counting)
+    report = verify()
+    assert report.ok, [r.name for r in report.results if not r.passed]
+    assert sorted(solves) == [(2, 0.0, 100.0), (2, 0.5, 100.0), (3, 0.0, 1e6),
+                              (3, 0.3, 1e6), (3, 0.7, 1e6)]
+    checks = report.to_dict()["checks"]
+    assert all(c["cpu_seconds"] >= 0.0 for c in checks)
+    # a shared path is charged to the first check that asks for it
+    seconds = {c["name"]: c["seconds"] for c in checks}
+    assert seconds["ode-properties"] > seconds["lyapunov"]
 
 
 def test_cli_selfsim_writes_csv(tmp_path, capsys):

@@ -21,6 +21,33 @@ def closed_form_a_bar(n, gamma, b_bar, mass):
     raise NotImplementedError
 
 
+# A_bar and R0 of the bisection that built the Gauss-Jacobi rule at every step
+BISECTION_RESULTS = {
+    (3, 0.0, 2.0, 1.0): ("0x1.141756cfe8180p-3", "0x1.a45ae2f9b7e57p+0"),
+    (2, 0.5, 2.0, 1.0): ("0x1.f454378578100p-3", "0x1.9d410d11747f5p+0"),
+    (3, 0.7, 1.5, 1.0): ("0x1.61044be79ac00p-2", "0x1.0825311107586p+1"),
+    (2, 0.3, 5.0 / 3.0, 2.5): ("0x1.e5fe29a22bc00p-2", "0x1.3bbd11f9791c6p+1"),
+    (3, 0.3, 2.0, 0.01): ("0x1.99bd79e8fc520p-6", "0x1.3d954ef31ef2bp-1"),
+}
+
+
+@pytest.mark.parametrize("args", list(BISECTION_RESULTS))
+def test_derive_constants_builds_one_rule(args, monkeypatch):
+    import vaclab.params as params_module
+
+    rules = []
+    rule = params_module.jacobi_rule_01
+
+    def counting(*a):
+        rules.append(a)
+        return rule(*a)
+
+    monkeypatch.setattr(params_module, "jacobi_rule_01", counting)
+    p = derive_constants(*args)
+    assert len(rules) == 1
+    assert (p.A_bar.hex(), p.R0.hex()) == BISECTION_RESULTS[args]
+
+
 def test_derived_exponents_n3():
     p = derive_constants(3, 0.0, 2.0, 1.0)
     assert p.kappa == pytest.approx(0.2, abs=0)
