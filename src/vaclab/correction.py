@@ -77,65 +77,12 @@ class TimeCoefficients:
     c: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class DenseSolution:
-    """The Radau dense output of (h, h_t) as four arrays, one row per step.
-
-    SciPy's ``OdeSolution`` keeps one interpolant object per step; these
-    arrays hold the same data.  Evaluation repeats its arithmetic operation
-    by operation (segment choice by ``searchsorted(side="left")`` with
-    clamping, powers by ``cumprod``, one ``np.dot`` per segment group), so
-    the values are bit-identical.
-    """
-
-    t_old: np.ndarray   # (steps,) step start times
-    h: np.ndarray       # (steps,) step lengths
-    Q: np.ndarray       # (steps, 2, 3) cubic coefficients
-    y_old: np.ndarray   # (steps, 2) values at the step starts
-
-    @classmethod
-    def from_ode_solution(cls, sol) -> "DenseSolution":
-        steps = sol.interpolants
-        return cls(t_old=np.array([s.t_old for s in steps]),
-                   h=np.array([s.h for s in steps]),
-                   Q=np.array([s.Q for s in steps]),
-                   y_old=np.array([s.y_old for s in steps]))
-
-    def __call__(self, t) -> np.ndarray:
-        """(h, h_t) at a scalar t, shape (2,), or at a 1-D t, shape (2, t.size)."""
-        t = np.asarray(t)
-        powers = self.Q.shape[2]
-        last = self.t_old.size - 1
-        if t.ndim == 0:
-            k = min(max(int(self.t_old.searchsorted(t, side="left")) - 1, 0), last)
-            p = np.cumprod(np.tile((t - self.t_old[k]) / self.h[k], powers))
-            y = np.dot(self.Q[k], p)
-            y += self.y_old[k]
-            return y
-        sort = np.argsort(t)
-        t_sorted = t[sort]
-        segments = np.clip(self.t_old.searchsorted(t_sorted, side="left") - 1, 0, last)
-        edges = np.concatenate(
-            [[0], np.flatnonzero(np.diff(segments)) + 1, [t.size]])
-        ys = []
-        for start, stop in zip(edges[:-1], edges[1:]):
-            k = segments[start]
-            x = (t_sorted[start:stop] - self.t_old[k]) / self.h[k]
-            y = np.dot(self.Q[k], np.cumprod(np.tile(x, (powers, 1)), axis=0))
-            y += self.y_old[k][:, None]
-            ys.append(y)
-        reverse = np.empty_like(sort)
-        reverse[sort] = np.arange(sort.size)
-        return np.hstack(ys)[:, reverse]
-
-
 @dataclass
 class CorrectionPath:
     """Solved correction trajectory with dense evaluation.
 
     Samples are stored on a log-spaced grid; arbitrary times in
-    [0, t_end] evaluate through the integrator's dense output, held as a
-    :class:`DenseSolution`.
+    [0, t_end] evaluate through the integrator's dense output.
     """
 
     params: PhysParams
@@ -148,7 +95,7 @@ class CorrectionPath:
     theta: np.ndarray
     theta_t: np.ndarray
     step_times: np.ndarray = field(repr=False)
-    _dense: DenseSolution = field(repr=False)
+    _dense: object = field(repr=False)
     _last_coefficients: TimeCoefficients | None = field(default=None, init=False, repr=False)
 
     def h_at(self, t):
@@ -250,9 +197,8 @@ def solve_correction(params: PhysParams, t_end: float = 1e6,
     )
     if not sol.success:
         raise CorrectionSolveError(f"correction ODE solve failed: {sol.message}")
-    dense = DenseSolution.from_ode_solution(sol.sol)
     t_grid = sample_grid(t_end)
-    h, h_t = dense(t_grid)
+    h, h_t = sol.sol(t_grid)
     nu = (1.0 + t_grid) ** params.kappa
     theta = nu + h
     if np.any(theta <= 0.0) or not np.all(np.isfinite(h)):
@@ -261,7 +207,7 @@ def solve_correction(params: PhysParams, t_end: float = 1e6,
         params=params, t_end=float(t_end), rel_tol=rel_tol, abs_tol=abs_tol,
         t_grid=t_grid, h=h, h_t=h_t, theta=theta,
         theta_t=params.kappa * (1.0 + t_grid) ** (params.kappa - 1.0) + h_t,
-        step_times=sol.t, _dense=dense,
+        step_times=sol.t, _dense=sol.sol,
     )
     logger.debug(
         "correction solved to t=%.3g in %d steps (h(T)=%.3e)", t_end, sol.t.size, h[-1]

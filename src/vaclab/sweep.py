@@ -59,12 +59,9 @@ def sweep(base_config, lambdas, gammas, epsilons, out_dir,
     never abort the sweep."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Cells of one (lambda, gamma) differ only in epsilon and so share their
-    # correction path; each group runs in one process, which solves it once.
-    groups = []
+    cells = []
     for lam in lambdas:
         for gamma in gammas:
-            group = []
             for eps in epsilons:
                 cfg = copy.deepcopy(base_config.to_dict())
                 cfg["params"]["lambda"] = lam
@@ -74,18 +71,21 @@ def sweep(base_config, lambdas, gammas, epsilons, out_dir,
                     cfg["solver"]["seed"]["shape"] = "parabolic"
                 name = _cell_name(lam, gamma, eps)
                 cfg["outputs"]["directory"] = str(out_dir / name)
-                group.append((name, lam, gamma, eps, cfg))
-            groups.append(group)
-    cells = [cell for group in groups for cell in group]
+                cells.append((name, lam, gamma, eps, cfg))
+    configs = [cell[-1] for cell in cells]
 
     if workers is None:
-        workers = min(len(groups), 4)
+        workers = min(len(cells), 4)
     if workers > 1:
+        # The cells of one (lambda, gamma) are adjacent and share their
+        # correction path.  Each worker takes one run of adjacent cells, as
+        # many as any other give or take one, and solves each path in it once.
+        tasks = [configs[len(configs) * i // workers:len(configs) * (i + 1) // workers]
+                 for i in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            tasks = [[cell[-1] for cell in group] for group in groups]
             outcomes = [o for results in pool.map(_run_cells, tasks) for o in results]
     else:
-        outcomes = _run_cells([cell[-1] for cell in cells])
+        outcomes = _run_cells(configs)
 
     rows = []
     for (name, lam, gamma, eps, _), outcome in zip(cells, outcomes):

@@ -1,4 +1,5 @@
 """Configuration, run directories, restart, sweep, suite, and the CLI."""
+import importlib
 import json
 import subprocess
 import sys
@@ -193,8 +194,8 @@ def test_sweep_grid(tmp_path):
 
 
 def test_sweep_rows_do_not_depend_on_the_worker_count(tmp_path):
-    # a pool runs the cells of one (lambda, gamma) in one task, sharing its
-    # correction path; the rows must equal those of the serial sweep
+    # a pool worker runs adjacent cells, sharing their correction paths;
+    # the rows must equal those of the serial sweep
     from vaclab.sweep import sweep
 
     base = sweep_grid_config(tmp_path)
@@ -204,6 +205,47 @@ def test_sweep_rows_do_not_depend_on_the_worker_count(tmp_path):
     assert serial == pooled
     assert ((tmp_path / "serial" / "summary.csv").read_text()
             == (tmp_path / "pooled" / "summary.csv").read_text())
+
+
+@pytest.mark.parametrize("grid,workers,sizes", [
+    (([0.0], [2.0], [1e-4, 2e-4, 5e-4, 1e-3]), None, [1, 1, 1, 1]),
+    (([0.0, 0.5], [2.0], [5e-4, 1e-3]), 2, [2, 2]),
+    (([0.0, 0.5], [2.0], [5e-4, 1e-3]), 4, [1, 1, 1, 1]),
+    (([0.0, 0.3, 0.7], [2.0], [0.0, 1e-3]), 4, [1, 2, 1, 2]),
+])
+def test_pool_sweep_keeps_every_worker_busy(tmp_path, monkeypatch, grid, workers, sizes):
+    # each worker gets one run of adjacent cells, as many as any other give or
+    # take one, however few (lambda, gamma) groups the grid has
+    sweep_module = importlib.import_module("vaclab.sweep")   # the package exports sweep()
+
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers, self.tasks = max_workers, None
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            self.tasks = list(tasks)
+            return map(fn, self.tasks)
+
+    monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(sweep_module, "_run_cell",
+                        lambda cfg: {"status": cfg["outputs"]["directory"]})
+    rows = sweep_module.sweep(sweep_grid_config(tmp_path), *grid, tmp_path / "sweep",
+                              workers=workers)
+    (pool,) = pools
+    assert pool.max_workers == len(sizes)
+    assert [len(task) for task in pool.tasks] == sizes
+    assert [cfg["outputs"]["directory"] for task in pool.tasks for cfg in task] == [
+        str(tmp_path / "sweep" / row["cell"]) for row in rows]
+    assert all(row["status"] == str(tmp_path / "sweep" / row["cell"]) for row in rows)
 
 
 def test_sweep_records_cell_failure_without_abort(tmp_path):

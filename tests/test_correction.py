@@ -1,11 +1,10 @@
 """Correction ODE: initial data, long-time envelopes, and bound checks."""
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 from vaclab import correction
-from vaclab.correction import (CorrectionPath, DenseSolution, correction_path,
-                               fit_h_envelope, integrating_factor_bound_check,
+from vaclab.correction import (CorrectionPath, correction_path, fit_h_envelope,
+                               integrating_factor_bound_check,
                                lyapunov_violations, ode_residual, rk4_reference,
                                solve_correction, verify_theta_properties)
 from vaclab.fitting import decay_fit
@@ -207,24 +206,6 @@ def test_time_coefficients_reuse_one_dense_evaluation(params3, path3, monkeypatc
     assert float(th_t) == float(path3.theta_t_at(7.25))
     assert first.d[0] == pytest.approx((8.25) ** (-params3.lam) + 2.0 * th_t / th, rel=1e-15)
     assert first.c[0] == float(th) ** (-params3.damping_power)
-
-
-@pytest.mark.parametrize("n,lam", [(3, 0.0), (3, 0.5), (2, 0.5)])
-def test_dense_solution_equals_scipy_dense_output_bitwise(n, lam):
-    p = derive_constants(n, lam, 2.0, 1.0)
-    t_end = 1e4
-    sol = solve_ivp(correction._correction_rhs(p), (0.0, t_end), [0.0, 0.0],
-                    method="Radau", rtol=1e-10, atol=1e-13, dense_output=True,
-                    jac=correction._correction_jac(p))
-    dense = DenseSolution.from_ode_solution(sol.sol)
-    assert dense.Q.shape == (sol.t.size - 1, 2, 3)
-    rng = np.random.default_rng(3)
-    inside = rng.uniform(0.0, t_end, 2000)
-    for t in np.concatenate([sol.t, inside[:500], [0.0, t_end]]):
-        assert np.array_equal(dense(t), sol.sol(t)), t
-        assert np.array_equal(dense(float(t)), sol.sol(float(t))), t
-    unsorted = np.concatenate([inside, sol.t[::-1], [t_end, 0.0, 5.0, 5.0]])
-    assert np.array_equal(dense(unsorted), sol.sol(unsorted))
 
 
 def test_correction_path_is_solved_once_per_argument_set(monkeypatch):
