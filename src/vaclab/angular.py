@@ -24,7 +24,6 @@ stepper.
 """
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -32,6 +31,7 @@ import numpy as np
 
 from .correction import CorrectionPath
 from .energy import EnergyReport, ModeEnergies
+from .tables import write_csv
 from .timestepping import IntegrationStats, integrate_fixed_rk4, power_iteration
 from .weighted import WeightedGrid
 
@@ -212,15 +212,13 @@ class ModeTrajectory:
         return np.abs(self.curl_norms / (base * self.envelope) - 1.0)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "curl_norm", "envelope", "rel_deviation"])
-            base = self.curl_norms[0]
-            for k, t in enumerate(self.times):
-                dev = (abs(self.curl_norms[k] / (base * self.envelope[k]) - 1.0)
-                       if base != 0.0 else float("nan"))
-                writer.writerow([f"{v:.17g}" for v in
-                                 (t, self.curl_norms[k], self.envelope[k], dev)])
+        base = self.curl_norms[0]
+        rows = []
+        for k, t in enumerate(self.times):
+            dev = (abs(self.curl_norms[k] / (base * self.envelope[k]) - 1.0)
+                   if base != 0.0 else float("nan"))
+            rows.append((t, self.curl_norms[k], self.envelope[k], dev))
+        write_csv(path, ("t", "curl_norm", "envelope", "rel_deviation"), rows)
 
 
 class ZeroInitialCurlError(ValueError):

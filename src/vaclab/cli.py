@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -41,6 +40,7 @@ def _params_from_args(args):
 def cmd_selfsim(args) -> int:
     """Tabulate the self-similar background fields."""
     from .params import SelfSimilarProfile
+    from .tables import write_csv
 
     params = _params_from_args(args)
     profile = SelfSimilarProfile(params)
@@ -62,11 +62,7 @@ def cmd_selfsim(args) -> int:
     if args.out:
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "r", "density", "velocity"])
-            for row in rows:
-                writer.writerow([f"{v:.17g}" for v in row])
+        write_csv(path, ("t", "r", "density", "velocity"), rows)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -191,6 +187,10 @@ def cmd_fit(args) -> int:
 
     out = refit(args.run)
     rates = out["rates"]
+    if rates is None:
+        print(f"no rate report: run {out['status']}, or its series covers "
+              "less than two decades\nfit: FAIL")
+        return EXIT_FAIL
     print(f"anchor run: {rates['anchor']}")
     for name, exp in rates["exponents"].items():
         print(f"  {name} gap exponent {exp:+.4f} "

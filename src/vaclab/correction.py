@@ -11,7 +11,6 @@ theta) keeps full relative accuracy in h at late times when h/nu ~ 1e-5.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import logging
 import math
@@ -22,6 +21,7 @@ from scipy.integrate import quad, solve_ivp
 
 from .fitting import DecayFit, decay_fit
 from .params import PhysParams
+from .tables import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -164,11 +164,8 @@ class CorrectionPath:
         return coefficients
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "h", "h_t", "theta", "theta_t"])
-            for row in zip(self.t_grid, self.h, self.h_t, self.theta, self.theta_t):
-                writer.writerow([f"{v:.17g}" for v in row])
+        write_csv(path, ("t", "h", "h_t", "theta", "theta_t"),
+                  zip(self.t_grid, self.h, self.h_t, self.theta, self.theta_t))
 
 
 def sample_grid(t_end: float, samples_per_decade: int = SAMPLES_PER_DECADE) -> np.ndarray:
@@ -199,14 +196,13 @@ def solve_correction(params: PhysParams, t_end: float = 1e6,
         raise CorrectionSolveError(f"correction ODE solve failed: {sol.message}")
     t_grid = sample_grid(t_end)
     h, h_t = sol.sol(t_grid)
-    nu = (1.0 + t_grid) ** params.kappa
-    theta = nu + h
+    theta = params.nu(t_grid) + h
     if np.any(theta <= 0.0) or not np.all(np.isfinite(h)):
         raise CorrectionSolveError("theta lost positivity; solver failure")
     path = CorrectionPath(
         params=params, t_end=float(t_end), rel_tol=rel_tol, abs_tol=abs_tol,
         t_grid=t_grid, h=h, h_t=h_t, theta=theta,
-        theta_t=params.kappa * (1.0 + t_grid) ** (params.kappa - 1.0) + h_t,
+        theta_t=params.nu_t(t_grid) + h_t,
         step_times=sol.t, _dense=sol.sol,
     )
     logger.debug(
@@ -282,8 +278,7 @@ def verify_theta_properties(path: CorrectionPath,
     if np.any(bad):
         i = int(np.argmax(bad))
         first_violation = (float(t[i]), float(theta[i]), float(theta_t[i]))
-    nu = (1.0 + t) ** path.params.kappa
-    ratio = theta / nu
+    ratio = theta / path.params.nu(t)
     if fit_window is None:
         fit_window = (max(1e2, path.t_end / 1e4), path.t_end)
     # no-trend check on theta/nu over the last two decades

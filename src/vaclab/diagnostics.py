@@ -54,9 +54,8 @@ def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
         t = state.t
         h = float(path.h_at(t))
         h_t = float(path.h_t_at(t))
-        nu = (1.0 + t) ** params.kappa
-        nu_t = params.kappa * (1.0 + t) ** (params.kappa - 1.0)
-        theta, theta_t = nu + h, nu_t + h_t
+        nu = params.nu(t)
+        theta, theta_t = nu + h, params.nu_t(t) + h_t
         times.append(t)
         sup.append(float(np.max(np.abs(state.w))))
         pos.append(float(np.max(np.abs(h * r + theta * state.w))))
@@ -76,7 +75,7 @@ def closed_form_gaps(path: CorrectionPath, params: PhysParams, times,
     times = np.asarray(times, dtype=float)
     h = path.h_at(times)
     h_t = path.h_t_at(times)
-    nu = (1.0 + times) ** params.kappa
+    nu = params.nu(times)
     return {
         "position": np.abs(h) * r_max,
         "density": nu ** (-params.n) * np.abs(np.expm1(-params.n * np.log1p(h / nu))),

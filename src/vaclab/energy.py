@@ -15,13 +15,13 @@ grid differentiation.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .derivnorms import radial_form, required_scalars
+from .tables import read_csv, write_csv
 from .weighted import WeightedGrid
 
 ENERGY_LEVEL = 2
@@ -193,25 +193,23 @@ class EnergyReport:
     def total(self) -> np.ndarray:
         return np.sum([self.components[idx] for idx in self.indices], axis=0)
 
+    def columns(self) -> dict[str, np.ndarray]:
+        """The columns of energies.csv: t, each component E_m_i_j, E_total."""
+        return {"t": self.times,
+                **{"E_{}_{}_{}".format(*idx): self.components[idx] for idx in self.indices},
+                "E_total": self.total}
+
+    @classmethod
+    def from_columns(cls, columns: Mapping[str, np.ndarray]) -> EnergyReport:
+        names = list(columns)[1:-1]
+        indices = [tuple(int(v) for v in name.split("_")[1:]) for name in names]
+        return cls(times=columns["t"], indices=indices,
+                   components={idx: columns[name] for idx, name in zip(indices, names)})
+
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["t"] + [f"E_{m}_{i}_{j}" for (m, i, j) in self.indices] + ["E_total"]
-            writer.writerow(header)
-            total = self.total
-            for k, t in enumerate(self.times):
-                row = [t] + [self.components[idx][k] for idx in self.indices] + [total[k]]
-                writer.writerow([f"{v:.17g}" for v in row])
+        columns = self.columns()
+        write_csv(path, columns, zip(*columns.values()))
 
 
 def read_energy_csv(path) -> EnergyReport:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    indices = []
-    for name in header[1:-1]:
-        _, m, i, j = name.split("_")
-        indices.append((int(m), int(i), int(j)))
-    components = {idx: data[:, k + 1] for k, idx in enumerate(indices)}
-    return EnergyReport(times=data[:, 0], components=components, indices=indices)
+    return EnergyReport.from_columns(read_csv(path))

@@ -160,6 +160,7 @@ class SelfSimilarProfile:
 
     def __init__(self, params: PhysParams):
         self.params = params
+        self._weight_sums: dict[int, float] = {}   # rule size -> Gauss-Jacobi weight sum
 
     def support_radius(self, t) -> float:
         return self.params.nu(t) * self.params.R0
@@ -220,12 +221,15 @@ class SelfSimilarProfile:
     def mass_error(self, t: float, num_nodes: int = 96) -> float:
         """Relative error of the quadrature mass at time t against M."""
         p = self.params
-        _, w = jacobi_rule_01(num_nodes, p.iota, p.n / 2.0 - 1.0)
+        weight_sum = self._weight_sums.get(num_nodes)
+        if weight_sum is None:
+            _, w = jacobi_rule_01(num_nodes, p.iota, p.n / 2.0 - 1.0)
+            weight_sum = self._weight_sums[num_nodes] = w.sum()
         nu = float(p.nu(t))
         radius_sq = (nu * p.R0) ** 2
         total = (
             unit_sphere_area(p.n) * 0.5 * radius_sq ** (p.n / 2.0)
-            * nu ** (-p.n) * p.A_bar ** p.iota * w.sum()
+            * nu ** (-p.n) * p.A_bar ** p.iota * weight_sum
         )
         return abs(total - p.mass) / p.mass
 

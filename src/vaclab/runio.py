@@ -1,43 +1,58 @@
-"""Run-directory orchestration: execute, persist, resume, refit.
+"""Run-directory orchestration: one execute -> persist -> report path.
 
 Layout of a run directory:
 
-    config.json        echo of the validated configuration (+ rng seed)
-    correction.csv     t, h, h_t, theta, theta_t on the ODE sample grid
-    series.csv         per-output gap/boundary/mass series
-    energies.csv       per-output energy components and total
-    states/NNNN.json   checkpointed states (flat arrays, self-describing)
-    rates.json         fitted decay exponents vs envelopes
-    boundedness.json   sup_t E/E(0) ratios
-    run_report.json    assertion summary and exit status
+    config.json          echo of the validated configuration (+ rng seed)
+    correction.csv       t, h, h_t, theta, theta_t on the ODE sample grid
+    series.csv           per-output gap/boundary/mass series
+    energies.csv         per-output energy components and total
+    reconstructions.csv  nodewise physical position/density/velocity at
+                         the checkpoints
+    states/NNNN.json     checkpointed states (flat arrays, self-describing),
+                         NNNN the global output index
+    rates.json           fitted decay exponents vs envelopes
+    boundedness.json     sup_t E/E(0) ratios
+    run_report.json      assertion summary and exit status
+
+``run`` enters the path with the seeded state at output 0.  ``resume``
+enters it with the last checkpoint at that checkpoint's output index + 1;
+it rewrites the three per-output tables with the persisted rows up to the
+checkpoint in front of the new ones, adds the new checkpoints, and
+rewrites the three reports, which cover the whole run.  ``refit``
+recomputes the three reports from the persisted series and energies, by
+the same function.
 
 Numbers are written with repr-faithful formatting, so identical configs
 and seeds reproduce bit-identical CSV files.
 """
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, load_config
 from .correction import CorrectionPath, correction_path
 from .diagnostics import (GapSeries, boundedness_report, gap_series,
                           theorem_rate_report)
+from .energy import EnergyReport
 from .params import PhysParams, derive_constants
 from .radial import (RadialOperator, RadialState, RadialTrajectory, evolve,
                      output_schedule, reconstructed_mass, seed_profile)
+from .tables import read_csv, write_csv
 from .weighted import WeightedGrid
 
 logger = logging.getLogger(__name__)
 
-SERIES_HEADER = ("t", "sup_w", "position_gap", "density_gap", "velocity_gap",
-                 "boundary_radius", "mass_rel_err")
+# series.csv column -> GapSeries field; boundary_radius and mass_rel_err follow
+SERIES_COLUMNS = {"t": "times", "sup_w": "sup_w", "position_gap": "position",
+                  "density_gap": "density", "velocity_gap": "velocity"}
+read_series_csv = read_csv
 
 
 @dataclass
@@ -48,8 +63,10 @@ class RunResult:
     trajectory: RadialTrajectory
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+class _Setup(NamedTuple):
+    params: PhysParams
+    path: CorrectionPath
+    grid: WeightedGrid
 
 
 def _write_state(path: Path, state: RadialState, index: int) -> None:
@@ -69,73 +86,60 @@ def _read_state(path: Path) -> tuple[RadialState, int]:
                        w_t=np.array(data["w_t"])), int(data["output_index"])
 
 
-def _series_rows(trajectory: RadialTrajectory, series: GapSeries,
-                 path: CorrectionPath, params: PhysParams,
-                 grid: WeightedGrid) -> list[list[float]]:
+def _series_columns(trajectory: RadialTrajectory, series: GapSeries,
+                    setup: _Setup) -> dict[str, np.ndarray]:
+    """series.csv columns of a trajectory; a state without a reconstruction
+    gets NaN boundary radius and mass error."""
+    params, path, grid = setup
     op = RadialOperator(grid, path)
-    rows = []
-    for k, state in enumerate(trajectory.states):
+    boundary, mass_err = [], []
+    for k in range(len(trajectory.states)):
         recon = (trajectory.reconstructions[k]
                  if k < len(trajectory.reconstructions) else None)
-        boundary = recon.boundary_radius if recon else float("nan")
-        mass_err = (abs(reconstructed_mass(op, recon) - params.mass) / params.mass
-                    if recon else float("nan"))
-        rows.append([series.times[k], series.sup_w[k], series.position[k],
-                     series.density[k], series.velocity[k], boundary, mass_err])
-    return rows
+        boundary.append(recon.boundary_radius if recon else float("nan"))
+        mass_err.append(abs(reconstructed_mass(op, recon) - params.mass) / params.mass
+                        if recon else float("nan"))
+    columns = {name: getattr(series, field) for name, field in SERIES_COLUMNS.items()}
+    columns["boundary_radius"] = np.array(boundary)
+    columns["mass_rel_err"] = np.array(mass_err)
+    return columns
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-
-
-def read_series_csv(path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    return {name: data[:, k] for k, name in enumerate(header)}
+def _whole_run(tables: dict) -> tuple[GapSeries, EnergyReport | None]:
+    """Gap series and energies from the columns of series.csv and energies.csv."""
+    series = GapSeries(**{field: tables["series.csv"][name]
+                          for name, field in SERIES_COLUMNS.items()})
+    energies = tables.get("energies.csv")
+    return series, EnergyReport.from_columns(energies) if energies is not None else None
 
 
 RATE_GATE_HORIZON = 5e3   # below this, tail fits are pre-asymptotic
 
 
-def best_effort_rates(trajectory: RadialTrajectory, series: GapSeries,
-                      path: CorrectionPath, params: PhysParams,
-                      grid: WeightedGrid, slack: float):
-    """Rate report when the stored series supports a two-decade tail fit,
-    else None (reporting is best-effort; gating is a separate decision)."""
-    from .fitting import FitWindowError
-
-    if trajectory.status != "completed" or len(trajectory.states) < 8:
-        return None
-    try:
-        return theorem_rate_report(series, path, params,
-                                   r_max=float(grid.r.max()), slack=slack)
-    except (FitWindowError, ValueError):
-        return None
-
-
-def _evaluate_assertions(cfg: RunConfig, trajectory: RadialTrajectory,
-                         series: GapSeries, path: CorrectionPath,
-                         params: PhysParams, grid: WeightedGrid) -> dict:
-    report: dict = {"status": trajectory.status}
-    checks: dict[str, bool] = {"completed": trajectory.status == "completed"}
-    if trajectory.failure:
-        report["failure"] = trajectory.failure
+def _evaluate_assertions(cfg: RunConfig, setup: _Setup, status: str, failure: dict | None,
+                         series: GapSeries, energies: EnergyReport | None) -> dict:
+    """Checks, rate report and boundedness report over a whole run."""
+    params, path, grid = setup
+    report: dict = {"status": status}
+    checks: dict[str, bool] = {"completed": status == "completed"}
+    if failure:
+        report["failure"] = failure
 
     anchor = cfg.solver.seed.amplitude == 0.0
-    if anchor and trajectory.states:
-        sup = float(np.max(trajectory.sup_norms()))
+    if anchor and len(series.times):
+        sup = float(np.max(series.sup_w))
         report["preservation_sup"] = sup
         checks["preservation"] = sup <= cfg.acceptance.preservation_tol
 
-    rates = best_effort_rates(trajectory, series, path, params, grid,
-                              cfg.acceptance.exponent_slack)
+    # reported when the series supports a two-decade tail fit; gating is
+    # a separate decision
+    rates = None
+    if status == "completed" and len(series.times) >= 8:
+        try:
+            rates = theorem_rate_report(series, path, params, r_max=float(grid.r.max()),
+                                        slack=cfg.acceptance.exponent_slack)
+        except ValueError:   # includes FitWindowError
+            pass
     if cfg.acceptance.check_rates == "always":
         checks["rates"] = rates is not None and rates.ok
     elif (cfg.acceptance.check_rates == "auto"
@@ -144,9 +148,8 @@ def _evaluate_assertions(cfg: RunConfig, trajectory: RadialTrajectory,
     report["rates"] = rates.to_dict() if rates else None
 
     bounded = None
-    if trajectory.energies is not None and not anchor:
-        bounded = boundedness_report(trajectory.energies,
-                                     threshold=cfg.acceptance.ratio_threshold)
+    if energies is not None and not anchor:
+        bounded = boundedness_report(energies, threshold=cfg.acceptance.ratio_threshold)
         if bounded.applicable:
             checks["boundedness"] = bounded.ok
     report["boundedness"] = bounded.to_dict() if bounded else None
@@ -156,75 +159,104 @@ def _evaluate_assertions(cfg: RunConfig, trajectory: RadialTrajectory,
     return report
 
 
-def _persist(run_dir: Path, cfg: RunConfig, path: CorrectionPath,
-             params: PhysParams, grid: WeightedGrid,
-             trajectory: RadialTrajectory, series: GapSeries, report: dict) -> None:
+def _write_reports(run_dir: Path, report: dict) -> None:
+    for name, value in (("rates.json", report["rates"]),
+                        ("boundedness.json", report["boundedness"]),
+                        ("run_report.json", report)):
+        (run_dir / name).write_text(json.dumps(value, indent=2, sort_keys=True) + "\n")
+
+
+def _with_prefix(file: Path, columns: dict | None, t_resume: float) -> dict | None:
+    """The rows of a persisted table with t <= t_resume, then ``columns``."""
+    if not file.exists():
+        return columns
+    old = read_csv(file)
+    keep = old["t"] <= t_resume
+    return {name: np.concatenate([values[keep], columns[name] if columns else []])
+            for name, values in old.items()}
+
+
+def _persist(run_dir: Path, cfg: RunConfig, setup: _Setup, trajectory: RadialTrajectory,
+             series: GapSeries, offset: int, t_resume: float) -> dict:
+    """Write the configuration, correction path, checkpoints and per-output
+    tables; output k of the trajectory has the global index offset + k.  A
+    resumed run (offset > 0) keeps the persisted table rows up to its
+    checkpoint time in front of its own.  Returns the written columns."""
     states_dir = run_dir / "states"
     states_dir.mkdir(parents=True, exist_ok=True)
     cfg.dump(run_dir / "config.json")
-    path.write_csv(run_dir / "correction.csv")
-    rows = _series_rows(trajectory, series, path, params, grid)
-    _write_csv(run_dir / "series.csv", SERIES_HEADER, rows)
-    if trajectory.energies is not None:
-        trajectory.energies.write_csv(run_dir / "energies.csv")
-    every = cfg.outputs.checkpoint_every
-    last = len(trajectory.states) - 1
-    for k, state in enumerate(trajectory.states):
-        if k % every == 0 or k == last:
-            _write_state(states_dir / f"{k:04d}.json", state, k)
-    if trajectory.reconstructions:
-        recon_rows = []
-        for k, rec in enumerate(trajectory.reconstructions):
-            if k % every == 0 or k == last:
-                for q in range(grid.num_nodes):
-                    recon_rows.append([rec.t, grid.r[q], rec.radii[q],
-                                       rec.density[q], rec.velocity[q]])
-        _write_csv(run_dir / "reconstructions.csv",
-                   ("t", "y", "x", "density", "velocity"), recon_rows)
-    (run_dir / "rates.json").write_text(
-        json.dumps(report.get("rates"), indent=2, sort_keys=True) + "\n")
-    (run_dir / "boundedness.json").write_text(
-        json.dumps(report.get("boundedness"), indent=2, sort_keys=True) + "\n")
-    (run_dir / "run_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
+    setup.path.write_csv(run_dir / "correction.csv")
+    every, last = cfg.outputs.checkpoint_every, len(trajectory.states) - 1
+    marks = [k for k in range(last + 1) if (offset + k) % every == 0 or k == last]
+    for k in marks:
+        _write_state(states_dir / f"{offset + k:04d}.json", trajectory.states[k], offset + k)
+    recons = [trajectory.reconstructions[k] for k in marks
+              if k < len(trajectory.reconstructions)]
+    grid = setup.grid
+    tables = {
+        "series.csv": _series_columns(trajectory, series, setup),
+        "energies.csv": trajectory.energies.columns() if trajectory.energies else None,
+        "reconstructions.csv": dict(zip(
+            ("t", "y", "x", "density", "velocity"),
+            np.hstack([np.vstack([np.full(grid.num_nodes, rec.t), grid.r, rec.radii,
+                                  rec.density, rec.velocity]) for rec in recons]),
+        )) if recons else None,
+    }
+    for name, columns in tables.items():
+        if offset:
+            columns = tables[name] = _with_prefix(run_dir / name, columns, t_resume)
+        if columns is not None:
+            write_csv(run_dir / name, columns, zip(*columns.values()))
+    return tables
 
 
-def _setup(cfg: RunConfig) -> tuple[PhysParams, CorrectionPath, WeightedGrid]:
+def _setup(cfg: RunConfig) -> _Setup:
     """Constants, correction path and grid of a run; runs of one process
     with equal constants and ode settings share the path."""
     params = derive_constants(cfg.params.n, cfg.params.lam, cfg.params.gamma,
                               cfg.params.mass)
     path = correction_path(params, max(cfg.ode.t_end, cfg.solver.t_end),
                            cfg.ode.rel_tol, cfg.ode.abs_tol)
-    return params, path, WeightedGrid(params, cfg.solver.num_nodes)
+    return _Setup(params, path, WeightedGrid(params, cfg.solver.num_nodes))
+
+
+def _execute(cfg: RunConfig, setup: _Setup, run_dir: Path, initial: RadialState,
+             offset: int, t_start: float, stop: int | None = None) -> RunResult:
+    """Evolve from ``initial`` through outputs offset, offset + 1, ... (up
+    to ``stop``) of the configured schedule, persist, and report over the
+    whole run."""
+    params, path, grid = setup
+    schedule = output_schedule(cfg.solver.t_end, cfg.solver.outputs_per_decade)
+    trajectory = evolve(
+        grid, path, initial, cfg.solver.t_end, output_times=schedule[offset:stop],
+        rel_tol=cfg.solver.rel_tol, abs_tol=cfg.solver.abs_tol,
+        cfl_safety=cfg.solver.cfl_safety, stepper=cfg.solver.stepper,
+        fixed_dt=cfg.solver.fixed_dt, collect_energies=cfg.solver.collect_energies,
+    )
+    series = gap_series(trajectory, path, params)
+    tables = _persist(run_dir, cfg, setup, trajectory, series, offset, initial.t)
+    report = _evaluate_assertions(cfg, setup, trajectory.status, trajectory.failure,
+                                  *_whole_run(tables))
+    report["wall_seconds"] = time.time() - t_start
+    report["rng_seed"] = cfg.rng_seed
+    if offset:
+        report["resumed_from"] = {"t": initial.t, "output_index": offset - 1}
+    _write_reports(run_dir, report)
+    logger.info("run %s: ok=%s (%.1fs)", run_dir, report["ok"], report["wall_seconds"])
+    return RunResult(directory=run_dir, ok=report["ok"], report=report,
+                     trajectory=trajectory)
 
 
 def run(cfg: RunConfig, stop_after_outputs: int | None = None) -> RunResult:
     """Execute the configured pipeline: ODE solve, radial evolution,
     diagnostics, persistence.  Partial artifacts are retained on failure."""
     t_start = time.time()
-    params, path, grid = _setup(cfg)
+    setup = _setup(cfg)
     rng = np.random.default_rng(cfg.rng_seed)
-    w0 = seed_profile(cfg.solver.seed.shape, cfg.solver.seed.amplitude, grid, rng)
+    w0 = seed_profile(cfg.solver.seed.shape, cfg.solver.seed.amplitude, setup.grid, rng)
     initial = RadialState(t=0.0, w=w0, w_t=np.zeros_like(w0))
-    schedule = output_schedule(cfg.solver.t_end, cfg.solver.outputs_per_decade)
-    if stop_after_outputs is not None:
-        schedule = schedule[:stop_after_outputs]
-    trajectory = evolve(
-        grid, path, initial, cfg.solver.t_end, output_times=schedule,
-        rel_tol=cfg.solver.rel_tol, abs_tol=cfg.solver.abs_tol,
-        cfl_safety=cfg.solver.cfl_safety, stepper=cfg.solver.stepper,
-        fixed_dt=cfg.solver.fixed_dt, collect_energies=cfg.solver.collect_energies,
-    )
-    series = gap_series(trajectory, path, params)
-    report = _evaluate_assertions(cfg, trajectory, series, path, params, grid)
-    report["wall_seconds"] = time.time() - t_start
-    report["rng_seed"] = cfg.rng_seed
-    run_dir = Path(cfg.outputs.directory)
-    _persist(run_dir, cfg, path, params, grid, trajectory, series, report)
-    logger.info("run %s: ok=%s (%.1fs)", run_dir, report["ok"], report["wall_seconds"])
-    return RunResult(directory=run_dir, ok=report["ok"], report=report,
-                     trajectory=trajectory)
+    return _execute(cfg, setup, Path(cfg.outputs.directory), initial, 0, t_start,
+                    stop_after_outputs)
 
 
 def resume(run_dir) -> RunResult:
@@ -232,89 +264,29 @@ def resume(run_dir) -> RunResult:
 
     The original output schedule is reconstructed from the config echo, so
     a resumed run matches the uninterrupted one within the integrator
-    tolerance at every remaining output time.
+    tolerance at every remaining output time; its tables and reports cover
+    the whole run.
     """
-    from .config import load_config
-
+    t_start = time.time()
     run_dir = Path(run_dir)
     cfg = load_config(run_dir / "config.json")
     state_files = sorted((run_dir / "states").glob("*.json"))
     if not state_files:
         raise FileNotFoundError(f"no checkpoints found under {run_dir}/states")
     state, index = _read_state(state_files[-1])
-    params, path, grid = _setup(cfg)
-    schedule = output_schedule(cfg.solver.t_end, cfg.solver.outputs_per_decade)
-    remaining = schedule[schedule > state.t + 1e-12]
-    trajectory = evolve(
-        grid, path, state, cfg.solver.t_end, output_times=remaining,
-        rel_tol=cfg.solver.rel_tol, abs_tol=cfg.solver.abs_tol,
-        cfl_safety=cfg.solver.cfl_safety, stepper=cfg.solver.stepper,
-        fixed_dt=cfg.solver.fixed_dt, collect_energies=cfg.solver.collect_energies,
-    )
-    # merge persisted prefix rows with the continuation
-    old_series = read_series_csv(run_dir / "series.csv")
-    keep = old_series["t"] <= state.t + 1e-12
-    prefix_rows = [[old_series[name][k] for name in SERIES_HEADER]
-                   for k in range(int(np.count_nonzero(keep)))]
-    series = gap_series(trajectory, path, params)
-    new_rows = _series_rows(trajectory, series, path, params, grid)
-    _write_csv(run_dir / "series.csv", SERIES_HEADER, prefix_rows + new_rows)
-    if trajectory.energies is not None and (run_dir / "energies.csv").exists():
-        from .energy import read_energy_csv
-
-        old = read_energy_csv(run_dir / "energies.csv")
-        keep_e = old.times <= state.t + 1e-12
-        merged_rows = []
-        header = ["t"] + [f"E_{m}_{i}_{j}" for (m, i, j) in old.indices] + ["E_total"]
-        total_old = old.total
-        for k in range(int(np.count_nonzero(keep_e))):
-            merged_rows.append([old.times[k]]
-                               + [old.components[idx][k] for idx in old.indices]
-                               + [total_old[k]])
-        total_new = trajectory.energies.total
-        for k, t in enumerate(trajectory.energies.times):
-            merged_rows.append([t]
-                               + [trajectory.energies.components[idx][k]
-                                  for idx in trajectory.energies.indices]
-                               + [total_new[k]])
-        _write_csv(run_dir / "energies.csv", header, merged_rows)
-    report = _evaluate_assertions(cfg, trajectory, series, path, params, grid)
-    report["resumed_from"] = {"t": state.t, "output_index": index}
-    states_dir = run_dir / "states"
-    every = cfg.outputs.checkpoint_every
-    last = len(trajectory.states) - 1
-    for k, st in enumerate(trajectory.states):
-        global_index = index + 1 + k
-        if global_index % every == 0 or k == last:
-            _write_state(states_dir / f"{global_index:04d}.json", st, global_index)
-    (run_dir / "run_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return RunResult(directory=run_dir, ok=report["ok"], report=report,
-                     trajectory=trajectory)
+    return _execute(cfg, _setup(cfg), run_dir, state, index + 1, t_start)
 
 
 def refit(run_dir) -> dict:
-    """Re-run the decay-rate and boundedness diagnostics on stored outputs."""
-    from .config import load_config
-    from .energy import read_energy_csv
-
+    """Recompute the reports of a run directory from its persisted series
+    and energies, and rewrite rates.json, boundedness.json and
+    run_report.json.  Returns the run report."""
     run_dir = Path(run_dir)
     cfg = load_config(run_dir / "config.json")
-    params, path, grid = _setup(cfg)
-    series = read_series_csv(run_dir / "series.csv")
-
-    gaps = GapSeries(times=series["t"], position=series["position_gap"],
-                     density=series["density_gap"], velocity=series["velocity_gap"],
-                     sup_w=series["sup_w"])
-    rates = theorem_rate_report(gaps, path, params, r_max=float(grid.r.max()),
-                                slack=cfg.acceptance.exponent_slack)
-    (run_dir / "rates.json").write_text(
-        json.dumps(rates.to_dict(), indent=2, sort_keys=True) + "\n")
-    bounded = None
-    if (run_dir / "energies.csv").exists():
-        energies = read_energy_csv(run_dir / "energies.csv")
-        bounded = boundedness_report(energies, threshold=cfg.acceptance.ratio_threshold)
-        (run_dir / "boundedness.json").write_text(
-            json.dumps(bounded.to_dict(), indent=2, sort_keys=True) + "\n")
-    return {"rates": rates.to_dict(),
-            "boundedness": bounded.to_dict() if bounded else None}
+    report = json.loads((run_dir / "run_report.json").read_text())
+    tables = {name: read_csv(run_dir / name) for name in ("series.csv", "energies.csv")
+              if (run_dir / name).exists()}
+    report.update(_evaluate_assertions(cfg, _setup(cfg), report["status"],
+                                       report.get("failure"), *_whole_run(tables)))
+    _write_reports(run_dir, report)
+    return report

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+
+from .tables import write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -93,21 +94,9 @@ def sweep(base_config, lambdas, gammas, epsilons, out_dir,
         row.update(outcome)
         rows.append(row)
 
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(k)) for k in SUMMARY_HEADER])
+    write_csv(out_dir / "summary.csv", SUMMARY_HEADER,
+              ([row.get(k) for k in SUMMARY_HEADER] for row in rows))
     (out_dir / "summary.json").write_text(
         json.dumps(rows, indent=2, sort_keys=True, default=str) + "\n")
     return rows
 
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)

@@ -158,6 +158,37 @@ def test_resume_matches_uninterrupted(tmp_path):
     np.testing.assert_allclose(s_part["t"], s_full["t"], rtol=0, atol=0)
 
 
+def test_resume_reports_against_the_whole_run(tmp_path):
+    seed = {"shape": "parabolic", "amplitude": 1e-3}
+    full, part = tmp_path / "full", tmp_path / "part"
+    run(parse_config(base_config(tmp_path, **{"outputs.directory": str(full),
+                                              "solver.seed": seed})))
+    run(parse_config(base_config(tmp_path, **{"outputs.directory": str(part),
+                                              "solver.seed": seed})),
+        stop_after_outputs=40)
+    resume(part)
+
+    def load(d, name):
+        return json.loads((d / name).read_text())
+
+    # sup E/E(0) is taken against E at t = 0, not at the checkpoint
+    assert load(part, "run_report.json")["boundedness"]["total_ratio"] == pytest.approx(
+        load(full, "run_report.json")["boundedness"]["total_ratio"], rel=1e-5)
+    assert load(part, "rates.json")["exponents"] == pytest.approx(
+        load(full, "rates.json")["exponents"], rel=0, abs=1e-6)
+    bounded_part, bounded_full = load(part, "boundedness.json"), load(full, "boundedness.json")
+    assert bounded_part["total_ratio"] == pytest.approx(bounded_full["total_ratio"], rel=1e-5)
+    assert bounded_part["component_ratios"] == pytest.approx(
+        bounded_full["component_ratios"], rel=1e-5, nan_ok=True)
+    recon_times = {d: set(read_series_csv(d / "reconstructions.csv")["t"])
+                   for d in (full, part)}
+    assert recon_times[full] <= recon_times[part]
+    # refit computes the same reports from the persisted tables
+    report_text = (part / "run_report.json").read_text()
+    refit(part)
+    assert (part / "run_report.json").read_text() == report_text
+
+
 def test_refit_reproduces_reports(tmp_path):
     cfg = parse_config(base_config(
         tmp_path, **{"solver.seed": {"shape": "parabolic", "amplitude": 1e-3}}))

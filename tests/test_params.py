@@ -48,6 +48,26 @@ def test_derive_constants_builds_one_rule(args, monkeypatch):
     assert (p.A_bar.hex(), p.R0.hex()) == BISECTION_RESULTS[args]
 
 
+def test_profile_builds_its_mass_rule_once(monkeypatch):
+    # the rule of mass_error depends only on (iota, n)
+    import vaclab.params as params_module
+
+    prof = SelfSimilarProfile(derive_constants(3, 0.0, 2.0, 1.0))
+    rules = []
+    rule = params_module.jacobi_rule_01
+
+    def counting(*a):
+        rules.append(a)
+        return rule(*a)
+
+    monkeypatch.setattr(params_module, "jacobi_rule_01", counting)
+    errors = [prof.mass_error(t).hex() for t in (0.0, 1.0, 10.0, 1e3)]
+    assert len(rules) == 1
+    # the values of a rule built at every call
+    assert errors == ["0x1.0780000000000p-43", "0x1.0700000000000p-43",
+                      "0x1.0700000000000p-43", "0x1.0700000000000p-43"]
+
+
 def test_derived_exponents_n3():
     p = derive_constants(3, 0.0, 2.0, 1.0)
     assert p.kappa == pytest.approx(0.2, abs=0)
