@@ -8,9 +8,17 @@ The ansatz dilation is theta(t) = nu(t) + h(t) where h solves
 equivalently theta'' + (1+t)^(-lam) theta' = kappa theta^q with
 (theta, theta')(0) = (1, kappa).  Integrating h directly (rather than
 theta) keeps full relative accuracy in h at late times when h/nu ~ 1e-5.
+
+A solved path keeps SciPy's Radau collocation polynomials as one float64
+table and evaluates them itself (Hairer & Wanner, *Solving ODEs II*,
+IV.8): a scalar time in Python floats, an array of times with the same
+elementwise arithmetic in NumPy, so both agree bitwise.  The time
+coefficients of the perturbation equations are read at every stage of
+every step, and the scalar route costs a fraction of SciPy's.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import logging
 import math
@@ -77,12 +85,34 @@ class TimeCoefficients:
     c: tuple[float, float, float]
 
 
+def _as_time(t):
+    """A scalar time as a Python float, any other time as a float array."""
+    if isinstance(t, float) or np.ndim(t) == 0:
+        return float(t)
+    return np.asarray(t, dtype=float)
+
+
+def _collocation(t, t_old, step, q00, q01, q02, q10, q11, q12, y0, y1):
+    """(h, h_t) = y_old + Q (x, x^2, x^3) with x = (t - t_old)/step, the
+    arithmetic of SciPy's ``RadauDenseOutput`` summed left to right; floats
+    and arrays alike."""
+    x = (t - t_old) / step
+    x2 = x * x
+    x3 = x2 * x
+    return q00 * x + q01 * x2 + q02 * x3 + y0, q10 * x + q11 * x2 + q12 * x3 + y1
+
+
 @dataclass
 class CorrectionPath:
-    """Solved correction trajectory with dense evaluation.
+    """Solved correction trajectory with its own dense evaluator.
 
-    Samples are stored on a log-spaced grid; arbitrary times in
-    [0, t_end] evaluate through the integrator's dense output.
+    Samples are stored on a log-spaced grid.  Any time evaluates the cubic
+    Radau collocation polynomial of the integrator step that contains it:
+    row i of ``segments`` holds (t_old, step, Q[0], Q[1], y_old) of step i,
+    one float64 table in place of SciPy's ``OdeSolution``.  As there, a
+    step time belongs to the step on its left, and times outside
+    [0, t_end] use the first or last step.  A scalar time is evaluated in
+    Python floats, an array of times with the same arithmetic in NumPy.
     """
 
     params: PhysParams
@@ -95,28 +125,39 @@ class CorrectionPath:
     theta: np.ndarray
     theta_t: np.ndarray
     step_times: np.ndarray = field(repr=False)
-    _dense: object = field(repr=False)
+    segments: np.ndarray = field(repr=False)
     _last_coefficients: TimeCoefficients | None = field(default=None, init=False, repr=False)
 
+    def _dense(self, t):
+        """(h, h_t) at t: floats for a scalar t, arrays shaped like t."""
+        t = _as_time(t)
+        last = len(self.segments) - 1
+        if isinstance(t, float):
+            i = bisect.bisect_left(self.step_times, t) - 1
+            return _collocation(t, *self.segments[min(max(i, 0), last)].tolist())
+        i = np.clip(np.searchsorted(self.step_times, t, side="left") - 1, 0, last)
+        return _collocation(t, *np.moveaxis(self.segments[i], -1, 0))
+
     def h_at(self, t):
-        return self._dense(np.asarray(t, dtype=float))[0]
+        return self._dense(t)[0]
 
     def h_t_at(self, t):
-        return self._dense(np.asarray(t, dtype=float))[1]
+        return self._dense(t)[1]
 
     def theta_at(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _as_time(t)
         return self.params.nu(t) + self.h_at(t)
 
     def theta_t_at(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _as_time(t)
         return self.params.nu_t(t) + self.h_t_at(t)
 
     def theta_derivatives(self, t):
         """(theta, theta_t, theta_tt, theta_ttt) from one dense evaluation;
         the second and third derivatives come from the ODE
-        theta'' + (1+t)^(-lam) theta' = kappa theta^q and its derivative."""
-        t = np.asarray(t, dtype=float)
+        theta'' + (1+t)^(-lam) theta' = kappa theta^q and its derivative.
+        Floats for a scalar t, arrays otherwise."""
+        t = _as_time(t)
         p = self.params
         q = p.n - p.n * p.gamma - 1.0
         h, h_t = self._dense(t)
@@ -146,8 +187,9 @@ class CorrectionPath:
         last = self._last_coefficients
         if last is not None and last.t == t:
             return last
+        t = float(t)
         lam, e = self.params.lam, self.params.damping_power
-        th, th1, th2, th3 = (float(v) for v in self.theta_derivatives(t))
+        th, th1, th2, th3 = self.theta_derivatives(t)
         u = 1.0 + t
         d = (
             u ** (-lam) + 2.0 * th1 / th,
@@ -195,6 +237,12 @@ def solve_correction(params: PhysParams, t_end: float = 1e6,
     if not sol.success:
         raise CorrectionSolveError(f"correction ODE solve failed: {sol.message}")
     t_grid = sample_grid(t_end)
+    steps = sol.sol.interpolants
+    segments = np.empty((len(steps), 10))
+    for row, step in zip(segments, steps):   # row by row: no temporary table
+        row[:] = (step.t_old, step.h, *step.Q.ravel(), *step.y_old)
+    # the samples (correction.csv) are SciPy's evaluation; the path's own
+    # evaluator agrees with it to rounding
     h, h_t = sol.sol(t_grid)
     theta = params.nu(t_grid) + h
     if np.any(theta <= 0.0) or not np.all(np.isfinite(h)):
@@ -203,7 +251,7 @@ def solve_correction(params: PhysParams, t_end: float = 1e6,
         params=params, t_end=float(t_end), rel_tol=rel_tol, abs_tol=abs_tol,
         t_grid=t_grid, h=h, h_t=h_t, theta=theta,
         theta_t=params.nu_t(t_grid) + h_t,
-        step_times=sol.t, _dense=sol.sol,
+        step_times=sol.t, segments=segments,
     )
     logger.debug(
         "correction solved to t=%.3g in %d steps (h(T)=%.3e)", t_end, sol.t.size, h[-1]

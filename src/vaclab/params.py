@@ -57,11 +57,11 @@ class PhysParams:
         return self.n * self.gamma - self.n + 2.0
 
     def nu(self, t):
-        """Background dilation nu(t) = (1+t)^kappa."""
-        return (1.0 + np.asarray(t, dtype=float)) ** self.kappa
+        """Background dilation nu(t) = (1+t)^kappa, for a float or an array t."""
+        return (1.0 + t) ** self.kappa
 
     def nu_t(self, t):
-        return self.kappa * (1.0 + np.asarray(t, dtype=float)) ** (self.kappa - 1.0)
+        return self.kappa * (1.0 + t) ** (self.kappa - 1.0)
 
     def sigma(self, r):
         """Degenerate weight sigma(r) = A_bar - B_bar r^2 on [0, R0]."""

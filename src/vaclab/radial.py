@@ -68,7 +68,6 @@ class RadialOperator:
         self.grid = grid
         self.path = path
         self.params = grid.params
-        self.fault = fault
         p = self.params
         self._p1 = -p.gamma                     # alpha = X^p1 Y^q1 - 1
         self._q1 = (p.n - 1.0) * (1.0 - p.gamma)
@@ -77,6 +76,16 @@ class RadialOperator:
         self.sigma = p.sigma(grid.r)
         self.sigma_prime = -2.0 * p.B_bar * grid.r
         self._two_over_r0sq = 2.0 / p.R0 ** 2
+        self._two_s = 2.0 * grid.s
+        # constant node vectors of the pressure: N = a alpha + b d_s alpha
+        # + c (1 + beta) p'(s) / X, the fault's sign folded into c
+        radial_scale = self._two_over_r0sq * grid.r
+        self._alpha_coef = self.sigma_prime * (p.iota + 1.0)
+        self._alpha_slope_coef = self.sigma * radial_scale
+        sign = -1.0 if fault == "pressure-sign" else 1.0
+        self._tangential_coef = -sign * (p.n - 1.0) * self.sigma * radial_scale
+        # nodal values of w/r -> its interpolant at the boundary s = 1
+        self._edge = resample_matrix(grid.s, np.array([1.0]), grid._bary)
 
     # -- pointwise deformation factors ------------------------------------
     def _deformation(self, w):
@@ -84,7 +93,7 @@ class RadialOperator:
         g = self.grid
         pvals = w / g.r
         dp = g.d_s @ pvals
-        return pvals, dp, pvals + 2.0 * g.s * dp
+        return pvals, dp, pvals + self._two_s * dp
 
     def _factors(self, w, t=None):
         pvals, dp, u = self._deformation(w)
@@ -99,21 +108,17 @@ class RadialOperator:
 
     def pressure(self, w: np.ndarray, t: float | None = None) -> np.ndarray:
         """N(w): sigma^(-iota)-scaled radial pressure divergence (odd field)."""
-        g, p = self.grid, self.params
-        pvals, dp, u, x, y = self._factors(w, t)
+        pvals, dp, u = self._deformation(w)
+        x = 1.0 + u
+        # 1 + p <= 0 exactly when p <= -1 (1 + p is exact for p near -1)
+        if x.min() <= 0.0 or pvals.min() <= -1.0:
+            self._factors(w, t)   # raises, naming the first failing node
         la, lb = np.log1p(u), np.log1p(pvals)
         alpha = np.expm1(self._p1 * la + self._q1 * lb)
         one_plus_beta = np.exp(self._p2 * la + self._q2 * lb)
         # (alpha - beta)/r = -(1+beta) * (2r/R0^2) p'(s) / X, exactly
-        w_tangential = -one_plus_beta * self._two_over_r0sq * g.r * dp / x
-        if self.fault == "pressure-sign":
-            w_tangential = -w_tangential
-        alpha_prime = self._two_over_r0sq * g.r * (g.d_s @ alpha)
-        return (
-            self.sigma_prime * (p.iota + 1.0) * alpha
-            + self.sigma * alpha_prime
-            + (p.n - 1.0) * self.sigma * w_tangential
-        )
+        return (self._alpha_coef * alpha + self._alpha_slope_coef * (self.grid.d_s @ alpha)
+                + self._tangential_coef * one_plus_beta * dp / x)
 
     def log_jacobian(self, w: np.ndarray) -> np.ndarray:
         """log J = log(1 + w_r) + (n-1) log(1 + w/r) of the deformation.
@@ -291,8 +296,7 @@ def reconstruct_physical(operator: RadialOperator, state: RadialState) -> Recons
     radii = th * (g.r + state.w)
     velocity = th_t * (g.r + state.w) + th * state.w_t
     # boundary: extrapolate the s-polynomial w/r to s = 1
-    edge = resample_matrix(g.s, np.array([1.0]))
-    w_edge = float((edge @ (state.w / g.r))[0] * p.R0)
+    w_edge = float((operator._edge @ (state.w / g.r))[0] * p.R0)
     return Reconstruction(
         t=state.t, radii=radii, density=density, velocity=velocity,
         boundary_radius=th * (p.R0 + w_edge),
@@ -445,7 +449,7 @@ def radial_oracle_check(grid: WeightedGrid, num_samples: int = 3,
         # radial route, interpolated to the ray radii
         w_nodes = w_of_r(grid.r)
         n_vals = op.pressure(w_nodes)
-        interp = resample_matrix(grid.s, (ray / p.R0) ** 2)
+        interp = resample_matrix(grid.s, (ray / p.R0) ** 2, grid._bary)
         radial_on_ray = (interp @ (n_vals / grid.r)) * ray
         radial_on_ray *= p.sigma(ray) ** p.iota
         scale_ref = np.max(np.abs(cart_on_ray)) + 1e-300

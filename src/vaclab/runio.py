@@ -270,10 +270,11 @@ def resume(run_dir) -> RunResult:
     t_start = time.time()
     run_dir = Path(run_dir)
     cfg = load_config(run_dir / "config.json")
-    state_files = sorted((run_dir / "states").glob("*.json"))
+    state_files = list((run_dir / "states").glob("*.json"))
     if not state_files:
         raise FileNotFoundError(f"no checkpoints found under {run_dir}/states")
-    state, index = _read_state(state_files[-1])
+    # names carry the output index with at least four digits: 10000 > 5000
+    state, index = _read_state(max(state_files, key=lambda f: int(f.stem)))
     return _execute(cfg, _setup(cfg), run_dir, state, index + 1, t_start)
 
 

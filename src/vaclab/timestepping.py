@@ -13,20 +13,22 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Dormand-Prince 5(4) tableau (FSAL).
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+# Dormand-Prince 5(4) tableau (FSAL); the stage increment of stage s is
+# _A[s, :s] @ k[:s], one matrix product.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
+_E = _B5 - _B4   # weights of the embedded error estimate
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -125,10 +127,9 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
 
         k[0] = k_last
         for stage in range(1, 7):
-            inc = sum(a * k[j] for j, a in enumerate(_A[stage]) if a != 0.0)
-            k[stage] = rhs(t + _C[stage] * dt, y + dt * inc)
-        y5 = y + dt * np.tensordot(_B5, k, axes=1)
-        err_vec = dt * np.tensordot(_B5 - _B4, k, axes=1)
+            k[stage] = rhs(t + _C[stage] * dt, y + dt * (_A[stage, :stage] @ k[:stage]))
+        y5 = y + dt * (_B5 @ k)
+        err_vec = dt * (_E @ k)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 

@@ -4,7 +4,13 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
+
+from vaclab import correction, radial
 from vaclab.config import parse_config
+from vaclab.params import derive_constants
+from vaclab.timestepping import IntegrationStats, integrate_adaptive, integrate_fixed_rk4
+from vaclab.weighted import WeightedGrid
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
@@ -77,3 +83,51 @@ def test_run_and_resume_call_evolve_through_runio(tmp_path, monkeypatch):
     runio.resume(tmp_path / "run")
     assert len(starts) == 2
     assert starts[0] == 0.0 and starts[1] > 0.0
+
+
+def test_a_short_run_crosses_every_traced_boundary(monkeypatch):
+    # the benchmark wraps these on their classes and requires each crossing
+    crossed = {}
+    inside = []
+
+    def wrap(owner, name):
+        original = vars(owner)[name]
+
+        def counting(*args, **kwargs):
+            crossed[name] = crossed.get(name, 0) + 1
+            if inside:
+                crossed[name + " in reconstruct_physical"] = True
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    for name in ("rhs", "pressure", "damping", "wave_coefficient", "step_cap"):
+        wrap(radial.RadialOperator, name)
+    for name in ("h_at", "h_t_at"):
+        wrap(correction.CorrectionPath, name)
+    reconstruct = radial.reconstruct_physical
+
+    def reconstructing(*args):
+        inside.append(True)
+        try:
+            return reconstruct(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(radial, "reconstruct_physical", reconstructing)
+    params = derive_constants(3, 0.0, 2.0, 1.0)
+    path = correction.solve_correction(params, 10.0)
+    assert path.step_times[0] == 0.0 and path.step_times[-1] == 10.0
+    grid = WeightedGrid(params, 32)
+    w0 = radial.seed_profile("parabolic", 1e-3, grid)
+    traj = radial.evolve(grid, path, radial.RadialState(0.0, w0, np.zeros_like(w0)), 2.0,
+                         output_times=[0.0, 1.0, 2.0], collect_energies=False)
+    assert traj.status == "completed"
+    for name in ("rhs", "pressure", "damping", "wave_coefficient", "step_cap"):
+        assert crossed.get(name), name
+    for name in ("h_at", "h_t_at"):
+        assert crossed.get(name + " in reconstruct_physical"), name
+    # bench/tracer.py reads the stats of both integrators' results
+    for result in (integrate_adaptive(lambda t, y: -y, 0.0, [1.0], [1.0]),
+                   integrate_fixed_rk4(lambda t, y: -y, 0.0, [1.0], [1.0], 0.25)):
+        assert isinstance(result.stats, IntegrationStats) and result.stats.steps > 0

@@ -189,6 +189,27 @@ def test_resume_reports_against_the_whole_run(tmp_path):
     assert (part / "run_report.json").read_text() == report_text
 
 
+def test_resume_picks_the_checkpoint_with_the_highest_output_index(tmp_path):
+    # "10000.json" sorts before "5000.json" as a string; the index decides
+    from vaclab.radial import RadialState, output_schedule
+    from vaclab.runio import _write_state
+
+    cfg = parse_config(base_config(
+        tmp_path, **{"ode.t_end": 10.0, "solver.num_nodes": 16, "solver.t_end": 1.0,
+                     "solver.outputs_per_decade": 10001}))
+    run_dir = tmp_path / "run"
+    (run_dir / "states").mkdir(parents=True)
+    cfg.dump(run_dir / "config.json")
+    schedule = output_schedule(1.0, 10001)
+    zero = np.zeros(16)
+    for index in (5000, 10000):
+        _write_state(run_dir / "states" / f"{index:04d}.json",
+                     RadialState(schedule[index], zero, zero), index)
+    resumed = resume(run_dir)
+    assert resumed.report["resumed_from"] == {"t": schedule[10000], "output_index": 10000}
+    assert [s.t for s in resumed.trajectory.states] == schedule[10001:].tolist()
+
+
 def test_refit_reproduces_reports(tmp_path):
     cfg = parse_config(base_config(
         tmp_path, **{"solver.seed": {"shape": "parabolic", "amplitude": 1e-3}}))

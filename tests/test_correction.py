@@ -1,6 +1,7 @@
 """Correction ODE: initial data, long-time envelopes, and bound checks."""
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from vaclab import correction
 from vaclab.correction import (CorrectionPath, correction_path, fit_h_envelope,
@@ -86,7 +87,7 @@ def test_h_envelope_degenerate_for_zero_fixture(params3, path3):
         abs_tol=path3.abs_tol, t_grid=path3.t_grid, h=zeros, h_t=zeros,
         theta=(1.0 + path3.t_grid) ** params3.kappa,
         theta_t=params3.kappa * (1.0 + path3.t_grid) ** (params3.kappa - 1.0),
-        step_times=path3.step_times, _dense=path3._dense,
+        step_times=path3.step_times, segments=path3.segments,
     )
     env = fit_h_envelope(fake)
     assert env.degenerate
@@ -206,6 +207,37 @@ def test_time_coefficients_reuse_one_dense_evaluation(params3, path3, monkeypatc
     assert float(th_t) == float(path3.theta_t_at(7.25))
     assert first.d[0] == pytest.approx((8.25) ** (-params3.lam) + 2.0 * th_t / th, rel=1e-15)
     assert first.c[0] == float(th) ** (-params3.damping_power)
+
+
+def test_dense_evaluator_matches_scipy_dense_output(params3, path3):
+    # reference: SciPy's OdeSolution of the same Radau solve
+    sol = solve_ivp(correction._correction_rhs(params3), (0.0, path3.t_end), [0.0, 0.0],
+                    method="Radau", rtol=path3.rel_tol, atol=path3.abs_tol,
+                    dense_output=True, jac=correction._correction_jac(params3))
+    np.testing.assert_array_equal(sol.t, path3.step_times)
+    rng = np.random.default_rng(20)
+    t = np.concatenate([rng.uniform(0.0, path3.t_end, 5000),
+                        10.0 ** rng.uniform(-4.0, 6.0, 15000)])
+    ours = np.array(path3._dense(t))
+    assert np.array_equal(np.array([path3._dense(float(x)) for x in t]).T, ours)
+    # rounding bound: the summed magnitudes |y_old| + |Q_k x^k| of each
+    # collocation polynomial y_old + Q (x, x^2, x^3)
+    steps = sol.sol.interpolants
+    index = np.clip(np.searchsorted(sol.t, t, side="left") - 1, 0, len(steps) - 1)
+    q = np.array([step.Q for step in steps])[index]
+    y_old = np.array([step.y_old for step in steps])[index]
+    x = (t - sol.t[index]) / np.diff(sol.t)[index]
+    powers = np.stack([x, x * x, x * x * x], axis=-1)
+    scale = (np.abs(y_old) + np.einsum("kij,kj->ki", np.abs(q), np.abs(powers))).T
+    for reference in (sol.sol(t), np.array([sol.sol(x) for x in t]).T):
+        assert np.all(np.abs(ours - reference) <= 4e-16 * scale)
+    # a step time belongs to the step on its left, where SciPy's value is
+    # the same to the bit; the step on its right differs at some of them
+    at_steps = np.array([sol.sol(x) for x in sol.t]).T
+    assert np.array_equal(np.array(path3._dense(sol.t)), at_steps)
+    assert np.array_equal(np.array([path3._dense(x) for x in sol.t.tolist()]).T, at_steps)
+    assert path3._dense(0.0) == (0.0, 0.0)
+    assert path3._dense(path3.t_end) == tuple(sol.sol(path3.t_end))
 
 
 def test_correction_path_is_solved_once_per_argument_set(monkeypatch):

@@ -6,7 +6,7 @@ from vaclab.correction import solve_correction
 from vaclab.diagnostics import gap_series
 from vaclab.params import derive_constants
 from vaclab.quadrature import resample_matrix
-from vaclab.radial import (RadialOperator, RadialState, evolve,
+from vaclab.radial import (RadialInvariantError, RadialOperator, RadialState, evolve,
                            radial_oracle_check, reconstruct_physical,
                            reconstructed_mass, seed_profile)
 from vaclab.weighted import WeightedGrid
@@ -197,6 +197,62 @@ def test_perturbation_sup_norm_has_no_growth(setup):
                   collect_energies=False, collect_reconstructions=False)
     fit = decay_fit(traj.times, traj.sup_norms(), window=(1e2, 1e4))
     assert fit.exponent <= 0.02
+
+
+def _pressure_term_by_term(op, w, dtype):
+    """N(w) in ``dtype``, each factor formed as derived: p = w/r,
+    w_r = p + 2 s p'(s), alpha = X^p1 Y^q1 - 1 and 1 + beta = X^p2 Y^q2 with
+    X = 1 + w_r, Y = 1 + p, and N = sigma' (iota+1) alpha + sigma alpha_r
+    + (n-1) sigma (alpha - beta)/r, where alpha_r = (2r/R0^2) alpha'(s) and
+    (alpha - beta)/r = -(1 + beta) (2r/R0^2) p'(s)/X."""
+    g, p = op.grid, op.params
+    r, s, d_s, w = (np.asarray(a, dtype=dtype) for a in (g.r, g.s, g.d_s, w))
+    pvals = w / r
+    dp = d_s @ pvals
+    u = pvals + 2 * s * dp
+    la, lb = np.log1p(u), np.log1p(pvals)
+    alpha = np.expm1(op._p1 * la + op._q1 * lb)
+    one_plus_beta = np.exp(op._p2 * la + op._q2 * lb)
+    radial = 2 / np.asarray(p.R0, dtype=dtype) ** 2 * r
+    sigma = p.A_bar - p.B_bar * r ** 2
+    sigma_prime = -2 * np.asarray(p.B_bar, dtype=dtype) * r
+    tangential = -one_plus_beta * radial * dp / (1 + u)
+    return (sigma_prime * (p.iota + 1) * alpha + sigma * (radial * (d_s @ alpha))
+            + (p.n - 1) * sigma * tangential)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [32, 128, 256])
+def test_pressure_rounding_is_no_worse_than_the_term_by_term_formula(n, m):
+    # against the same formula in extended precision on the same d_s
+    if np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps:
+        pytest.skip("long double is not wider than double here")
+    p = derive_constants(n, 0.0, 2.0, 1.0)
+    g = WeightedGrid(p, m)
+    op = RadialOperator(g)
+    rng = np.random.default_rng(3)
+    for w in (seed_profile("parabolic", 0.3, g), seed_profile("quartic", 0.05, g),
+              seed_profile("random", 0.2, g, rng)):
+        reference = _pressure_term_by_term(op, w, np.longdouble)
+
+        def error(values):
+            return float(np.max(np.abs(np.asarray(values, dtype=np.longdouble) - reference))
+                         / np.max(np.abs(reference)))
+
+        assert error(op.pressure(w)) <= 1.25 * error(_pressure_term_by_term(op, w, np.float64))
+
+
+@pytest.mark.parametrize("p_of_s,x_of_s", [
+    (lambda s: -1.5 + 0.0 * s, lambda s: -0.5 + 0.0 * s),    # fails at every node
+    (lambda s: -s ** 2, lambda s: 1.0 - 5.0 * s ** 2),        # fails past s = 0.447
+])
+def test_pressure_names_the_first_node_that_breaks_the_invariant(setup, p_of_s, x_of_s):
+    # w = r p(s): 1 + w_r = 1 + p + 2 s p' fails, and is named before 1 + w/r = 1 + p
+    _, _, g, op = setup
+    with pytest.raises(RadialInvariantError) as raised:
+        op.pressure(g.r * p_of_s(g.s), 2.5)
+    node = int(np.argmax(x_of_s(g.s) <= 0.0))
+    assert (raised.value.t, raised.value.node, raised.value.factor) == (2.5, node, "1 + w_r")
 
 
 def test_invariant_violation_truncates_with_metadata(setup):
