@@ -30,12 +30,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correction import CorrectionPath
-from .energy import EnergyReport, ModeEnergies
+from .energy import EnergyReport, ModeEnergies, energy_indices
 from .tables import write_csv
-from .timestepping import IntegrationStats, integrate_fixed_rk4, power_iteration
+from .timestepping import IntegrationStats, integrate_fixed_rk4
 from .weighted import WeightedGrid
 
 logger = logging.getLogger(__name__)
+
+STEP_SAFETY = 0.5   # fraction of the RK4 stability limit taken as the default step
 
 
 def curl_envelope(path: CorrectionPath, t) -> np.ndarray:
@@ -147,14 +149,19 @@ class PlanarModeOperator:
                              (-c_pp, q0), (-2.0 * c_p, q1), (-c0, q2))
         return derivs
 
-    def stable_step(self, safety: float = 0.5, iterations: int = 60) -> float:
-        m = self.grid.num_nodes
-        zero = np.zeros(m)
-        rho = power_iteration(lambda v: self.force_potential(v, zero), m,
-                              iterations, seed=1)
+    def stable_step(self) -> float:
+        """RK4 step from the exact spectral radius of the force on pf.
+
+        On a monomial pf = s^k (pg = 0) the force potential is
+        (kappa (l+2k) + 4 gamma B_bar k(k+l)) s^k minus a multiple of
+        s^(k-1) (A_bar = B_bar R0^2), so the operator is triangular on the
+        monomials and its eigenvalues are those diagonal entries, k < m,
+        largest at k = m-1."""
+        p, ell, k = self.params, self.mode, self.grid.num_nodes - 1
+        rho = p.kappa * (ell + 2.0 * k) + 4.0 * p.gamma * p.B_bar * k * (k + ell)
         coeffs = self.path.coefficients(0.0)
         omega_max = np.sqrt(coeffs.c[0] * rho)
-        return float(safety * 2.8 / max(omega_max, coeffs.d[0]))
+        return float(STEP_SAFETY * 2.8 / max(omega_max, coeffs.d[0]))
 
 
 class ToroidalModeOperator:
@@ -188,8 +195,8 @@ class ToroidalModeOperator:
         )
         return float(np.sqrt(g.integrate(p.iota + 1.0, integrand)))
 
-    def stable_step(self, safety: float = 0.5) -> float:
-        return float(safety * 2.8 / self.path.coefficients(0.0).d[0])
+    def stable_step(self) -> float:
+        return float(STEP_SAFETY * 2.8 / self.path.coefficients(0.0).d[0])
 
 
 @dataclass
@@ -212,13 +219,10 @@ class ModeTrajectory:
         return np.abs(self.curl_norms / (base * self.envelope) - 1.0)
 
     def write_csv(self, path) -> None:
-        base = self.curl_norms[0]
-        rows = []
-        for k, t in enumerate(self.times):
-            dev = (abs(self.curl_norms[k] / (base * self.envelope[k]) - 1.0)
-                   if base != 0.0 else float("nan"))
-            rows.append((t, self.curl_norms[k], self.envelope[k], dev))
-        write_csv(path, ("t", "curl_norm", "envelope", "rel_deviation"), rows)
+        dev = (self.relative_deviation() if self.curl_norms[0] != 0.0
+               else np.full_like(self.times, np.nan))
+        write_csv(path, ("t", "curl_norm", "envelope", "rel_deviation"),
+                  zip(self.times, self.curl_norms, self.envelope, dev))
 
 
 class ZeroInitialCurlError(ValueError):
@@ -277,9 +281,7 @@ def evolve_mode(grid: WeightedGrid, path: CorrectionPath, state,
     m = grid.num_nodes
     states: list = []
     curls: list[float] = []
-    indices = [(mm, 0, j) for total in range(3)
-               for mm in range(total + 1) for j in (total - mm,)]
-    indices += [(mm + 1, 0, j) for (mm, _, j) in indices if mm + j == 2]
+    indices = [idx for idx in energy_indices(2) if idx[1] == 0]
     evaluator = ModeEnergies(grid, state.mode) if (collect_energies and planar) else None
     comp: dict[tuple, list] = {idx: [] for idx in indices}
 

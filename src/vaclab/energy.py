@@ -64,9 +64,7 @@ class RadialEnergies:
         g = self.grid
         rule = g.rule(exponent)
         r0_sq = self.params.R0 ** 2
-        p = np.asarray(w_nodal, dtype=float) / g.r
-        p1 = g.d_s @ p
-        su = p + 2.0 * g.s * p1          # u = w' (even in r)
+        p, p1, su = g.radial_strain(np.asarray(w_nodal, dtype=float))   # su = w' (even in r)
         g_vp = (2.0 / r0_sq) * p1        # vp and e coincide for radial fields
         g_up = (2.0 / r0_sq) * (g.d_s @ su)
         svals = {"w": (p, 1), "v": (p, 0), "u": (su, 0),

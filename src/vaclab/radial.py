@@ -27,8 +27,7 @@ from .energy import EnergyReport, RadialEnergies, energy_indices
 from .kinematics import box_grid, build_deformation, radial_vector_field
 from .quadrature import resample_matrix
 from .timestepping import (IntegrationStats, StepSizeUnderflow,
-                           integrate_adaptive, integrate_fixed_rk4,
-                           power_iteration)
+                           integrate_adaptive, integrate_fixed_rk4)
 from .weighted import WeightedGrid
 
 logger = logging.getLogger(__name__)
@@ -73,30 +72,21 @@ class RadialOperator:
         self._q1 = (p.n - 1.0) * (1.0 - p.gamma)
         self._p2 = 1.0 - p.gamma                # beta = X^p2 Y^q2 - 1
         self._q2 = self._q1 - 1.0
-        self.sigma = p.sigma(grid.r)
-        self.sigma_prime = -2.0 * p.B_bar * grid.r
-        self._two_over_r0sq = 2.0 / p.R0 ** 2
-        self._two_s = 2.0 * grid.s
+        sigma = p.sigma(grid.r)
         # constant node vectors of the pressure: N = a alpha + b d_s alpha
-        # + c (1 + beta) p'(s) / X, the fault's sign folded into c
-        radial_scale = self._two_over_r0sq * grid.r
-        self._alpha_coef = self.sigma_prime * (p.iota + 1.0)
-        self._alpha_slope_coef = self.sigma * radial_scale
+        # + c (1 + beta) p'(s) / X, the fault's sign folded into c; K' and
+        # K'' are built from the same three
+        radial_scale = (2.0 / p.R0 ** 2) * grid.r
+        self._alpha_coef = -2.0 * p.B_bar * grid.r * (p.iota + 1.0)
+        self._alpha_slope_coef = sigma * radial_scale
         sign = -1.0 if fault == "pressure-sign" else 1.0
-        self._tangential_coef = -sign * (p.n - 1.0) * self.sigma * radial_scale
+        self._tangential_coef = -sign * (p.n - 1.0) * sigma * radial_scale
         # nodal values of w/r -> its interpolant at the boundary s = 1
         self._edge = resample_matrix(grid.s, np.array([1.0]), grid._bary)
 
     # -- pointwise deformation factors ------------------------------------
-    def _deformation(self, w):
-        """(p, p'(s), w_r) with p = w/r."""
-        g = self.grid
-        pvals = w / g.r
-        dp = g.d_s @ pvals
-        return pvals, dp, pvals + self._two_s * dp
-
     def _factors(self, w, t=None):
-        pvals, dp, u = self._deformation(w)
+        pvals, dp, u = self.grid.radial_strain(w)
         x = 1.0 + u          # 1 + w_r
         y = 1.0 + pvals      # 1 + w/r
         if np.any(x <= 0.0) or np.any(y <= 0.0):
@@ -108,7 +98,7 @@ class RadialOperator:
 
     def pressure(self, w: np.ndarray, t: float | None = None) -> np.ndarray:
         """N(w): sigma^(-iota)-scaled radial pressure divergence (odd field)."""
-        pvals, dp, u = self._deformation(w)
+        pvals, dp, u = self.grid.radial_strain(w)
         x = 1.0 + u
         # 1 + p <= 0 exactly when p <= -1 (1 + p is exact for p near -1)
         if x.min() <= 0.0 or pvals.min() <= -1.0:
@@ -126,66 +116,54 @@ class RadialOperator:
         Unlike the dynamics this does not check the invariant: where the
         deformation is not invertible log J is NaN, so the last state of a
         failed trajectory can still be reported."""
-        pvals, _, u = self._deformation(w)
+        pvals, _, u = self.grid.radial_strain(w)
         return np.log1p(u) + (self.params.n - 1.0) * np.log1p(pvals)
 
     def stiffness(self, w: np.ndarray, t: float | None = None) -> np.ndarray:
         """K(w) = kappa w + N(w)."""
         return self.params.kappa * w + self.pressure(w, t)
 
-    def _stretch_factors(self, w):
-        """(p'(s), X, Y, 1 + alpha, 1 + beta) at w, with X = 1 + w_r and
-        Y = 1 + w/r, for the directional derivatives of the pressure."""
+    def _variation(self, w, delta):
+        """Shared prologue of K' and K'': at w, the factors 1 + alpha and
+        1 + beta, the slope p'(s)/X and its variation along delta, the
+        ratios d_u/X and d_p/Y of the strain of delta, and the linear forms
+        in them that vary log(1 + alpha) and log(1 + beta)."""
         pvals, dp, u, x, y = self._factors(w)
         la, lb = np.log1p(u), np.log1p(pvals)
-        return (dp, x, y, np.exp(self._p1 * la + self._q1 * lb),
-                np.exp(self._p2 * la + self._q2 * lb))
+        one_plus_alpha = np.exp(self._p1 * la + self._q1 * lb)
+        one_plus_beta = np.exp(self._p2 * la + self._q2 * lb)
+        d_p, d_dp, d_u = self.grid.radial_strain(delta)
+        rx, ry = d_u / x, d_p / y
+        slope = dp / x
+        d_slope = d_dp / x - dp * d_u / x ** 2
+        return (one_plus_alpha, one_plus_beta, slope, d_slope, rx, ry,
+                self._p1 * rx + self._q1 * ry, self._p2 * rx + self._q2 * ry)
+
+    def _pressure_variation(self, d_alpha, d_tangential):
+        """The pressure's node vectors applied to a variation of alpha and
+        of the tangential factor (1 + beta) p'(s) / X."""
+        return (self._alpha_coef * d_alpha
+                + self._alpha_slope_coef * (self.grid.d_s @ d_alpha)
+                + self._tangential_coef * d_tangential)
 
     def stiffness_linearized(self, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """Directional derivative K'(w)[delta]."""
-        g, p = self.grid, self.params
-        dp, x, y, one_plus_alpha, one_plus_beta = self._stretch_factors(w)
-        d_p = delta / g.r
-        d_dp = g.d_s @ d_p
-        d_u = d_p + 2.0 * g.s * d_dp
-        d_alpha = one_plus_alpha * (self._p1 * d_u / x + self._q1 * d_p / y)
-        d_beta = one_plus_beta * (self._p2 * d_u / x + self._q2 * d_p / y)
-        slope = dp / x
-        d_slope = d_dp / x - dp * d_u / x ** 2
-        d_wt = -self._two_over_r0sq * g.r * (d_beta * slope + one_plus_beta * d_slope)
-        d_alpha_prime = self._two_over_r0sq * g.r * (g.d_s @ d_alpha)
-        d_n = (
-            self.sigma_prime * (p.iota + 1.0) * d_alpha
-            + self.sigma * d_alpha_prime
-            + (p.n - 1.0) * self.sigma * d_wt
-        )
-        return p.kappa * delta + d_n
+        one_plus_alpha, one_plus_beta, slope, d_slope, _, _, lin_a, lin_b = (
+            self._variation(w, delta))
+        d_beta = one_plus_beta * lin_b
+        return self.params.kappa * delta + self._pressure_variation(
+            one_plus_alpha * lin_a, d_beta * slope + one_plus_beta * d_slope)
 
     def stiffness_second(self, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
         """Second directional derivative K''(w)[delta, delta]."""
-        g, p = self.grid, self.params
-        dp, x, y, one_plus_alpha, one_plus_beta = self._stretch_factors(w)
-        d_p = delta / g.r
-        d_dp = g.d_s @ d_p
-        d_u = d_p + 2.0 * g.s * d_dp
-        rx, ry = d_u / x, d_p / y
-        lin_a = self._p1 * rx + self._q1 * ry
-        lin_b = self._p2 * rx + self._q2 * ry
+        one_plus_alpha, one_plus_beta, slope, d_slope, rx, ry, lin_a, lin_b = (
+            self._variation(w, delta))
         dd_alpha = one_plus_alpha * (lin_a ** 2 - self._p1 * rx ** 2 - self._q1 * ry ** 2)
         dd_beta = one_plus_beta * (lin_b ** 2 - self._p2 * rx ** 2 - self._q2 * ry ** 2)
         d_beta = one_plus_beta * lin_b
-        slope = dp / x
-        d_slope = d_dp / x - dp * d_u / x ** 2
-        dd_slope = -2.0 * d_dp * d_u / x ** 2 + 2.0 * dp * d_u ** 2 / x ** 3
-        dd_wt = -self._two_over_r0sq * g.r * (
-            dd_beta * slope + 2.0 * d_beta * d_slope + one_plus_beta * dd_slope
-        )
-        dd_alpha_prime = self._two_over_r0sq * g.r * (g.d_s @ dd_alpha)
-        return (
-            self.sigma_prime * (p.iota + 1.0) * dd_alpha
-            + self.sigma * dd_alpha_prime
-            + (p.n - 1.0) * self.sigma * dd_wt
-        )
+        dd_slope = -2.0 * rx * d_slope
+        return self._pressure_variation(
+            dd_alpha, dd_beta * slope + 2.0 * d_beta * d_slope + one_plus_beta * dd_slope)
 
     # -- time-dependent coefficients ---------------------------------------
     def damping(self, t: float) -> tuple[float, float, float]:
@@ -230,12 +208,31 @@ class RadialOperator:
             )
         return derivs
 
-    def spectral_radius(self, iterations: int = 80, seed: int = 0) -> float:
-        """Power-iteration bound on the linearized stiffness about w = 0;
-        the generalized CFL cap scales it by the decaying wave coefficient."""
-        zero = np.zeros(self.grid.num_nodes)
-        return power_iteration(lambda v: self.stiffness_linearized(zero, v),
-                               self.grid.num_nodes, iterations, seed)
+    def spectral_radius(self) -> float:
+        """Largest eigenvalue of the linearized stiffness K'(0), exactly.
+
+        At w = 0 (X = Y = 1, alpha = beta = 0, p'(s) = 0) the variation of
+        the pressure along delta = r d_p(s) is
+
+            a d_alpha + b d_s d_alpha + c d_p'(s),
+            d_alpha = -gamma d_u + (n-1)(1-gamma) d_p,  d_u = d_p + 2 s d_p',
+
+        with a = -2 B_bar (iota+1) r, b = 2 B_bar (1-s) r and
+        c = -(n-1) b (sigma = B_bar R0^2 (1-s)).  On a monomial
+        d_p = s^k it returns r times s^k plus lower powers, so K'(0) is
+        triangular on the basis r s^k, k < m, which the collocation
+        represents exactly.  Its eigenvalues are the diagonal entries
+
+            kappa + 2 B_bar [(iota+1+k)(gamma (2k+1) + (n-1)(gamma-1)) + (n-1) k]
+              = (1+lam) (k+1)(2k+n+2 iota) / (n+2 iota),
+
+        using kappa = (1+lam)/(n gamma-n+2), iota = 1/(gamma-1) and
+        2 B_bar = kappa/(gamma iota): with j = k+1 = 1..m,
+        lam_j = (1+lam) j (2j+n+2 iota-2)/(n+2 iota), largest at j = m.
+        The generalized CFL cap scales it by the decaying wave coefficient.
+        """
+        p, m = self.params, self.grid.num_nodes
+        return (1.0 + p.lam) * m * (2.0 * m + p.n + 2.0 * p.iota - 2.0) / (p.n + 2.0 * p.iota)
 
     def step_cap(self, cfl_safety: float = 0.5):
         rho = self.spectral_radius()
@@ -290,13 +287,13 @@ def reconstruct_physical(operator: RadialOperator, state: RadialState) -> Recons
     p = operator.params
     th = float(path.theta_at(state.t))
     th_t = float(path.theta_t_at(state.t))
-    _, _, u, x_fac, y_fac = operator._factors(state.w, state.t)
+    pvals, _, _, x_fac, y_fac = operator._factors(state.w, state.t)
     jac = x_fac * y_fac ** (p.n - 1.0)
     density = p.rho0(g.r) / jac * th ** (-p.n)
     radii = th * (g.r + state.w)
     velocity = th_t * (g.r + state.w) + th * state.w_t
     # boundary: extrapolate the s-polynomial w/r to s = 1
-    w_edge = float((operator._edge @ (state.w / g.r))[0] * p.R0)
+    w_edge = float((operator._edge @ pvals)[0] * p.R0)
     return Reconstruction(
         t=state.t, radii=radii, density=density, velocity=velocity,
         boundary_radius=th * (p.R0 + w_edge),

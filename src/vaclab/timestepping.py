@@ -59,23 +59,6 @@ def _counted(rhs: Callable, stats: IntegrationStats) -> Callable:
     return counted
 
 
-def power_iteration(apply: Callable, size: int, iterations: int, seed: int) -> float:
-    """Spectral-radius estimate of the linear map ``apply`` on R^size by
-    power iteration from a seeded Gaussian vector (stability caps)."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(size)
-    v /= np.linalg.norm(v)
-    estimate = 1.0
-    for _ in range(iterations):
-        v = apply(v)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            break
-        estimate = norm
-        v /= norm
-    return float(estimate)
-
-
 def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
                        output_times: Sequence[float],
                        rel_tol: float = 1e-7, abs_tol: float = 1e-11,

@@ -21,6 +21,9 @@ from .quadrature import (
 )
 
 
+_RULE_EXTRA = 6   # nodes of each quadrature rule beyond the collocation nodes
+
+
 @dataclass(frozen=True)
 class RadialRule:
     """Quadrature rule for int_0^R0 sigma(r)^a f(r) r^(n-1) dr.
@@ -39,18 +42,25 @@ class RadialRule:
 class WeightedGrid:
     """Radial collocation nodes plus sigma^a-adapted quadrature rules."""
 
-    def __init__(self, params: PhysParams, num_nodes: int, rule_extra: int = 6):
+    def __init__(self, params: PhysParams, num_nodes: int):
         if num_nodes < 8:
             raise ValueError("need at least 8 radial nodes")
         self.params = params
         self.num_nodes = int(num_nodes)
-        self._rule_size = self.num_nodes + rule_extra
         n = params.n
         self.s, _ = jacobi_rule_01(self.num_nodes, params.iota, n / 2.0 - 1.0)
         self.r = params.R0 * np.sqrt(self.s)
+        self._two_s = 2.0 * self.s
         self._bary = barycentric_weights(self.s)
         self.d_s = differentiation_matrix(self.s, self._bary)
         self._rules: dict[float, RadialRule] = {}
+
+    def radial_strain(self, w: np.ndarray):
+        """(p, p_s, w_r) of a radial field w = r p(s): p = w/r, its
+        s-derivative d_s p, and w_r = p + 2 s p_s."""
+        p = w / self.r
+        p_s = self.d_s @ p
+        return p, p_s, p + self._two_s * p_s
 
     def rule(self, exponent: float) -> RadialRule:
         """Quadrature rule adapted to the sigma^exponent weight (cached)."""
@@ -58,17 +68,22 @@ class WeightedGrid:
             raise ValueError(f"sigma exponent must be nonnegative, got {exponent}")
         key = float(exponent)
         if key not in self._rules:
-            p = self.params
-            s, w = jacobi_rule_01(self._rule_size, key, p.n / 2.0 - 1.0)
-            scale = 0.5 * p.R0 ** p.n * p.A_bar ** key
-            self._rules[key] = RadialRule(
-                exponent=key,
-                s=s,
-                r=p.R0 * np.sqrt(s),
-                weights=scale * w,
-                resample=resample_matrix(self.s, s, self._bary),
-            )
+            self._rules[key] = self._build_rule(key)
         return self._rules[key]
+
+    def _build_rule(self, exponent: float) -> RadialRule:
+        """Gauss-Jacobi rule for the sigma^exponent weight, exponent > -1,
+        built afresh; :meth:`rule` caches it for nonnegative exponents."""
+        p = self.params
+        s, w = jacobi_rule_01(self.num_nodes + _RULE_EXTRA, exponent, p.n / 2.0 - 1.0)
+        scale = 0.5 * p.R0 ** p.n * p.A_bar ** exponent
+        return RadialRule(
+            exponent=exponent,
+            s=s,
+            r=p.R0 * np.sqrt(s),
+            weights=scale * w,
+            resample=resample_matrix(self.s, s, self._bary),
+        )
 
     def to_rule(self, rule: RadialRule, base_values: np.ndarray) -> np.ndarray:
         """Interpolate base-node values of an s-polynomial to rule nodes."""
@@ -109,17 +124,10 @@ def hardy_check(grid: WeightedGrid, f_samples: np.ndarray, df_samples: np.ndarra
     df = np.asarray(df_samples, dtype=float)
     if np.max(np.abs(f)) == 0.0:
         return 0.0
-    top_rule = grid.rule(max(k, 0.0)) if k >= 0.0 else None
-    if top_rule is not None:
-        top = grid.integrate_ball(max(k, 0.0), grid.to_rule(top_rule, f) ** 2)
-    else:
-        # Negative exponents above -1 only occur in the Hardy check itself;
-        # integrate with a rule built directly for that weight.
-        p = grid.params
-        s, w = jacobi_rule_01(grid.num_nodes + 6, k, p.n / 2.0 - 1.0)
-        resample = resample_matrix(grid.s, s, grid._bary)
-        scale = 0.5 * p.R0 ** p.n * p.A_bar ** k
-        top = unit_sphere_area(p.n) * float((scale * w) @ (resample @ f) ** 2)
+    # negative exponents above -1 occur only here: their rule is not cached
+    top_rule = grid.rule(k) if k >= 0.0 else grid._build_rule(k)
+    top = unit_sphere_area(grid.params.n) * float(
+        top_rule.weights @ grid.to_rule(top_rule, f) ** 2)
     bottom_rule = grid.rule(k + 2.0)
     fb = grid.to_rule(bottom_rule, f)
     dfb = grid.to_rule(bottom_rule, df)

@@ -71,6 +71,27 @@ def test_toroidal_mode_envelope():
     assert rep.max_relative_deviation <= 1e-3
 
 
+@pytest.mark.parametrize("lam,gamma", [(0.0, 2.0), (0.5, 1.5)])
+@pytest.mark.parametrize("mode", [1, 2, 3])
+def test_planar_force_has_the_closed_form_spectrum(lam, gamma, mode):
+    # the force on pf is triangular on the monomials s^k, k < m
+    p = derive_constants(2, lam, gamma, 1.0)
+    path = solve_correction(p, 1.0)
+    m = 32
+    op = PlanarModeOperator(WeightedGrid(p, m), path, mode)
+    zero = np.zeros(m)
+    matrix = np.column_stack([op.force_potential(e, zero) for e in np.eye(m)])
+    eig = np.linalg.eigvals(matrix)
+    assert np.max(np.abs(eig.imag)) <= 1e-11 * np.max(np.abs(eig.real))
+    k = np.arange(m)
+    exact = p.kappa * (mode + 2.0 * k) + 4.0 * p.gamma * p.B_bar * k * (k + mode)
+    assert np.max(np.abs(np.sort(eig.real) - exact) / exact) <= 1e-11
+    coeffs = path.coefficients(0.0)
+    rho = np.max(eig.real)
+    assert op.stable_step() == pytest.approx(
+        0.5 * 2.8 / max(np.sqrt(coeffs.c[0] * rho), coeffs.d[0]), rel=1e-11)
+
+
 @pytest.mark.parametrize("mode", [1, 2, 3])
 def test_mode_energies_bounded(setup2, mode):
     _, path, g = setup2

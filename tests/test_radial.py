@@ -41,8 +41,11 @@ def test_linearization_richardson_in_amplitude(setup):
     assert ratio == pytest.approx(4.0, rel=0.1)
 
 
-def test_directional_derivatives_match_finite_differences(setup):
-    _, _, g, op = setup
+@pytest.mark.parametrize("fault", [None, "pressure-sign"])
+def test_directional_derivatives_match_finite_differences(setup, fault):
+    # under the fault K' and K'' stay the derivatives of the pressure as built
+    _, path, g, _ = setup
+    op = RadialOperator(g, path, fault=fault)
     w = seed_profile("quartic", 0.05, g)
     delta = seed_profile("parabolic", 1.0, g)
     fd1 = (op.stiffness(w + 1e-6 * delta) - op.stiffness(w - 1e-6 * delta)) / 2e-6
@@ -53,6 +56,42 @@ def test_directional_derivatives_match_finite_differences(setup):
            + op.stiffness(w - step * delta)) / step ** 2
     sec = op.stiffness_second(w, delta)
     assert np.max(np.abs(fd2 - sec)) <= 1e-4 * np.max(np.abs(sec))
+
+
+def _linearized_spectrum(op):
+    """Sorted eigenvalues of K'(0), assembled column by column."""
+    m = op.grid.num_nodes
+    zero, basis = np.zeros(m), np.eye(m)
+    matrix = np.column_stack([op.stiffness_linearized(zero, e) for e in basis])
+    eig = np.linalg.eigvals(matrix)
+    assert np.max(np.abs(eig.imag)) <= 1e-11 * np.max(np.abs(eig.real))
+    return np.sort(eig.real)
+
+
+def _exact_linearized_spectrum(p, m):
+    j = np.arange(1, m + 1)
+    return (1.0 + p.lam) * j * (2.0 * j + p.n + 2.0 * p.iota - 2.0) / (p.n + 2.0 * p.iota)
+
+
+@pytest.mark.parametrize("n,lam,gamma", [(3, 0.0, 2.0), (2, 0.5, 2.0),
+                                         (3, 0.3, 1.5), (2, 0.0, 5.0 / 3.0)])
+@pytest.mark.parametrize("m", [10, 32, 256])
+def test_linearized_stiffness_has_the_closed_form_spectrum(n, lam, gamma, m):
+    # K'(0) is triangular on the monomials r s^k, so its spectrum is exact
+    p = derive_constants(n, lam, gamma, 1.0)
+    op = RadialOperator(WeightedGrid(p, m))
+    eig = _linearized_spectrum(op)
+    exact = _exact_linearized_spectrum(p, m)
+    assert np.max(np.abs(eig - exact) / exact) <= 1e-11
+    assert op.spectral_radius() == pytest.approx(eig[-1], rel=1e-11)
+
+
+def test_closed_form_spectrum_detects_a_perturbed_tangential_term():
+    p = derive_constants(3, 0.0, 2.0, 1.0)
+    op = RadialOperator(WeightedGrid(p, 32))
+    op._tangential_coef = op._tangential_coef * (1.0 + 1e-3)
+    exact = _exact_linearized_spectrum(p, 32)
+    assert np.max(np.abs(_linearized_spectrum(op) - exact) / exact) > 1e-5
 
 
 def test_pressure_pushes_compression_outward(setup):
