@@ -9,12 +9,19 @@ equivalently theta'' + (1+t)^(-lam) theta' = kappa theta^q with
 (theta, theta')(0) = (1, kappa).  Integrating h directly (rather than
 theta) keeps full relative accuracy in h at late times when h/nu ~ 1e-5.
 
-A solved path keeps SciPy's Radau collocation polynomials as one float64
-table and evaluates them itself (Hairer & Wanner, *Solving ODEs II*,
-IV.8): a scalar time in Python floats, an array of times with the same
-elementwise arithmetic in NumPy, so both agree bitwise.  The time
-coefficients of the perturbation equations are read at every stage of
-every step, and the scalar route costs a fraction of SciPy's.
+The (h, h') system is solved by the module's own Radau IIA(5) collocation
+integrator in Python floats (Hairer & Wanner, *Solving ODEs II*, IV.8).  It
+follows SciPy's ``Radau`` step for step, with the same constants, Newton
+iteration, error estimate, step controller and Jacobian reuse, and solves
+its real and complex 2x2 systems in closed form; for two unknowns it costs
+a fraction of SciPy's general n-dimensional machinery.  SciPy's ``Radau``
+serves as the test oracle.
+
+A solved path keeps the steps' collocation polynomials as one float64
+table and evaluates them itself: a scalar time in Python floats, an array
+of times with the same elementwise arithmetic in NumPy, so both agree
+bitwise.  The time coefficients of the perturbation equations are read at
+every stage of every step.
 """
 from __future__ import annotations
 
@@ -25,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 
 from .fitting import DecayFit, decay_fit
 from .params import PhysParams
@@ -42,33 +49,235 @@ class CorrectionSolveError(RuntimeError):
 
 
 def _correction_rhs(params: PhysParams):
+    """The (h, h') system as f(t, y) -> (h', h'') in Python floats."""
     q = params.n - params.n * params.gamma - 1.0
     kappa, lam = params.kappa, params.lam
+    expm1, log1p = math.expm1, math.log1p
 
     def rhs(t, y):
         h, z = y
         u = 1.0 + t
         nu = u ** kappa
         # kappa * ((nu+h)^q - nu^q), written to stay accurate for |h| << nu
-        drive = kappa * u ** (kappa * q) * np.expm1(q * np.log1p(h / nu))
+        drive = kappa * u ** (kappa * q) * expm1(q * log1p(h / nu))
         nu_tt = kappa * (kappa - 1.0) * u ** (kappa - 2.0)
-        return [z, -u ** (-lam) * z + drive - nu_tt]
+        return z, -u ** (-lam) * z + drive - nu_tt
 
     return rhs
 
 
 def _correction_jac(params: PhysParams):
+    """The Jacobian of :func:`_correction_rhs` as a 2x2 tuple of floats;
+    ``math.pow`` raises rather than turn complex when theta = nu + h < 0."""
     q = params.n - params.n * params.gamma - 1.0
     kappa, lam = params.kappa, params.lam
 
     def jac(t, y):
-        h, _ = y
         u = 1.0 + t
-        nu = u ** kappa
-        return [[0.0, 1.0],
-                [kappa * q * (nu + h) ** (q - 1.0), -u ** (-lam)]]
+        return ((0.0, 1.0),
+                (kappa * q * math.pow(u ** kappa + y[0], q - 1.0), -u ** (-lam)))
 
     return jac
+
+
+# Radau IIA(5) in SciPy's formulation (``scipy.integrate.Radau``; Hairer &
+# Wanner, *Solving ODEs II*, IV.8): nodes C, error weights E, the
+# eigenvalues MU of the inverse Butcher matrix with its eigenvectors T and
+# their inverse TI, and the collocation-polynomial coefficients P.
+_S6 = 6 ** 0.5
+_C = ((4 - _S6) / 10, (4 + _S6) / 10, 1.0)
+_E = ((-13 - 7 * _S6) / 3, (-13 + 7 * _S6) / 3, -1 / 3)
+_MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
+_MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
+               - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6)))
+_T = ((0.09443876248897524, -0.14125529502095421, 0.03002919410514742),
+      (0.25021312296533332, 0.20412935229379994, -0.38294211275726192),
+      (1.0, 1.0, 0.0))
+_TI = ((4.17871859155190428, 0.32768282076106237, 0.52337644549944951),
+       (-4.17871859155190428, -0.32768282076106237, 0.47662355450055044),
+       (0.50287263494578682, -2.57192694985560522, 0.59603920482822492))
+_TI_COMPLEX = tuple(a + 1j * b for a, b in zip(_TI[1], _TI[2]))
+_P = ((13 / 3 + 7 * _S6 / 3, -23 / 3 - 22 * _S6 / 3, 10 / 3 + 5 * _S6),
+      (13 / 3 - 7 * _S6 / 3, -23 / 3 + 22 * _S6 / 3, 10 / 3 - 5 * _S6),
+      (1 / 3, -8 / 3, 10 / 3))
+_P_T = tuple(zip(*_P))
+_NEWTON_MAXITER = 6
+_MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
+_EPS = np.finfo(float).eps
+
+
+def _mix(m, v):
+    """The 3x2 product m @ v of a 3x3 matrix and a flat row-major 3x2 v."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    v0, v1, v2, v3, v4, v5 = v
+    return [a * v0 + b * v2 + c * v4, a * v1 + b * v3 + c * v5,
+            d * v0 + e * v2 + f * v4, d * v1 + e * v3 + f * v5,
+            g * v0 + h * v2 + i * v4, g * v1 + h * v3 + i * v5]
+
+
+def _rms(*values):
+    """Root mean square of a few floats (SciPy's ``norm``)."""
+    return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
+
+
+def _lu(m, J):
+    """m I - J for a 2x2 Jacobian, with its determinant (real or complex m)."""
+    a00, a01, a10, a11 = m - J[0][0], -J[0][1], -J[1][0], m - J[1][1]
+    return a00, a01, a10, a11, a00 * a11 - a01 * a10
+
+
+def _lu_solve(lu, r0, r1):
+    """The solution of (m I - J) x = r by Cramer's rule."""
+    a00, a01, a10, a11, det = lu
+    return (a11 * r0 - a01 * r1) / det, (a00 * r1 - a10 * r0) / det
+
+
+def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
+    """Step factor of the predictive (Gustafsson) controller, as SciPy's."""
+    if error_norm == 0:
+        return math.inf
+    multiplier = (1.0 if error_norm_old is None or h_abs_old is None
+                  else h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25)
+    return min(1.0, multiplier) * error_norm ** -0.25
+
+
+def _newton(fun, t, y, h, z, s0, s1, tol, lu_real, lu_complex):
+    """Simplified Newton iteration for the stage increments z (flat 3x2),
+    SciPy's ``solve_collocation_system``: (converged, iterations, z, rate).
+    A non-finite or failing right-hand side ends it unconverged."""
+    m_real, m_complex = _MU_REAL / h, _MU_COMPLEX / h
+    w = _mix(_TI, z)
+    rate = norm_old = None
+    for k in range(_NEWTON_MAXITER):
+        try:
+            f = [v for i in range(3)
+                 for v in fun(t + h * _C[i], (y[0] + z[2 * i], y[1] + z[2 * i + 1]))]
+            if not all(map(math.isfinite, f)):
+                break
+            r = [f[j] * _TI[0][0] + f[2 + j] * _TI[0][1] + f[4 + j] * _TI[0][2]
+                 - m_real * w[j] for j in (0, 1)]
+            c = [f[j] * _TI_COMPLEX[0] + f[2 + j] * _TI_COMPLEX[1]
+                 + f[4 + j] * _TI_COMPLEX[2] - m_complex * (w[2 + j] + 1j * w[4 + j])
+                 for j in (0, 1)]
+            dr, dc = _lu_solve(lu_real, *r), _lu_solve(lu_complex, *c)
+        except (ArithmeticError, ValueError):
+            break
+        dw = (dr[0], dr[1], dc[0].real, dc[1].real, dc[0].imag, dc[1].imag)
+        dw_norm = _rms(dw[0] / s0, dw[1] / s1, dw[2] / s0, dw[3] / s1, dw[4] / s0, dw[5] / s1)
+        if norm_old is not None:
+            rate = dw_norm / norm_old
+        if rate is not None and (
+                rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dw_norm > tol):
+            break
+        w = [a + b for a, b in zip(w, dw)]
+        z = _mix(_T, w)
+        if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < tol:
+            return True, k + 1, z, rate
+        norm_old = dw_norm
+    return False, k + 1, z, rate
+
+
+def _radau(fun, jac, t_end: float, rtol: float, atol: float):
+    """Radau IIA(5) for a two-component system y' = fun(t, y), y(0) = 0, on
+    [0, t_end], in Python floats: SciPy's ``Radau`` step for step (Newton
+    rate tests, error estimate, predictive step control, Jacobian reuse,
+    initial step), with the real and complex 2x2 systems in closed form.
+
+    Returns the step times and the rows (t_old, step, Q[0], Q[1], y_old)
+    of the steps' collocation polynomials.  Raises
+    :class:`CorrectionSolveError` when the step falls below ten ulps of t
+    or a right-hand side at an accepted point is not finite.
+    """
+    newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+    rtol = max(rtol, 100 * _EPS)          # SciPy floors rtol, not newton_tol
+    t, y = 0.0, (0.0, 0.0)
+    try:
+        f = fun(t, y)
+        # initial step (Hairer, Norsett & Wanner I, II.4) for the order-3
+        # error estimate; y(0) = 0, so h0 = 1e-6
+        h0 = min(1e-6, t_end)
+        f1 = fun(t + h0, (h0 * f[0], h0 * f[1]))
+        d1 = _rms(f[0] / atol, f[1] / atol)
+        d2 = _rms((f1[0] - f[0]) / atol, (f1[1] - f[1]) / atol) / h0
+        h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
+              else (0.01 / max(d1, d2)) ** 0.25)
+        proposal = min(100 * h0, h1, t_end)
+        J, current_jac = jac(t, y), True
+        lu_real = lu_complex = h_abs_old = error_norm_old = previous = None
+        times, rows = [t], []
+        while t < t_end:
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs, h_old, err_old = proposal, h_abs_old, error_norm_old
+            if proposal < min_step:
+                h_abs, h_old, err_old = min_step, None, None
+            rejected = False
+            while True:
+                if not h_abs >= min_step:
+                    raise CorrectionSolveError(f"correction ODE solve failed: step below "
+                                               f"{min_step:.3g} at t={t:.6g}")
+                t_new = min(t + h_abs, t_end)
+                h = h_abs = t_new - t
+                if previous is None:
+                    z0 = [0.0] * 6
+                else:
+                    z0 = [v - y[j] for i in range(3)
+                          for j, v in enumerate(_collocation(t + h * _C[i], *previous))]
+                s0, s1 = atol + abs(y[0]) * rtol, atol + abs(y[1]) * rtol
+                converged = False
+                while not converged:
+                    if lu_real is None or lu_complex is None:
+                        lu_real, lu_complex = _lu(_MU_REAL / h, J), _lu(_MU_COMPLEX / h, J)
+                    converged, n_iter, z, rate = _newton(
+                        fun, t, y, h, z0, s0, s1, newton_tol, lu_real, lu_complex)
+                    if not converged:
+                        if current_jac:
+                            break
+                        J, current_jac = jac(t, y), True
+                        lu_real = lu_complex = None
+                if not converged:
+                    h_abs *= 0.5
+                    lu_real = lu_complex = None
+                    continue
+                y_new = (y[0] + z[4], y[1] + z[5])
+                ze = [(z[j] * _E[0] + z[2 + j] * _E[1] + z[4 + j] * _E[2]) / h
+                      for j in (0, 1)]
+                error = _lu_solve(lu_real, f[0] + ze[0], f[1] + ze[1])
+                s0 = atol + max(abs(y[0]), abs(y_new[0])) * rtol
+                s1 = atol + max(abs(y[1]), abs(y_new[1])) * rtol
+                error_norm = _rms(error[0] / s0, error[1] / s1)
+                safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+                if rejected and error_norm > 1:
+                    g = fun(t, (y[0] + error[0], y[1] + error[1]))
+                    error = _lu_solve(lu_real, g[0] + ze[0], g[1] + ze[1])
+                    error_norm = _rms(error[0] / s0, error[1] / s1)
+                if error_norm > 1:
+                    factor = _predict_factor(h_abs, h_old, error_norm, err_old)
+                    h_abs *= max(_MIN_FACTOR, safety * factor)
+                    lu_real = lu_complex = None
+                    rejected = True
+                else:
+                    break
+            recompute_jac = n_iter > 2 and rate > 1e-3
+            factor = _predict_factor(h_abs, h_old, error_norm, err_old)
+            growth = min(_MAX_FACTOR, safety * factor)
+            if not recompute_jac and growth < 1.2:
+                growth = 1.0
+            else:
+                lu_real = lu_complex = None
+            f = fun(t_new, y_new)
+            if not (math.isfinite(f[0]) and math.isfinite(f[1])):
+                raise CorrectionSolveError(f"correction ODE solve failed: non-finite "
+                                           f"right-hand side at t={t_new:.6g}")
+            J, current_jac = (jac(t_new, y_new), True) if recompute_jac else (J, False)
+            h_abs_old, error_norm_old, proposal = proposal, error_norm, h_abs * growth
+            q = _mix(_P_T, z)
+            previous = (t, h, q[0], q[2], q[4], q[1], q[3], q[5], y[0], y[1])
+            rows.append(previous)
+            t, y = t_new, y_new
+            times.append(t)
+    except (ArithmeticError, ValueError) as exc:   # overflow, zero pivot, domain
+        raise CorrectionSolveError(f"correction ODE solve failed at t={t:.6g}: {exc}") from exc
+    return np.array(times), np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -102,6 +311,18 @@ def _collocation(t, t_old, step, q00, q01, q02, q10, q11, q12, y0, y1):
     return q00 * x + q01 * x2 + q02 * x3 + y0, q10 * x + q11 * x2 + q12 * x3 + y1
 
 
+def _evaluate(step_times, segments, t):
+    """(h, h_t) at t from the collocation table: a step time belongs to the
+    step on its left, times outside [0, t_end] use the first or last step."""
+    t = _as_time(t)
+    last = len(segments) - 1
+    if isinstance(t, float):
+        i = bisect.bisect_left(step_times, t) - 1
+        return _collocation(t, *segments[min(max(i, 0), last)].tolist())
+    i = np.clip(np.searchsorted(step_times, t, side="left") - 1, 0, last)
+    return _collocation(t, *np.moveaxis(segments[i], -1, 0))
+
+
 @dataclass
 class CorrectionPath:
     """Solved correction trajectory with its own dense evaluator.
@@ -109,9 +330,9 @@ class CorrectionPath:
     Samples are stored on a log-spaced grid.  Any time evaluates the cubic
     Radau collocation polynomial of the integrator step that contains it:
     row i of ``segments`` holds (t_old, step, Q[0], Q[1], y_old) of step i,
-    one float64 table in place of SciPy's ``OdeSolution``.  As there, a
-    step time belongs to the step on its left, and times outside
-    [0, t_end] use the first or last step.  A scalar time is evaluated in
+    one float64 table laid out like SciPy's ``RadauDenseOutput``.  As in
+    SciPy's ``OdeSolution``, a step time belongs to the step on its left,
+    and times outside [0, t_end] use the first or last step.  A scalar time is evaluated in
     Python floats, an array of times with the same arithmetic in NumPy.
     """
 
@@ -130,13 +351,7 @@ class CorrectionPath:
 
     def _dense(self, t):
         """(h, h_t) at t: floats for a scalar t, arrays shaped like t."""
-        t = _as_time(t)
-        last = len(self.segments) - 1
-        if isinstance(t, float):
-            i = bisect.bisect_left(self.step_times, t) - 1
-            return _collocation(t, *self.segments[min(max(i, 0), last)].tolist())
-        i = np.clip(np.searchsorted(self.step_times, t, side="left") - 1, 0, last)
-        return _collocation(t, *np.moveaxis(self.segments[i], -1, 0))
+        return _evaluate(self.step_times, self.segments, t)
 
     def h_at(self, t):
         return self._dense(t)[0]
@@ -229,21 +444,10 @@ def solve_correction(params: PhysParams, t_end: float = 1e6,
     # scales grow like t, so an explicit pair would be stability-limited to
     # O(t_end) steps; the implicit Radau collocation method handles the
     # whole admissible range in a few thousand steps.
-    sol = solve_ivp(
-        _correction_rhs(params), (0.0, t_end), [0.0, 0.0],
-        method="Radau", rtol=rel_tol, atol=abs_tol, dense_output=True,
-        jac=_correction_jac(params),
-    )
-    if not sol.success:
-        raise CorrectionSolveError(f"correction ODE solve failed: {sol.message}")
+    step_times, segments = _radau(_correction_rhs(params), _correction_jac(params),
+                                  float(t_end), rel_tol, abs_tol)
     t_grid = sample_grid(t_end)
-    steps = sol.sol.interpolants
-    segments = np.empty((len(steps), 10))
-    for row, step in zip(segments, steps):   # row by row: no temporary table
-        row[:] = (step.t_old, step.h, *step.Q.ravel(), *step.y_old)
-    # the samples (correction.csv) are SciPy's evaluation; the path's own
-    # evaluator agrees with it to rounding
-    h, h_t = sol.sol(t_grid)
+    h, h_t = _evaluate(step_times, segments, t_grid)
     theta = params.nu(t_grid) + h
     if np.any(theta <= 0.0) or not np.all(np.isfinite(h)):
         raise CorrectionSolveError("theta lost positivity; solver failure")
@@ -251,10 +455,10 @@ def solve_correction(params: PhysParams, t_end: float = 1e6,
         params=params, t_end=float(t_end), rel_tol=rel_tol, abs_tol=abs_tol,
         t_grid=t_grid, h=h, h_t=h_t, theta=theta,
         theta_t=params.nu_t(t_grid) + h_t,
-        step_times=sol.t, segments=segments,
+        step_times=step_times, segments=segments,
     )
     logger.debug(
-        "correction solved to t=%.3g in %d steps (h(T)=%.3e)", t_end, sol.t.size, h[-1]
+        "correction solved to t=%.3g in %d steps (h(T)=%.3e)", t_end, len(segments), h[-1]
     )
     return path
 
@@ -281,16 +485,16 @@ def rk4_reference(params: PhysParams, t_end: float, dt: float) -> tuple[float, f
     cross-check of the adaptive path.  Returns (h, h_t) at t_end."""
     rhs = _correction_rhs(params)
     steps = int(round(t_end / dt))
-    y = np.array([0.0, 0.0])
-    t = 0.0
+    h = z = t = 0.0
     for _ in range(steps):
-        k1 = np.asarray(rhs(t, y))
-        k2 = np.asarray(rhs(t + 0.5 * dt, y + 0.5 * dt * k1))
-        k3 = np.asarray(rhs(t + 0.5 * dt, y + 0.5 * dt * k2))
-        k4 = np.asarray(rhs(t + dt, y + dt * k3))
-        y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(t, (h, z))
+        k2 = rhs(t + 0.5 * dt, (h + 0.5 * dt * k1[0], z + 0.5 * dt * k1[1]))
+        k3 = rhs(t + 0.5 * dt, (h + 0.5 * dt * k2[0], z + 0.5 * dt * k2[1]))
+        k4 = rhs(t + dt, (h + dt * k3[0], z + dt * k3[1]))
+        h = h + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        z = z + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
         t += dt
-    return float(y[0]), float(y[1])
+    return h, z
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,12 @@ Layout of a run directory:
                          NNNN the global output index
     rates.json           fitted decay exponents vs envelopes
     boundedness.json     sup_t E/E(0) ratios
-    run_report.json      assertion summary and exit status
+    run_report.json      assertion summary, exit status and telemetry: the
+                         wall and CPU seconds of each phase (constants,
+                         correction, grid, evolve, diagnostics, persist),
+                         the integration stats, the correction path's
+                         steps and whether this run solved it, and the
+                         Python, vaclab, NumPy and SciPy versions
 
 ``run`` enters the path with the seeded state at output 0.  ``resume``
 enters it with the last checkpoint at that checkpoint's output index + 1;
@@ -27,17 +32,22 @@ and seeds reproduce bit-identical CSV files.
 """
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import logging
+import platform
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+import scipy
 
+from . import correction
 from .config import RunConfig, load_config
-from .correction import CorrectionPath, correction_path
+from .correction import CorrectionPath
 from .diagnostics import (GapSeries, boundedness_report, gap_series,
                           theorem_rate_report)
 from .energy import EnergyReport
@@ -210,33 +220,71 @@ def _persist(run_dir: Path, cfg: RunConfig, setup: _Setup, trajectory: RadialTra
     return tables
 
 
-def _setup(cfg: RunConfig) -> _Setup:
+@contextlib.contextmanager
+def _phase(telemetry: dict, name: str):
+    """Add the wall and CPU seconds of the block to phase ``name``."""
+    wall, cpu = time.perf_counter(), time.process_time()
+    try:
+        yield
+    finally:
+        cost = telemetry["phases"].setdefault(name, {"wall_s": 0.0, "cpu_s": 0.0})
+        cost["wall_s"] += time.perf_counter() - wall
+        cost["cpu_s"] += time.process_time() - cpu
+
+
+def _new_telemetry() -> dict:
+    from . import __version__
+
+    return {"phases": {},
+            "versions": {"python": platform.python_version(), "vaclab": __version__,
+                         "numpy": np.__version__, "scipy": scipy.__version__}}
+
+
+def _setup(cfg: RunConfig, telemetry: dict | None = None) -> _Setup:
     """Constants, correction path and grid of a run; runs of one process
-    with equal constants and ode settings share the path."""
-    params = derive_constants(cfg.params.n, cfg.params.lam, cfg.params.gamma,
-                              cfg.params.mass)
-    path = correction_path(params, max(cfg.ode.t_end, cfg.solver.t_end),
-                           cfg.ode.rel_tol, cfg.ode.abs_tol)
-    return _Setup(params, path, WeightedGrid(params, cfg.solver.num_nodes))
+    with equal constants and ode settings share the path.  ``telemetry``
+    receives the phases' costs, the path's steps and whether this call
+    solved the path or took it from the memo."""
+    telemetry = _new_telemetry() if telemetry is None else telemetry
+    with _phase(telemetry, "constants"):
+        params = derive_constants(cfg.params.n, cfg.params.lam, cfg.params.gamma,
+                                  cfg.params.mass)
+    solves = correction._memoized_path.cache_info().misses
+    with _phase(telemetry, "correction"):
+        path = correction.correction_path(params, max(cfg.ode.t_end, cfg.solver.t_end),
+                                          cfg.ode.rel_tol, cfg.ode.abs_tol)
+    telemetry["correction"] = {
+        "steps": len(path.segments),
+        "solved": correction._memoized_path.cache_info().misses > solves}
+    with _phase(telemetry, "grid"):
+        grid = WeightedGrid(params, cfg.solver.num_nodes)
+    return _Setup(params, path, grid)
 
 
 def _execute(cfg: RunConfig, setup: _Setup, run_dir: Path, initial: RadialState,
-             offset: int, t_start: float, stop: int | None = None) -> RunResult:
+             offset: int, t_start: float, telemetry: dict,
+             stop: int | None = None) -> RunResult:
     """Evolve from ``initial`` through outputs offset, offset + 1, ... (up
     to ``stop``) of the configured schedule, persist, and report over the
     whole run."""
     params, path, grid = setup
     schedule = output_schedule(cfg.solver.t_end, cfg.solver.outputs_per_decade)
-    trajectory = evolve(
-        grid, path, initial, cfg.solver.t_end, output_times=schedule[offset:stop],
-        rel_tol=cfg.solver.rel_tol, abs_tol=cfg.solver.abs_tol,
-        cfl_safety=cfg.solver.cfl_safety, stepper=cfg.solver.stepper,
-        fixed_dt=cfg.solver.fixed_dt, collect_energies=cfg.solver.collect_energies,
-    )
-    series = gap_series(trajectory, path, params)
-    tables = _persist(run_dir, cfg, setup, trajectory, series, offset, initial.t)
-    report = _evaluate_assertions(cfg, setup, trajectory.status, trajectory.failure,
-                                  *_whole_run(tables))
+    with _phase(telemetry, "evolve"):
+        trajectory = evolve(
+            grid, path, initial, cfg.solver.t_end, output_times=schedule[offset:stop],
+            rel_tol=cfg.solver.rel_tol, abs_tol=cfg.solver.abs_tol,
+            cfl_safety=cfg.solver.cfl_safety, stepper=cfg.solver.stepper,
+            fixed_dt=cfg.solver.fixed_dt, collect_energies=cfg.solver.collect_energies,
+        )
+    with _phase(telemetry, "diagnostics"):
+        series = gap_series(trajectory, path, params)
+    with _phase(telemetry, "persist"):
+        tables = _persist(run_dir, cfg, setup, trajectory, series, offset, initial.t)
+    with _phase(telemetry, "diagnostics"):
+        report = _evaluate_assertions(cfg, setup, trajectory.status, trajectory.failure,
+                                      *_whole_run(tables))
+    telemetry["integration"] = dataclasses.asdict(trajectory.stats)
+    report["telemetry"] = telemetry
     report["wall_seconds"] = time.time() - t_start
     report["rng_seed"] = cfg.rng_seed
     if offset:
@@ -251,12 +299,13 @@ def run(cfg: RunConfig, stop_after_outputs: int | None = None) -> RunResult:
     """Execute the configured pipeline: ODE solve, radial evolution,
     diagnostics, persistence.  Partial artifacts are retained on failure."""
     t_start = time.time()
-    setup = _setup(cfg)
+    telemetry = _new_telemetry()
+    setup = _setup(cfg, telemetry)
     rng = np.random.default_rng(cfg.rng_seed)
     w0 = seed_profile(cfg.solver.seed.shape, cfg.solver.seed.amplitude, setup.grid, rng)
     initial = RadialState(t=0.0, w=w0, w_t=np.zeros_like(w0))
     return _execute(cfg, setup, Path(cfg.outputs.directory), initial, 0, t_start,
-                    stop_after_outputs)
+                    telemetry, stop_after_outputs)
 
 
 def resume(run_dir) -> RunResult:
@@ -275,13 +324,15 @@ def resume(run_dir) -> RunResult:
         raise FileNotFoundError(f"no checkpoints found under {run_dir}/states")
     # names carry the output index with at least four digits: 10000 > 5000
     state, index = _read_state(max(state_files, key=lambda f: int(f.stem)))
-    return _execute(cfg, _setup(cfg), run_dir, state, index + 1, t_start)
+    telemetry = _new_telemetry()
+    return _execute(cfg, _setup(cfg, telemetry), run_dir, state, index + 1, t_start,
+                    telemetry)
 
 
 def refit(run_dir) -> dict:
     """Recompute the reports of a run directory from its persisted series
     and energies, and rewrite rates.json, boundedness.json and
-    run_report.json.  Returns the run report."""
+    run_report.json, which keeps its telemetry.  Returns the run report."""
     run_dir = Path(run_dir)
     cfg = load_config(run_dir / "config.json")
     report = json.loads((run_dir / "run_report.json").read_text())

@@ -43,6 +43,7 @@ class IntegrationStats:
     rejected: int = 0
     rhs_evaluations: int = 0
     last_dt: float = 0.0
+    cap_limited: int = 0    # accepted steps whose length max_step(t) set
 
 
 @dataclass
@@ -100,11 +101,13 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
 
     while idx < len(outputs):
         cap = max_step(t) if max_step is not None else np.inf
+        capped = cap <= dt
         dt = min(dt, cap, t_final - t)
         hit_output = False
         if t + dt >= outputs[idx] - 1e-14 * max(1.0, abs(outputs[idx])):
             dt = outputs[idx] - t
             hit_output = True
+            capped = False
         if dt <= 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflow(t, dt)
 
@@ -121,6 +124,7 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
             y = y5
             k_last = k[6]  # FSAL
             stats.steps += 1
+            stats.cap_limited += capped
             stats.last_dt = dt
             if hit_output:
                 emit(t, y)

@@ -333,6 +333,55 @@ def test_run_whose_seed_breaks_the_invariant_keeps_its_artifacts(tmp_path):
     assert np.isnan(series["density_gap"][0])
 
 
+TELEMETRY_PHASES = {"constants", "correction", "grid", "evolve", "diagnostics", "persist"}
+
+
+def _telemetry(run_dir) -> dict:
+    report = json.loads((run_dir / "run_report.json").read_text())
+    telemetry = report["telemetry"]
+    assert set(telemetry) == {"phases", "integration", "correction", "versions"}
+    assert set(telemetry["phases"]) == TELEMETRY_PHASES
+    for cost in telemetry["phases"].values():
+        assert set(cost) == {"wall_s", "cpu_s"}
+        assert all(v >= 0.0 for v in cost.values())
+    assert sum(c["wall_s"] for c in telemetry["phases"].values()) <= report["wall_seconds"]
+    assert set(telemetry["integration"]) == {"steps", "rejected", "rhs_evaluations",
+                                             "last_dt", "cap_limited"}
+    assert set(telemetry["correction"]) == {"steps", "solved"}
+    assert set(telemetry["versions"]) == {"python", "vaclab", "numpy", "scipy"}
+    return telemetry
+
+
+def test_run_report_telemetry_on_failed_and_completed_runs(tmp_path):
+    from vaclab import correction
+
+    correction._memoized_path.cache_clear()
+    # the seed of the failing evolve in test_radial: its first step breaks
+    # 1 + w_r > 0 at its fifth stage
+    failed = run(parse_config(base_config(
+        tmp_path, **{"outputs.directory": str(tmp_path / "failed"), "solver.t_end": 10.0,
+                     "ode.t_end": 100.0,
+                     "solver.seed": {"shape": "parabolic", "amplitude": 1.575}})))
+    assert failed.report["status"] == "failed"
+    assert failed.report["failure"]["time"] == pytest.approx(8.0 / 9.0 * 1e-3, rel=1e-12)
+    telemetry = _telemetry(failed.directory)
+    assert telemetry["integration"]["rhs_evaluations"] == 5
+    assert telemetry["integration"]["steps"] == telemetry["integration"]["cap_limited"] == 0
+    path = correction.correction_path(failed.trajectory.grid.params, 100.0)
+    assert telemetry["correction"] == {"steps": len(path.segments), "solved": True}
+
+    done = run(parse_config(base_config(
+        tmp_path, **{"outputs.directory": str(tmp_path / "done"), "solver.t_end": 10.0,
+                     "ode.t_end": 100.0})))
+    assert done.ok
+    telemetry = _telemetry(done.directory)
+    integration = telemetry["integration"]
+    assert integration["steps"] == done.trajectory.stats.steps > 0
+    assert 0 < integration["cap_limited"] <= integration["steps"]
+    assert telemetry["correction"] == {"steps": len(path.segments), "solved": False}
+    assert refit(done.directory)["telemetry"] == telemetry
+
+
 def test_verify_subset_and_fault_injection():
     report = verify(only="quadrature")
     assert report.ok and len(report.results) == 1

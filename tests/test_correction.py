@@ -1,10 +1,13 @@
 """Correction ODE: initial data, long-time envelopes, and bound checks."""
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from vaclab import correction
-from vaclab.correction import (CorrectionPath, correction_path, fit_h_envelope,
+from vaclab.correction import (CorrectionPath, CorrectionSolveError, correction_path,
+                               fit_h_envelope,
                                integrating_factor_bound_check,
                                lyapunov_violations, ode_residual, rk4_reference,
                                solve_correction, verify_theta_properties)
@@ -209,20 +212,36 @@ def test_time_coefficients_reuse_one_dense_evaluation(params3, path3, monkeypatc
     assert first.c[0] == float(th) ** (-params3.damping_power)
 
 
-def test_dense_evaluator_matches_scipy_dense_output(params3, path3):
-    # reference: SciPy's OdeSolution of the same Radau solve
-    sol = solve_ivp(correction._correction_rhs(params3), (0.0, path3.t_end), [0.0, 0.0],
-                    method="Radau", rtol=path3.rel_tol, atol=path3.abs_tol,
-                    dense_output=True, jac=correction._correction_jac(params3))
-    np.testing.assert_array_equal(sol.t, path3.step_times)
+def _scipy_radau(params, t_end, rel_tol=1e-10, abs_tol=1e-13, **options):
+    """SciPy's Radau on the same right-hand side and Jacobian: the oracle."""
+    return solve_ivp(correction._correction_rhs(params), (0.0, t_end), [0.0, 0.0],
+                     method="Radau", rtol=rel_tol, atol=abs_tol,
+                     jac=correction._correction_jac(params), **options)
+
+
+def test_dense_evaluator_matches_scipy_dense_output(params3):
+    # the evaluator under test reads a table built here from the
+    # interpolants of SciPy's OdeSolution; SciPy evaluates the same steps
+    t_end = 1e6
+    sol = _scipy_radau(params3, t_end, dense_output=True)
+    steps = sol.sol.interpolants
+    segments = np.array([(step.t_old, step.h, *step.Q.ravel(), *step.y_old)
+                         for step in steps])
+    t_grid = correction.sample_grid(t_end)
+    h, h_t = sol.sol(t_grid)
+    path = CorrectionPath(
+        params=params3, t_end=t_end, rel_tol=1e-10, abs_tol=1e-13, t_grid=t_grid,
+        h=h, h_t=h_t, theta=params3.nu(t_grid) + h, theta_t=params3.nu_t(t_grid) + h_t,
+        step_times=sol.t, segments=segments,
+    )
+    np.testing.assert_array_equal(sol.t, path.step_times)
     rng = np.random.default_rng(20)
-    t = np.concatenate([rng.uniform(0.0, path3.t_end, 5000),
+    t = np.concatenate([rng.uniform(0.0, t_end, 5000),
                         10.0 ** rng.uniform(-4.0, 6.0, 15000)])
-    ours = np.array(path3._dense(t))
-    assert np.array_equal(np.array([path3._dense(float(x)) for x in t]).T, ours)
+    ours = np.array(path._dense(t))
+    assert np.array_equal(np.array([path._dense(float(x)) for x in t]).T, ours)
     # rounding bound: the summed magnitudes |y_old| + |Q_k x^k| of each
     # collocation polynomial y_old + Q (x, x^2, x^3)
-    steps = sol.sol.interpolants
     index = np.clip(np.searchsorted(sol.t, t, side="left") - 1, 0, len(steps) - 1)
     q = np.array([step.Q for step in steps])[index]
     y_old = np.array([step.y_old for step in steps])[index]
@@ -234,10 +253,81 @@ def test_dense_evaluator_matches_scipy_dense_output(params3, path3):
     # a step time belongs to the step on its left, where SciPy's value is
     # the same to the bit; the step on its right differs at some of them
     at_steps = np.array([sol.sol(x) for x in sol.t]).T
-    assert np.array_equal(np.array(path3._dense(sol.t)), at_steps)
-    assert np.array_equal(np.array([path3._dense(x) for x in sol.t.tolist()]).T, at_steps)
-    assert path3._dense(0.0) == (0.0, 0.0)
-    assert path3._dense(path3.t_end) == tuple(sol.sol(path3.t_end))
+    assert np.array_equal(np.array(path._dense(sol.t)), at_steps)
+    assert np.array_equal(np.array([path._dense(x) for x in sol.t.tolist()]).T, at_steps)
+    assert path._dense(0.0) == (0.0, 0.0)
+    assert path._dense(t_end) == tuple(sol.sol(t_end))
+
+
+# (n, lambda, t_end, rel_tol, abs_tol): six parameter sets at the default
+# tolerances, a loose and a medium tolerance
+ORACLE_SETS = [(3, 0.0, 1e6, 1e-10, 1e-13), (3, 0.3, 1e6, 1e-10, 1e-13),
+               (3, 0.7, 1e6, 1e-10, 1e-13), (2, 0.0, 1e6, 1e-10, 1e-13),
+               (2, 0.5, 1e6, 1e-10, 1e-13), (3, 0.5, 1e6, 1e-10, 1e-13),
+               (3, 0.0, 1e6, 1e-3, 1e-3), (3, 0.0, 1e4, 1e-6, 1e-9)]
+
+
+def _assert_matches_scipy(path, sol):
+    # theta within 1e-14 relative on the sample grid, steps within 1%
+    theta = path.params.nu(path.t_grid) + sol.sol(path.t_grid)[0]
+    assert np.max(np.abs(path.theta - theta) / theta) <= 1e-14
+    assert abs(len(path.segments) - (sol.t.size - 1)) <= 0.01 * (sol.t.size - 1)
+    assert path.step_times[0] == 0.0 and path.step_times[-1] == path.t_end
+    if path.step_times.size == sol.t.size:
+        # step for step: the times drift apart only by rounding (<= 5.4e-7 seen)
+        assert np.max(np.abs(path.step_times - sol.t) / np.maximum(sol.t, 1.0)) <= 1e-5
+
+
+@pytest.mark.parametrize("n,lam,t_end,rel_tol,abs_tol", ORACLE_SETS)
+def test_radau_matches_scipy_radau(n, lam, t_end, rel_tol, abs_tol):
+    p = derive_constants(n, lam, 2.0, 1.0)
+    path = solve_correction(p, t_end, rel_tol, abs_tol)
+    _assert_matches_scipy(path, _scipy_radau(p, t_end, rel_tol, abs_tol, dense_output=True))
+    assert ode_residual(path) < 10.0
+
+
+def test_tiny_rel_tol_is_floored_as_scipy_floors_it(params3):
+    # rtol = 1e-16 runs at 100 eps, with the Newton tolerance of the
+    # requested 1e-16, as in SciPy
+    path = solve_correction(params3, 100.0, rel_tol=1e-16)
+    with pytest.warns(UserWarning, match="rtol"):
+        sol = _scipy_radau(params3, 100.0, 1e-16, dense_output=True)
+    _assert_matches_scipy(path, sol)
+    # the Newton tolerance still comes from the requested rtol
+    floored = solve_correction(params3, 100.0, rel_tol=100 * np.finfo(float).eps)
+    assert not np.array_equal(floored.segments, path.segments)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_radau_theta_matches_dop853(lam):
+    # theta'' + (1+t)^-lam theta' = kappa theta^q directly, by an explicit
+    # pair at tight tolerances; within 1e-10 relative for t <= 1e3
+    p = derive_constants(3, lam, 2.0, 1.0)
+    path = correction_path(p, 1e6)
+    q = p.n - p.n * p.gamma - 1.0
+    t = path.t_grid[path.t_grid <= 1e3]
+    ref = solve_ivp(lambda s, y: [y[1], p.kappa * y[0] ** q - (1.0 + s) ** -lam * y[1]],
+                    (0.0, 1e3), [1.0, p.kappa], method="DOP853", rtol=1e-13,
+                    atol=1e-13, t_eval=t)
+    assert np.max(np.abs(path.theta[: t.size] - ref.y[0]) / ref.y[0]) <= 1e-10
+
+
+@pytest.mark.parametrize("t_bad", [0.0, 10.0])
+def test_non_finite_rhs_ends_in_solve_error(monkeypatch, params3, t_bad):
+    rhs = correction._correction_rhs
+
+    def broken(params):
+        f = rhs(params)
+
+        def g(t, y):
+            h_t, h_tt = f(t, y)
+            return h_t, (math.nan if t >= t_bad else h_tt)
+
+        return g
+
+    monkeypatch.setattr(correction, "_correction_rhs", broken)
+    with pytest.raises(CorrectionSolveError):
+        solve_correction(params3, 100.0)
 
 
 def test_correction_path_is_solved_once_per_argument_set(monkeypatch):
