@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fitting import DecayFit, decay_fit
 from .params import PhysParams
@@ -646,6 +645,9 @@ def integrating_factor_bound_check(lam: float, k: float, t_max: float,
     nonpositive exponents are exponentiated; the integral is restricted to
     the boundary layer where the integrand exceeds ~1e-18 of its peak.
     """
+    # imported here: every other caller of this module runs without it
+    from scipy.integrate import quad
+
     if not 0.0 <= lam < 1.0:
         raise ValueError("lambda must lie in [0, 1)")
     if k <= 0.0 or t_max < 10.0:

@@ -12,15 +12,24 @@ The implemented index set is the deliberate desk-scale truncation
 m+i+j <= 2 plus the once-more-time-differentiated components (m+1, i, j)
 at m+i+j = 2; the full high-order family is out of numerical reach with
 grid differentiation.
+
+Radial energies are evaluated once per output for all 16 components:
+the time derivatives k = 0..4 are stacked as rows of one (K, m) array, the
+radial scalars of all rows come from one product against d_s per
+derivative level, each sigma exponent iota+i (i = 0..3) resamples them
+with one product, and each closed form is integrated with one product
+against the rule weights.  The component calls of that output read the
+kept result.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from .derivnorms import radial_form, required_scalars
+from .derivnorms import SUPPORTED_FORMS, radial_form, required_scalars
+from .quadrature import unit_sphere_area
 from .tables import read_csv, write_csv
 from .weighted import WeightedGrid
 
@@ -49,60 +58,105 @@ def time_weight(m: int, t: float, kappa: float) -> float:
     return (1.0 + t) ** (2 * m + (0 if m == 0 else 1) * kappa)
 
 
+# radial scalar of derivnorms -> (nodal scalar it samples, times r at the rule nodes)
+_SAMPLES = {"w": ("p", True), "v": ("p", False), "u": ("u", False),
+            "vp": ("vp", True), "e": ("vp", True), "up": ("up", True),
+            "vpp": ("vpp", False), "ep": ("vpp", False), "upp": ("upp", False)}
+# the forms of each spatial order i, all integrated against sigma^(iota+i)
+_FORMS_BY_ORDER = {i: tuple(form for form in SUPPORTED_FORMS if form[0] == i)
+                   for i in range(4)}
+
+
+def _check_form(i: int, j: int) -> None:
+    if (i, j) not in SUPPORTED_FORMS:
+        raise UnsupportedOrderError(
+            f"spatial/angular derivative order (d^{i}, dbar^{j}) not implemented")
+
+
 class RadialEnergies:
     """Energy components for radially symmetric perturbations w(r) y/|y|.
 
     Angular derivatives of radial fields are evaluated through the closed
     forms of :mod:`vaclab.derivnorms` rather than grid differentiation.
+    Norms are computed for a stack of fields at once: :meth:`component`
+    evaluates every supported norm of every time derivative of one output
+    in one pass and keeps it for the next call with the same mapping and t.
     """
 
     def __init__(self, grid: WeightedGrid):
         self.grid = grid
         self.params = grid.params
+        self._area = unit_sphere_area(self.params.n)
+        self._last = None   # (time_derivs, t, row of each order, norms)
 
-    def _scalar_values(self, w_nodal: np.ndarray, names: Sequence[str], exponent: float):
+    def _scalars(self, stack: np.ndarray) -> dict[str, np.ndarray]:
+        """Nodal radial scalars of each row of a (K, m) stack of fields,
+        with one product against d_s per derivative level."""
         g = self.grid
-        rule = g.rule(exponent)
-        r0_sq = self.params.R0 ** 2
-        p, p1, su = g.radial_strain(np.asarray(w_nodal, dtype=float))   # su = w' (even in r)
-        g_vp = (2.0 / r0_sq) * p1        # vp and e coincide for radial fields
-        g_up = (2.0 / r0_sq) * (g.d_s @ su)
-        svals = {"w": (p, 1), "v": (p, 0), "u": (su, 0),
-                 "vp": (g_vp, 1), "e": (g_vp, 1), "up": (g_up, 1)}
-        if "vpp" in names or "ep" in names or "upp" in names:
-            svals["vpp"] = (g_vp + 2.0 * g.s * (g.d_s @ g_vp), 0)
-            svals["ep"] = svals["vpp"]
-            svals["upp"] = (g_up + 2.0 * g.s * (g.d_s @ g_up), 0)
-        out = {"r": rule.r}
+        scale = 2.0 / self.params.R0 ** 2
+        p, p1, su = g.radial_strain(stack)      # su = w' (even in r)
+        g_vp = scale * p1                       # vp and e coincide for radial fields
+        g_up = scale * (g.d_s @ su.T).T
+        slopes = (g.d_s @ np.concatenate([g_vp, g_up]).T).T
+        k = len(stack)
+        return {"p": p, "u": su, "vp": g_vp, "up": g_up,
+                "vpp": g_vp + g._two_s * slopes[:k], "upp": g_up + g._two_s * slopes[k:]}
+
+    def _norms(self, scalars: dict[str, np.ndarray], exponent: float,
+               forms) -> dict[tuple[int, int], list[float]]:
+        """int_Omega sigma^exponent |d^i dbar^j omega|^2 dy of each stacked
+        field for each (i, j) in ``forms``, with one resampling product."""
+        rule = self.grid.rule(exponent)
+        names = {name for form in forms for name in required_scalars(*form)}
+        bases = sorted({_SAMPLES[name][0] for name in names})
+        k = len(scalars["p"])
+        sampled = (np.concatenate([scalars[b] for b in bases]) @ rule.resample.T
+                   ).reshape(len(bases), k, -1)
+        vals = {"r": rule.r}
         for name in names:
-            vals, parity = svals[name]
-            resampled = g.to_rule(rule, vals)
-            out[name] = resampled * rule.r if parity else resampled
-        return out
+            base, odd = _SAMPLES[name]
+            at_rule = sampled[bases.index(base)]
+            vals[name] = at_rule * rule.r if odd else at_rule
+        n = self.params.n
+        return {form: (self._area * (radial_form(*form, n, vals) @ rule.weights)).tolist()
+                for form in forms}
 
     def spatial_norm(self, w_nodal: np.ndarray, i: int, j: int, exponent: float) -> float:
         """int_Omega sigma^exponent |d^i dbar^j omega|^2 dy for omega = w y/|y|."""
-        try:
-            names = required_scalars(i, j)
-        except KeyError:
-            raise UnsupportedOrderError(
-                f"spatial/angular derivative order (d^{i}, dbar^{j}) not implemented"
-            ) from None
-        vals = self._scalar_values(w_nodal, names, exponent)
-        return self.grid.integrate_ball(exponent, radial_form(i, j, self.params.n, vals))
+        _check_form(i, j)
+        stack = np.asarray(w_nodal, dtype=float)[np.newaxis]
+        return self._norms(self._scalars(stack), exponent, [(i, j)])[i, j][0]
+
+    def _stacked_pass(self, time_derivs: Mapping[int, np.ndarray]):
+        """Every supported norm of every time derivative, the norms of
+        spatial order i against sigma^(iota+i)."""
+        orders = sorted(time_derivs)
+        scalars = self._scalars(np.array([time_derivs[k] for k in orders], dtype=float))
+        norms = {}
+        for i, forms in _FORMS_BY_ORDER.items():
+            norms.update(self._norms(scalars, self.params.iota + i, forms))
+        return {k: row for row, k in enumerate(orders)}, norms
 
     def component(self, time_derivs: Mapping[int, np.ndarray],
                   m: int, i: int, j: int, t: float) -> float:
-        """E^{m,i,j}(t) from nodal arrays of partial_t^k w, k = m, m+1."""
+        """E^{m,i,j}(t) from nodal arrays of partial_t^k w, k = m, m+1.
+
+        The norms of the last (time_derivs, t) are kept, so the arrays of a
+        mapping must not change between calls at the same t."""
         if m + 1 not in time_derivs or m not in time_derivs:
             raise UnsupportedOrderError(
                 f"time derivative order {m + 1} not available in the trajectory"
             )
+        _check_form(i, j)
+        _check_form(i + 1, j)
+        last = self._last
+        if last is None or last[0] is not time_derivs or last[1] != t:
+            last = self._last = (time_derivs, t, *self._stacked_pass(time_derivs))
+        rows, norms = last[2], last[3]
         p = self.params
-        a = p.iota + i
-        t1 = (1.0 + t) ** (1.0 + p.lam) * self.spatial_norm(time_derivs[m + 1], i, j, a)
-        t2 = self.spatial_norm(time_derivs[m], i, j, a)
-        t3 = self.spatial_norm(time_derivs[m], i + 1, j, a + 1.0)
+        t1 = (1.0 + t) ** (1.0 + p.lam) * norms[i, j][rows[m + 1]]
+        t2 = norms[i, j][rows[m]]
+        t3 = norms[i + 1, j][rows[m]]
         return time_weight(m, t, p.kappa) * (t1 + t2 + t3)
 
 

@@ -123,18 +123,23 @@ class RadialOperator:
         """K(w) = kappa w + N(w)."""
         return self.params.kappa * w + self.pressure(w, t)
 
-    def _variation(self, w, delta):
-        """Shared prologue of K' and K'': at w, the factors 1 + alpha and
-        1 + beta, the slope p'(s)/X and its variation along delta, the
-        ratios d_u/X and d_p/Y of the strain of delta, and the linear forms
-        in them that vary log(1 + alpha) and log(1 + beta)."""
+    def _prologue(self, w):
+        """The w-dependent factors of K' and K'' at w: the strain slope
+        p'(s), X, Y, 1 + alpha, 1 + beta and the slope p'(s)/X."""
         pvals, dp, u, x, y = self._factors(w)
         la, lb = np.log1p(u), np.log1p(pvals)
         one_plus_alpha = np.exp(self._p1 * la + self._q1 * lb)
         one_plus_beta = np.exp(self._p2 * la + self._q2 * lb)
+        return dp, x, y, one_plus_alpha, one_plus_beta, dp / x
+
+    def _variation(self, at, delta):
+        """Shared part of K' and K'' along delta, from the prologue ``at``
+        of w: 1 + alpha, 1 + beta, the slope and its variation along delta,
+        the ratios d_u/X and d_p/Y of the strain of delta, and the linear
+        forms in them that vary log(1 + alpha) and log(1 + beta)."""
+        dp, x, y, one_plus_alpha, one_plus_beta, slope = at
         d_p, d_dp, d_u = self.grid.radial_strain(delta)
         rx, ry = d_u / x, d_p / y
-        slope = dp / x
         d_slope = d_dp / x - dp * d_u / x ** 2
         return (one_plus_alpha, one_plus_beta, slope, d_slope, rx, ry,
                 self._p1 * rx + self._q1 * ry, self._p2 * rx + self._q2 * ry)
@@ -146,24 +151,30 @@ class RadialOperator:
                 + self._alpha_slope_coef * (self.grid.d_s @ d_alpha)
                 + self._tangential_coef * d_tangential)
 
-    def stiffness_linearized(self, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Directional derivative K'(w)[delta]."""
-        one_plus_alpha, one_plus_beta, slope, d_slope, _, _, lin_a, lin_b = (
-            self._variation(w, delta))
+    def _first(self, delta, variation):
+        """K'(w)[delta] from the variation of w along delta."""
+        one_plus_alpha, one_plus_beta, slope, d_slope, _, _, lin_a, lin_b = variation
         d_beta = one_plus_beta * lin_b
         return self.params.kappa * delta + self._pressure_variation(
             one_plus_alpha * lin_a, d_beta * slope + one_plus_beta * d_slope)
 
-    def stiffness_second(self, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Second directional derivative K''(w)[delta, delta]."""
-        one_plus_alpha, one_plus_beta, slope, d_slope, rx, ry, lin_a, lin_b = (
-            self._variation(w, delta))
+    def _second(self, variation):
+        """K''(w)[delta, delta] from the variation of w along delta."""
+        one_plus_alpha, one_plus_beta, slope, d_slope, rx, ry, lin_a, lin_b = variation
         dd_alpha = one_plus_alpha * (lin_a ** 2 - self._p1 * rx ** 2 - self._q1 * ry ** 2)
         dd_beta = one_plus_beta * (lin_b ** 2 - self._p2 * rx ** 2 - self._q2 * ry ** 2)
         d_beta = one_plus_beta * lin_b
         dd_slope = -2.0 * rx * d_slope
         return self._pressure_variation(
             dd_alpha, dd_beta * slope + 2.0 * d_beta * d_slope + one_plus_beta * dd_slope)
+
+    def stiffness_linearized(self, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Directional derivative K'(w)[delta]."""
+        return self._first(delta, self._variation(self._prologue(w), delta))
+
+    def stiffness_second(self, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Second directional derivative K''(w)[delta, delta]."""
+        return self._second(self._variation(self._prologue(w), delta))
 
     # -- time-dependent coefficients ---------------------------------------
     def damping(self, t: float) -> tuple[float, float, float]:
@@ -197,11 +208,13 @@ class RadialOperator:
         acc = -d0 * w_t - c0 * k0
         derivs[2] = acc
         if order >= 3:
-            k1_wt = self.stiffness_linearized(w, w_t)
+            at = self._prologue(w)          # shared by the three directions
+            along_wt = self._variation(at, w_t)
+            k1_wt = self._first(w_t, along_wt)
             derivs[3] = -d1 * w_t - d0 * acc - c1 * k0 - c0 * k1_wt
         if order >= 4:
-            k2 = self.stiffness_second(w, w_t)
-            k1_acc = self.stiffness_linearized(w, acc)
+            k2 = self._second(along_wt)
+            k1_acc = self._first(acc, self._variation(at, acc))
             derivs[4] = (
                 -d2 * w_t - 2.0 * d1 * acc - d0 * derivs[3]
                 - c2 * k0 - 2.0 * c1 * k1_wt - c0 * (k2 + k1_acc)

@@ -57,9 +57,10 @@ class WeightedGrid:
 
     def radial_strain(self, w: np.ndarray):
         """(p, p_s, w_r) of a radial field w = r p(s): p = w/r, its
-        s-derivative d_s p, and w_r = p + 2 s p_s."""
+        s-derivative d_s p, and w_r = p + 2 s p_s.  ``w`` is one nodal
+        field (m,) or a stack of them (K, m), one field per row."""
         p = w / self.r
-        p_s = self.d_s @ p
+        p_s = (self.d_s @ p.T).T
         return p, p_s, p + self._two_s * p_s
 
     def rule(self, exponent: float) -> RadialRule:

@@ -440,3 +440,13 @@ def test_cli_entrypoint_subprocess():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "[PASS] mass-conservation" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # every evolve and sweep process pays the import of vaclab.cli
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, vaclab.cli; print('scipy.integrate' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

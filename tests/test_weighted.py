@@ -1,4 +1,6 @@
 """Degenerate-weight quadrature, Hardy ratios, and energy functionals."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,6 +139,86 @@ def test_energy_unsupported_orders(setup3):
         en.spatial_norm(zeros, 4, 0, 1.0)               # derivative too high
     with pytest.raises(UnsupportedOrderError):
         en.spatial_norm(zeros, 0, 3, 1.0)
+
+
+def _reference_norm(g, w, i, j, exponent):
+    """One field's norm through per-scalar matvecs and integrate_ball."""
+    p = g.params
+    pv = w / g.r
+    p1 = g.d_s @ pv
+    su = pv + 2.0 * g.s * p1
+    g_vp = (2.0 / p.R0 ** 2) * p1
+    g_up = (2.0 / p.R0 ** 2) * (g.d_s @ su)
+    g_vpp = g_vp + 2.0 * g.s * (g.d_s @ g_vp)
+    g_upp = g_up + 2.0 * g.s * (g.d_s @ g_up)
+    rule = g.rule(exponent)
+    odd = {"w": pv, "vp": g_vp, "e": g_vp, "up": g_up}
+    even = {"v": pv, "u": su, "vpp": g_vpp, "ep": g_vpp, "upp": g_upp}
+    vals = {"r": rule.r}
+    vals.update({k: g.to_rule(rule, v) * rule.r for k, v in odd.items()})
+    vals.update({k: g.to_rule(rule, v) for k, v in even.items()})
+    return g.integrate_ball(exponent, radial_form(i, j, p.n, vals))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("nodes", [32, 128])
+def test_stacked_norms_match_single_field_norms(n, nodes):
+    p = derive_constants(n, 0.5, 2.0, 1.0)
+    g = WeightedGrid(p, nodes)
+    en = RadialEnergies(g)
+    rng = np.random.default_rng(11)
+    derivs = {k: g.r * np.polyval(rng.standard_normal(5), g.s) * 10.0 ** -k
+              for k in range(5)}
+    rows, norms = en._stacked_pass(derivs)
+    assert set(norms) == set(SUPPORTED_FORMS)
+    for (i, j), column in norms.items():
+        for k, w in derivs.items():
+            alone = en.spatial_norm(w, i, j, p.iota + i)
+            assert column[rows[k]] == pytest.approx(alone, rel=1e-13)
+            assert alone == pytest.approx(_reference_norm(g, w, i, j, p.iota + i),
+                                          rel=1e-12)
+
+
+class _CountingMatrix(np.ndarray):
+    """Counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingMatrix.products += 1
+        inputs = tuple(np.asarray(x) for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_one_stacked_pass_per_output():
+    p = derive_constants(3, 0.0, 2.0, 1.0)
+    g = WeightedGrid(p, 32)
+    for i in range(4):
+        rule = g.rule(p.iota + i)
+        g._rules[rule.exponent] = dataclasses.replace(
+            rule, resample=rule.resample.view(_CountingMatrix))
+    en = RadialEnergies(g)
+    derivs = {k: 1e-3 * g.r * (1.0 + 0.1 * k) * (1.0 - 0.4 * g.s) for k in range(5)}
+    _CountingMatrix.products = 0
+
+    def output(mapping, t):
+        return [en.component(mapping, *idx, t) for idx in energy_indices()]
+
+    first = output(derivs, 2.0)
+    assert _CountingMatrix.products == 4        # one per sigma exponent
+    assert output(derivs, 2.0) == first         # kept
+    assert _CountingMatrix.products == 4
+    later = output(derivs, 3.0)                 # a new t recomputes
+    assert _CountingMatrix.products == 8
+    assert later == output(dict(derivs), 3.0)   # so does a new mapping
+    assert _CountingMatrix.products == 12
+    scaled = {k: 2.0 * v for k, v in derivs.items()}
+    assert output(scaled, 3.0) == pytest.approx([4.0 * e for e in later], rel=1e-13)
+    assert _CountingMatrix.products == 16
+    fresh = RadialEnergies(WeightedGrid(p, 32))
+    assert later == pytest.approx([fresh.component(derivs, *idx, 3.0)
+                                   for idx in energy_indices()], rel=1e-15)
 
 
 def test_energy_index_set():
