@@ -13,6 +13,7 @@ behaviour, which plain Gauss-Legendre loses.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg  # noqa: F401  roots_jacobi imports it on its first call
 from scipy.special import gammaln, roots_jacobi
 
 
