@@ -96,8 +96,8 @@ class RadialEnergies:
         scale = 2.0 / self.params.R0 ** 2
         p, p1, su = g.radial_strain(stack)      # su = w' (even in r)
         g_vp = scale * p1                       # vp and e coincide for radial fields
-        g_up = scale * (g.d_s @ su.T).T
-        slopes = (g.d_s @ np.concatenate([g_vp, g_up]).T).T
+        g_up = scale * (su @ g.d_s.T)
+        slopes = np.concatenate([g_vp, g_up]) @ g.d_s.T
         k = len(stack)
         return {"p": p, "u": su, "vp": g_vp, "up": g_up,
                 "vpp": g_vp + g._two_s * slopes[:k], "upp": g_up + g._two_s * slopes[k:]}

@@ -60,7 +60,7 @@ class WeightedGrid:
         s-derivative d_s p, and w_r = p + 2 s p_s.  ``w`` is one nodal
         field (m,) or a stack of them (K, m), one field per row."""
         p = w / self.r
-        p_s = (self.d_s @ p.T).T
+        p_s = self.d_s @ p if p.ndim == 1 else p @ self.d_s.T
         return p, p_s, p + self._two_s * p_s
 
     def rule(self, exponent: float) -> RadialRule:
