@@ -24,7 +24,7 @@ import numpy as np
 
 from .correction import CorrectionPath
 from .energy import EnergyReport, RadialEnergies, energy_indices
-from .kinematics import box_grid, build_deformation, radial_vector_field
+from .kinematics import apply_d, box_grid, build_deformation, radial_vector_field
 from .quadrature import resample_matrix
 from .timestepping import (IntegrationStats, StepSizeUnderflow,
                            integrate_adaptive, integrate_fixed_rk4)
@@ -431,8 +431,11 @@ def radial_oracle_check(grid: WeightedGrid, num_samples: int = 3,
                         box_points: int = 49, seed: int = 0,
                         fault: str | None = None) -> float:
     """Compare the radial pressure reduction against the full Cartesian
-    divergence evaluated by finite differences on a tensor grid, along a
-    coordinate ray.  Returns the max relative discrepancy.
+    divergence evaluated by finite differences on a ``box_points``-node
+    tensor grid, along a coordinate ray.  Returns the max relative
+    discrepancy.  The Cartesian side is built on a 9-node slab around the
+    ray, which gives the full box's values on it
+    (:func:`_cartesian_pressure_on_ray`).
 
     ``fault`` deliberately corrupts the radial formula (test hook for the
     verification suite's fault-injection negative test).
@@ -469,26 +472,24 @@ def radial_oracle_check(grid: WeightedGrid, num_samples: int = 3,
 
 def _cartesian_pressure_on_ray(bgrid, p, w_of_r, ray_idx) -> np.ndarray:
     """Cartesian route, G^k_i = sigma^(iota+1) (A^k_i J^(1-gamma) - delta),
-    pressure_i = d_k G^k_i, evaluated with the FD machinery and read along
-    the first axis.  Its tensor-grid fields are released on return, before
-    the next sample builds its own."""
-    omega = radial_vector_field(bgrid, w_of_r)
-    fld = build_deformation(bgrid, omega)
-    sigma = p.A_bar - p.B_bar * bgrid.radius() ** 2
+    pressure_i = d_k G^k_i, evaluated with the FD machinery.  Returns
+    pressure_0, the component along the ray, at the nodes ``ray_idx`` of
+    the first axis through the centre.
+
+    Only a slab is built: the whole first axis and the 9 nodes c-4 .. c+4
+    around the centre c of every other axis (fewer where the box is
+    narrower).  On the ray, d_k G^k_0 reads G at offsets -2 .. 2 across
+    it; G there needs d omega at those nodes only, which rows 2 .. 6 of
+    the slab's 9-node derivative matrix give with the box's centred
+    stencil (reading omega at -4 .. 4).  So no one-sided row of the slab
+    is read, and the ray's values equal the full box's."""
+    centre = tuple(slice(m // 2, m // 2 + 1) for m in bgrid.shape[1:])
+    slab, _, ray = bgrid.crop((slice(None),) + centre, halo=4)
+    fld = build_deformation(slab, radial_vector_field(slab, w_of_r))
+    sigma = p.A_bar - p.B_bar * slab.radius() ** 2
     weight = sigma ** (p.iota + 1.0)
     jfac = fld.jacobian ** (1.0 - p.gamma)
-    cart = _cartesian_pressure(bgrid, fld, weight, jfac)
-    center = tuple(bgrid.shape[k] // 2 for k in range(1, p.n))
-    return np.array([cart[(i,) + center + (0,)] for i in ray_idx])
-
-
-def _cartesian_pressure(bgrid, fld, weight, jfac):
-    from .kinematics import apply_d
-
-    n = bgrid.n
-    out = np.zeros(bgrid.shape + (n,))
-    for i in range(n):
-        for k in range(n):
-            g_ki = weight * (fld.inverse_matrix[..., k, i] * jfac - (1.0 if i == k else 0.0))
-            out[..., i] += apply_d(bgrid, g_ki, k)
-    return out
+    pressure = sum(apply_d(slab, weight * (fld.inverse_matrix[..., k, 0] * jfac
+                                           - (1.0 if k == 0 else 0.0)), k)
+                   for k in range(slab.n))
+    return pressure[ray].reshape(-1)[ray_idx]

@@ -361,11 +361,6 @@ def verify(only: str | None = None, fault: str | None = None,
     names = [n for n in CHECKS if only is None or only in n]
     if not names:
         raise ValueError(f"no checks match {only!r}; available: {list(CHECKS)}")
-    if "integrating-factor" in names:
-        # its quadrature module, imported between two checks after
-        # piola-richardson frees its tensor grids, fragments the heap so
-        # that radial-oracle's grids raise the peak RSS from 217 to 245 MB
-        import scipy.integrate  # noqa: F401
 
     def run_one(name: str) -> CheckResult:
         t0, cpu0 = time.time(), time.process_time()

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from vaclab.kinematics import (DeformationDegenerateError, adjugate_residual,
-                               box_grid, build_deformation, check_identities,
+                               apply_d, box_grid, build_deformation, check_identities,
                                curl_eta, div_eta, grad_eta,
                                jacobian_expansion_residuals, radial_vector_field,
                                random_smooth_field)
@@ -153,3 +153,79 @@ def test_radial_vector_field_center_limit():
     g = box_grid(3, 0.5, 21)
     omega = radial_vector_field(g, lambda r: 0.3 * r)
     assert np.allclose(omega, 0.3 * np.stack(g.meshgrid(), axis=-1), atol=1e-8)
+
+
+def _full_box_identities(field, margin):
+    """Reference: every residual formed on the whole box, then masked to
+    the nodes at least ``margin`` * width from every face."""
+    grid, n = field.grid, field.grid.n
+    a, jac = field.inverse_matrix, field.jacobian
+    mask = np.ones(grid.shape, dtype=bool)
+    for ax_idx, ax in enumerate(grid.axes):
+        width = ax[-1] - ax[0]
+        keep = (ax >= ax[0] + margin * width) & (ax <= ax[-1] - margin * width)
+        shape = [1] * n
+        shape[ax_idx] = ax.size
+        mask &= keep.reshape(shape)
+    piola = 0.0
+    for i in range(n):
+        resid = np.zeros(grid.shape)
+        for k in range(n):
+            resid += apply_d(grid, jac * a[..., k, i], k)
+        piola = max(piola, float(np.max(np.abs(resid[mask]))))
+    dd = [[[apply_d(grid, field.grad_omega[..., r, s], j) for s in range(n)]
+           for j in range(n)] for r in range(n)]
+    jac_resid = 0.0
+    for j in range(n):
+        rhs = np.zeros(grid.shape)
+        for r in range(n):
+            for s in range(n):
+                rhs += jac * a[..., s, r] * dd[r][j][s]
+        lhs = apply_d(grid, jac, j)
+        jac_resid = max(jac_resid, float(np.max(np.abs((lhs - rhs)[mask]))))
+    inv_resid = 0.0
+    for j in range(n):
+        for k in range(n):
+            for i in range(n):
+                rhs = np.zeros(grid.shape)
+                for r in range(n):
+                    for s in range(n):
+                        rhs -= a[..., k, r] * a[..., s, i] * dd[r][j][s]
+                lhs = apply_d(grid, a[..., k, i], j)
+                inv_resid = max(inv_resid, float(np.max(np.abs((lhs - rhs)[mask]))))
+    return piola, jac_resid, inv_resid
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("margin", [0.05, 0.2, 0.3])
+def test_identities_on_window_crop_equal_full_box(n, margin):
+    # 17 nodes: margin 0.05 leaves 1 node outside the window, so the
+    # 2-node halo is clamped at the faces; 0.2 and 0.3 leave 4 and 5
+    g = box_grid(n, 1.0, 17)
+    fld = build_deformation(g, random_smooth_field(g, np.random.default_rng(n), 0.02))
+    rep = check_identities(fld, margin=margin)
+    got = (rep.piola, rep.jacobian_derivative, rep.inverse_derivative)
+    want = _full_box_identities(fld, margin)
+    if n == 3:
+        assert got == want
+    else:
+        # a 2-D field is differentiated along its second axis through a
+        # transposed BLAS product whose rounding depends on the array's
+        # extent, so crop and box agree to rounding only
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+    assert min(want[1:]) > 1e-6
+    assert rep.margin == margin
+
+
+def test_crop_clamps_halo_at_the_box():
+    g = box_grid(2, 1.0, 33)
+    window = g.interior_window(0.2)
+    assert window == (slice(7, 26),) * 2
+    sub, outer, inner = g.crop(window, halo=4)
+    assert outer == (slice(3, 30),) * 2 and inner == (slice(4, 23),) * 2
+    assert np.array_equal(sub.axes[0], g.axes[0][3:30]) and sub.spacing == g.spacing
+    sub, outer, inner = g.crop(g.interior_window(0.05), halo=4)
+    assert outer == (slice(0, 33),) * 2 and inner == (slice(2, 31),) * 2
+    mask = np.zeros(g.shape, dtype=bool)
+    mask[window] = True
+    assert np.array_equal(g.interior_mask(0.2), mask)

@@ -423,3 +423,64 @@ def test_fault_injection_detected(setup):
     faulty = radial_oracle_check(g, num_samples=1, box_points=41, seed=0,
                                  fault="pressure-sign")
     assert faulty > 100.0 * clean
+
+
+def _full_box_pressure_on_ray(bgrid, p, w_of_r, ray_idx):
+    """Reference: the Cartesian pressure's first component on the whole box,
+    read along the first axis through the centre."""
+    from vaclab.kinematics import apply_d, build_deformation, radial_vector_field
+
+    fld = build_deformation(bgrid, radial_vector_field(bgrid, w_of_r))
+    weight = (p.A_bar - p.B_bar * bgrid.radius() ** 2) ** (p.iota + 1.0)
+    jfac = fld.jacobian ** (1.0 - p.gamma)
+    out = np.zeros(bgrid.shape)
+    for k in range(bgrid.n):
+        g_k0 = weight * (fld.inverse_matrix[..., k, 0] * jfac - (1.0 if k == 0 else 0.0))
+        out += apply_d(bgrid, g_k0, k)
+    centre = tuple(m // 2 for m in bgrid.shape[1:])
+    return np.array([out[(i,) + centre] for i in ray_idx])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_pressure_on_ray_slab_equals_full_box(n, seed):
+    from vaclab.kinematics import box_grid
+    from vaclab.radial import _cartesian_pressure_on_ray
+
+    p = derive_constants(n, 0.0, 2.0, 1.0)
+    half_width = 0.95 * p.R0 / np.sqrt(n)
+    bgrid = box_grid(n, half_width, 41)
+    axis = bgrid.axes[0]
+    ray_idx = np.flatnonzero((axis > 0.15 * p.R0) & (axis < 0.9 * half_width))
+    coeffs = np.random.default_rng(seed).standard_normal(3) * np.array([1.0, 0.5, 0.25])
+    scale = 0.05 * p.R0 / np.max(np.abs(coeffs))
+
+    def w_of_r(r):
+        s = (r / p.R0) ** 2
+        return scale * r * (coeffs[0] + coeffs[1] * s + coeffs[2] * s ** 2)
+
+    slab = _cartesian_pressure_on_ray(bgrid, p, w_of_r, ray_idx)
+    full = _full_box_pressure_on_ray(bgrid, p, w_of_r, ray_idx)
+    assert np.max(np.abs(full)) > 1e-3
+    assert np.array_equal(slab, full)
+
+
+@pytest.fixture(scope="module")
+def oracle_grids():
+    return {n: WeightedGrid(derive_constants(n, 0.0, 2.0, 1.0), 48) for n in (3, 2)}
+
+
+@pytest.mark.parametrize("n", [3, 2])
+def test_radial_oracle_seed_sweep(oracle_grids, n):
+    # the suite's radial-oracle settings on 64 seeds; its coarse bound
+    # (coarse <= 2e-3) is not asserted: at n = 2 it fails on some seeds
+    # (12345 among them), an open defect of the check
+    g = oracle_grids[n]
+    for seed in range(64):
+        coarse = radial_oracle_check(g, num_samples=2, box_points=41, seed=seed)
+        fine = radial_oracle_check(g, num_samples=2, box_points=81, seed=seed)
+        faulty = radial_oracle_check(g, num_samples=2, box_points=41, seed=seed,
+                                     fault="pressure-sign")
+        assert fine <= 2e-4, seed
+        assert coarse / fine > 4.0, seed
+        assert faulty > 2e-3, seed
