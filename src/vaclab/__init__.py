@@ -25,8 +25,9 @@ from .energy import (EnergyReport, ModeEnergies, RadialEnergies,
 from .fitting import DecayFit, FitWindowError, decay_fit
 from .kinematics import (BoxGrid, DeformationDegenerateError, DeformationField,
                          IdentityReport, adjugate_residual, box_grid,
-                         build_deformation, check_identities, curl_eta, div_eta,
-                         grad_eta, jacobian_expansion_residuals,
+                         build_deformation, check_identities, curl_eta,
+                         deformation_on_window, div_eta, grad_eta,
+                         jacobian_expansion_residuals,
                          radial_vector_field, random_smooth_field)
 from .params import (ParameterError, PhysParams, SelfSimilarProfile,
                      barenblatt_fields, derive_constants, mass_integral)

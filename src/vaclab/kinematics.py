@@ -5,12 +5,19 @@ Fourth-order centered differences in the interior with third-order
 one-sided closures at the box boundary; identity residuals are therefore
 measured on an interior window (fixed physical margin) where the pure
 centered stencils apply and Richardson ratios follow the interior order.
-The residuals are formed on that window plus a 2-node halo only
-(:meth:`BoxGrid.crop`): every derivative they take is one 5-point stencil
-applied to a field given on the whole box, which reads at most 2 nodes
-beyond a window node, so the crop's derivatives on the window are the
-full box's.  Where the halo is clamped at a box face, the crop keeps that
-face's one-sided rows, as the box does.
+
+Nothing is computed farther from the window than it is read.  Every
+derivative is one 5-point stencil, which reads at most 2 nodes beyond the
+node it gives.  :func:`check_identities` differentiates the deformation's
+fields once more, so it forms its residuals on the window plus a 2-node
+halo (:meth:`BoxGrid.crop`).  :func:`deformation_on_window` builds the
+deformation itself on the window plus a 4-node halo: the gradient of
+omega then takes the box's centred stencil at every node that
+``check_identities`` reads, since those lie at least 2 nodes inside the
+crop.  A crop keeps the faces of the box it was cut from, so its
+:meth:`BoxGrid.interior_window` names the box's window nodes, and where a
+halo is clamped at a box face the crop keeps that face's one-sided rows,
+as the box does.
 """
 from __future__ import annotations
 
@@ -32,11 +39,21 @@ class DeformationDegenerateError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoxGrid:
-    """Uniform tensor-product grid on a cube in R^n."""
+    """Uniform tensor-product grid on a cube in R^n.
+
+    ``faces`` holds the (low, high) coordinates of the box's faces on each
+    axis: the ends of the axes unless the grid is a crop of a larger box,
+    whose faces it keeps."""
 
     n: int
     axes: tuple[np.ndarray, ...]
     spacing: float
+    faces: tuple[tuple[float, float], ...] | None = None
+
+    def __post_init__(self):
+        if self.faces is None:
+            object.__setattr__(self, "faces",
+                               tuple((ax[0], ax[-1]) for ax in self.axes))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -53,10 +70,10 @@ class BoxGrid:
         """Per-axis slices of the nodes at least ``margin`` * width away
         from every box face (the axes increase, so each is one run)."""
         window = []
-        for ax in self.axes:
-            width = ax[-1] - ax[0]
-            lo = np.count_nonzero(ax < ax[0] + margin * width)
-            hi = np.count_nonzero(ax <= ax[-1] - margin * width)
+        for ax, (low, high) in zip(self.axes, self.faces):
+            width = high - low
+            lo = np.count_nonzero(ax < low + margin * width)
+            hi = np.count_nonzero(ax <= high - margin * width)
             window.append(slice(int(lo), int(hi)))
         return tuple(window)
 
@@ -71,6 +88,14 @@ class BoxGrid:
         """Sub-grid of the nodes in ``window`` (one unit-step slice per
         axis) widened by ``halo`` nodes on each side, clamped at the box.
 
+        The sub-grid keeps this grid's faces, so its ``interior_window``
+        and ``interior_mask`` name the same nodes as this grid's, wherever
+        they lie inside it.  The halo a caller needs is the number of
+        nodes its stencils read beyond the window: 2 for one derivative
+        of a field given on the box (:func:`check_identities`), 4 for a
+        field whose own derivative is taken on the crop first
+        (:func:`deformation_on_window`).
+
         Returns the sub-grid, the slices that cut it from this grid's
         arrays, and the slices that cut ``window`` from the sub-grid's."""
         outer, inner = [], []
@@ -80,7 +105,7 @@ class BoxGrid:
             outer.append(slice(lo, hi))
             inner.append(slice(start - lo, stop - lo))
         sub = BoxGrid(n=self.n, axes=tuple(ax[o] for ax, o in zip(self.axes, outer)),
-                      spacing=self.spacing)
+                      spacing=self.spacing, faces=self.faces)
         return sub, tuple(outer), tuple(inner)
 
 
@@ -155,6 +180,17 @@ def build_deformation(grid: BoxGrid, omega: np.ndarray) -> DeformationField:
                             jacobian=jac, inverse_matrix=a)
 
 
+def deformation_on_window(grid: BoxGrid, omega: np.ndarray,
+                          margin: float) -> DeformationField:
+    """The deformation of ``omega``, sampled on all of ``grid``, built only
+    on the interior window of ``margin`` plus a 4-node halo, clamped at the
+    box.  :func:`check_identities` with the same margin reads it where its
+    values are the whole box's (see the module docstring).  Built from a
+    copy of the crop, so the field holds no view of the box's omega."""
+    sub, outer, _ = grid.crop(grid.interior_window(margin), halo=4)
+    return build_deformation(sub, omega[outer].copy())
+
+
 def grad_eta(field: DeformationField, scalar: np.ndarray) -> np.ndarray:
     a = field.inverse_matrix
     parts = [apply_d(field.grid, scalar, k) for k in range(field.grid.n)]
@@ -217,8 +253,10 @@ def check_identities(field: DeformationField, margin: float = 0.15) -> IdentityR
 
     The derivatives are taken on the window plus a 2-node halo, clamped at
     the box, and the products and sup-norms are formed on the window
-    alone; the derivatives equal their full-box values there (see the
-    module docstring)."""
+    alone, one differentiation axis j at a time; the derivatives equal
+    their full-box values there (see the module docstring).  ``field`` may
+    be built on the whole box or by :func:`deformation_on_window` with the
+    same margin."""
     n = field.grid.n
     grid, outer, win = field.grid.crop(field.grid.interior_window(margin), halo=2)
     a, jac = field.inverse_matrix[outer], field.jacobian[outer]
@@ -231,29 +269,25 @@ def check_identities(field: DeformationField, margin: float = 0.15) -> IdentityR
             resid += apply_d(grid, jac * a[..., k, i], k)
         piola = max(piola, float(np.max(np.abs(resid[win]))))
 
-    # second derivatives of omega on the window: dd[r][j][s] = d_j d_s omega^r
     grad = field.grad_omega[outer]
-    dd = [[[apply_d(grid, grad[..., r, s], j)[win] for s in range(n)]
-           for j in range(n)] for r in range(n)]
-
-    jac_resid = 0.0
+    jac_resid = inv_resid = 0.0
     for j in range(n):
+        # second derivatives along j on the window: dd[r][s] = d_j d_s omega^r
+        dd = [[apply_d(grid, grad[..., r, s], j)[win] for s in range(n)]
+              for r in range(n)]
         lhs = apply_d(grid, jac, j)[win]
         rhs = np.zeros(lhs.shape)
         for r in range(n):
             for s in range(n):
-                rhs += jac_w * a_w[..., s, r] * dd[r][j][s]
+                rhs += jac_w * a_w[..., s, r] * dd[r][s]
         jac_resid = max(jac_resid, float(np.max(np.abs(lhs - rhs))))
-
-    inv_resid = 0.0
-    for j in range(n):
         for k in range(n):
             for i in range(n):
                 lhs = apply_d(grid, a[..., k, i], j)[win]
                 rhs = np.zeros(lhs.shape)
                 for r in range(n):
                     for s in range(n):
-                        rhs -= a_w[..., k, r] * a_w[..., s, i] * dd[r][j][s]
+                        rhs -= a_w[..., k, r] * a_w[..., s, i] * dd[r][s]
                 inv_resid = max(inv_resid, float(np.max(np.abs(lhs - rhs))))
 
     return IdentityReport(piola=piola, jacobian_derivative=jac_resid,
@@ -325,20 +359,26 @@ def _derivative_at_zero(w_of_r, h: float = 1e-6) -> float:
 
 def random_smooth_field(grid: BoxGrid, rng: np.random.Generator,
                         grad_amplitude: float, waves: int = 2) -> np.ndarray:
-    """Smooth trigonometric vector field scaled to max |d omega| target."""
-    grids = grid.meshgrid()
+    """Smooth trigonometric vector field, scaled so that its largest
+    finite-difference gradient component over ``grid`` is ``grad_amplitude``.
+
+    Each component sums ``waves`` products of one sine per axis, with wave
+    numbers of 1 or 2 per box width, phases and amplitudes drawn from
+    ``rng``.  The sines are sampled on sparse coordinates and broadcast,
+    and the scale is the largest of the n^2 gradient components, taken one
+    at a time, so no full-grid array outlives a step besides the field."""
+    coords = np.meshgrid(*grid.axes, indexing="ij", sparse=True)
     width = grid.axes[0][-1] - grid.axes[0][0]
     omega = np.zeros(grid.shape + (grid.n,))
     for i in range(grid.n):
-        acc = np.zeros(grid.shape)
         for _ in range(waves):
             k = rng.integers(1, 3, size=grid.n)
             phase = rng.uniform(0, 2 * np.pi, size=grid.n)
-            amp = rng.uniform(0.5, 1.0)
-            term = np.ones(grid.shape) * amp
+            term = rng.uniform(0.5, 1.0)
             for ax in range(grid.n):
-                term = term * np.sin(2 * np.pi * k[ax] * grids[ax] / width + phase[ax])
-            acc += term
-        omega[..., i] = acc
-    scale = np.max(np.abs(gradient_tensor(grid, omega)))
-    return omega * (grad_amplitude / scale)
+                term = term * np.sin(2 * np.pi * k[ax] * coords[ax] / width + phase[ax])
+            omega[..., i] += term
+    scale = max(float(np.max(np.abs(apply_d(grid, omega[..., i], j))))
+                for i in range(grid.n) for j in range(grid.n))
+    omega *= grad_amplitude / scale
+    return omega

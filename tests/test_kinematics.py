@@ -1,12 +1,15 @@
 """Flow-map algebra: Jacobian, inverse matrix, and discrete identities."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vaclab.kinematics import (DeformationDegenerateError, adjugate_residual,
                                apply_d, box_grid, build_deformation, check_identities,
-                               curl_eta, div_eta, grad_eta,
-                               jacobian_expansion_residuals, radial_vector_field,
-                               random_smooth_field)
+                               curl_eta, deformation_on_window, div_eta, grad_eta,
+                               gradient_tensor, jacobian_expansion_residuals,
+                               radial_vector_field, random_smooth_field)
+from vaclab.suite import verify
 
 
 def test_zero_field_gives_identity():
@@ -229,3 +232,87 @@ def test_crop_clamps_halo_at_the_box():
     mask = np.zeros(g.shape, dtype=bool)
     mask[window] = True
     assert np.array_equal(g.interior_mask(0.2), mask)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("npts", [17, 33])
+@pytest.mark.parametrize("margin", [0.05, 0.2, 0.3])
+def test_identities_of_window_deformation_equal_full_box(n, npts, margin):
+    # at margin 0.05 the 4-node halo is clamped at the faces (1 node lies
+    # outside the window at 17 nodes, 2 at 33)
+    g = box_grid(n, 1.0, npts)
+    omega = random_smooth_field(g, np.random.default_rng(n + npts), 0.02)
+    window = g.interior_window(margin)
+    sub, outer, inner = g.crop(window, halo=4)
+    assert sub.faces == g.faces
+    assert sub.interior_window(margin) == inner
+    assert np.array_equal(sub.interior_mask(margin), g.interior_mask(margin)[outer])
+
+    fld = deformation_on_window(g, omega, margin)
+    assert fld.grid.shape == sub.shape and fld.omega.base is None
+    want = check_identities(build_deformation(g, omega), margin)
+    got = check_identities(fld, margin)
+    if n == 3:
+        assert got == want
+    else:
+        # 2-D derivatives round with the array's extent: at 33 nodes and
+        # margin 0.2, J and A on the crop differ from the box's by up to
+        # 2.2e-16 at the nodes the residuals read
+        assert np.allclose(
+            [got.piola, got.jacobian_derivative, got.inverse_derivative],
+            [want.piola, want.jacobian_derivative, want.inverse_derivative],
+            rtol=0.0, atol=1e-13)
+    assert min(want.jacobian_derivative, want.inverse_derivative) > 1e-6
+
+
+def _dense_random_smooth_field(grid, rng, grad_amplitude, waves=2):
+    """Reference: the field sampled on the full meshgrid and scaled by the
+    full gradient tensor."""
+    grids = grid.meshgrid()
+    width = grid.axes[0][-1] - grid.axes[0][0]
+    omega = np.zeros(grid.shape + (grid.n,))
+    for i in range(grid.n):
+        acc = np.zeros(grid.shape)
+        for _ in range(waves):
+            k = rng.integers(1, 3, size=grid.n)
+            phase = rng.uniform(0, 2 * np.pi, size=grid.n)
+            amp = rng.uniform(0.5, 1.0)
+            term = np.ones(grid.shape) * amp
+            for ax in range(grid.n):
+                term = term * np.sin(2 * np.pi * k[ax] * grids[ax] / width + phase[ax])
+            acc += term
+        omega[..., i] = acc
+    scale = np.max(np.abs(gradient_tensor(grid, omega)))
+    return omega * (grad_amplitude / scale)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("npts", [17, 33])
+@pytest.mark.parametrize("seed", [0, 12345])
+def test_random_smooth_field_equals_dense_reference(n, npts, seed):
+    g = box_grid(n, 1.0, npts)
+    got = random_smooth_field(g, np.random.default_rng(seed), 1e-3)
+    want = _dense_random_smooth_field(g, np.random.default_rng(seed), 1e-3)
+    assert np.array_equal(got, want)
+
+
+def test_piola_richardson_seed0_ratios_pinned():
+    # the full-box route's ratios; 1e-10 relative catches a change of
+    # derivative stencil (about 1e-6)
+    result = verify(only="piola-richardson", seed=0).results[0]
+    assert result.passed
+    assert result.details["ratios"] == pytest.approx(
+        {"piola": 14.54559903701192, "jacobian_derivative": 15.221711265998891,
+         "inverse_derivative": 14.380282948321033}, rel=1e-10, abs=0.0)
+
+
+def test_piola_richardson_peak_memory():
+    # the 65-node pass sets the check's peak: 68.6 MB with the deformation
+    # built on the whole box, 32.4 MB on the window plus its halo
+    tracemalloc.start()
+    try:
+        verify(only="piola-richardson", seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6, f"peak {peak / 1e6:.1f} MB"
