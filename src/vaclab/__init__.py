@@ -30,7 +30,7 @@ from .kinematics import (BoxGrid, DeformationDegenerateError, DeformationField,
                          jacobian_expansion_residuals,
                          radial_vector_field, random_smooth_field)
 from .params import (ParameterError, PhysParams, SelfSimilarProfile,
-                     barenblatt_fields, derive_constants, mass_integral)
+                     barenblatt_fields, derive_constants)
 from .quadrature import sigma_moment, unit_sphere_area
 from .radial import (RadialInvariantError, RadialOperator, RadialState,
                      RadialTrajectory, Reconstruction, evolve, output_schedule,

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError, OdeConfig, ParamsConfig, RunConfig, load_config
+
 logger = logging.getLogger(__name__)
 
 EXIT_OK = 0
@@ -24,11 +26,14 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n", type=int, default=3, help="spatial dimension (2 or 3)")
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.0,
+    defaults = ParamsConfig()
+    parser.add_argument("--n", type=int, default=defaults.n,
+                        help="spatial dimension (2 or 3)")
+    parser.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
                         help="damping decay exponent in [0, 1)")
-    parser.add_argument("--gamma", type=float, default=2.0, help="adiabatic exponent")
-    parser.add_argument("--mass", type=float, default=1.0, help="total mass")
+    parser.add_argument("--gamma", type=float, default=defaults.gamma,
+                        help="adiabatic exponent")
+    parser.add_argument("--mass", type=float, default=defaults.mass, help="total mass")
 
 
 def _params_from_args(args):
@@ -106,7 +111,6 @@ def cmd_ode(args) -> int:
 
 def cmd_evolve(args) -> int:
     """One configured run (or checkpoint resume) of the radial solver."""
-    from .config import ConfigError, load_config
     from .runio import resume, run
 
     if args.resume:
@@ -146,7 +150,6 @@ def cmd_evolve(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Grid of runs over (lambda, gamma, epsilon)."""
-    from .config import ConfigError, load_config, RunConfig
     from .sweep import sweep
 
     try:
@@ -224,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ode", help="solve and verify the correction ODE")
     _add_param_flags(p)
-    p.add_argument("--t-end", type=float, default=1e6)
+    p.add_argument("--t-end", type=float, default=OdeConfig().t_end)
     p.add_argument("--out", help="directory for correction.csv")
     p.set_defaults(func=cmd_ode)
 

@@ -1,64 +1,143 @@
-"""Versioned JSON run configuration with field-level validation."""
+"""Versioned JSON run configuration with field-level validation.
+
+Each setting is declared once, as a field of a section dataclass: its
+default, its validation rule and, where it differs from the attribute
+name, its JSON key (``params.lambda`` is ``ParamsConfig.lam``).
+:func:`parse_config` and :meth:`RunConfig.to_dict` both walk these
+declarations.  A key that no field declares is an error that names its
+path, so a misspelt setting never falls back to its default silently.
+
+This module imports nothing from the rest of the package: the CLI reads
+its defaults here without loading the solvers.
+"""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import operator
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+
+SEED_SHAPES = ("zero", "parabolic", "quartic", "random")
+STEPPERS = ("adaptive", "rk4")
+_CHECK_RATES = ("auto", "always", "never")
 
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+def _require(cond: bool, path: str, message: str):
+    if not cond:
+        raise ConfigError(f"{path}: {message}")
+
+
+# -- validation rules: each maps (raw JSON value, key path) to the value --------
+
+def _number(ge=None, gt=None, le=None, lt=None, nullable=False):
+    """Rule for a number within the given bounds, or null where ``nullable``."""
+    bounds = [(bound, symbol, holds) for bound, symbol, holds in
+              ((ge, ">=", operator.ge), (gt, ">", operator.gt),
+               (le, "<=", operator.le), (lt, "<", operator.lt)) if bound is not None]
+
+    def rule(raw, path):
+        if nullable and raw is None:
+            return None
+        if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+            raise ConfigError(f"{path}: expected a number, got {raw!r}")
+        value = float(raw)
+        for bound, symbol, holds in bounds:
+            _require(holds(value, bound), path, f"must be {symbol} {bound}")
+        return value
+    return rule
+
+
+def _integer(ge=None, among=None):
+    def rule(raw, path):
+        if not isinstance(raw, int) or isinstance(raw, bool):
+            raise ConfigError(f"{path}: expected an integer, got {raw!r}")
+        if ge is not None:
+            _require(raw >= ge, path, f"must be >= {ge}")
+        if among is not None:
+            _require(raw in among, path, "must be " + " or ".join(map(str, among)))
+        return raw
+    return rule
+
+
+def _choice(options):
+    def rule(raw, path):
+        _require(isinstance(raw, str) and raw in options, path,
+                 f"must be one of {list(options)}, got {raw!r}")
+        return raw
+    return rule
+
+
+def _boolean(raw, path):
+    _require(isinstance(raw, bool), path, "expected a boolean")
+    return raw
+
+
+def _nonempty_string(raw, path):
+    _require(isinstance(raw, str) and raw, path, "expected a nonempty string")
+    return raw
+
+
+def setting(default, rule, key: str | None = None):
+    """A configuration field: its default, its ``rule(raw, path)`` and its
+    JSON key where that differs from the attribute name."""
+    return field(default=default, metadata={"rule": rule, "key": key})
+
+
+# -- sections ----------------------------------------------------------------
+
 @dataclass
 class ParamsConfig:
-    n: int = 3
-    lam: float = 0.0
-    gamma: float = 2.0
-    mass: float = 1.0
+    n: int = setting(3, _integer(among=(2, 3)))
+    lam: float = setting(0.0, _number(ge=0.0, lt=1), key="lambda")
+    gamma: float = setting(2.0, _number(gt=1.0))
+    mass: float = setting(1.0, _number(gt=0.0))
 
 
 @dataclass
 class OdeConfig:
-    t_end: float = 1e6
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-13
+    t_end: float = setting(1e6, _number(ge=1.0, le=1e8))
+    rel_tol: float = setting(1e-10, _number(gt=0.0, le=1e-3))
+    abs_tol: float = setting(1e-13, _number(gt=0.0, le=1e-3))
 
 
 @dataclass
 class SeedConfig:
-    shape: str = "zero"
-    amplitude: float = 0.0
+    shape: str = setting("zero", _choice(SEED_SHAPES))
+    amplitude: float = setting(0.0, _number(ge=0.0))
 
 
 @dataclass
 class SolverConfig:
-    num_nodes: int = 128
-    t_end: float = 1e4
-    rel_tol: float = 1e-7
-    abs_tol: float = 1e-11
-    cfl_safety: float = 0.5
-    stepper: str = "adaptive"
-    fixed_dt: float | None = None
-    outputs_per_decade: int = 60
-    collect_energies: bool = True
+    num_nodes: int = setting(128, _integer(ge=16))
+    t_end: float = setting(1e4, _number(gt=0.0))
+    rel_tol: float = setting(1e-7, _number(gt=0.0, le=1e-3))
+    abs_tol: float = setting(1e-11, _number(gt=0.0, le=1e-3))
+    cfl_safety: float = setting(0.5, _number(gt=0.0, le=1.0))
+    stepper: str = setting("adaptive", _choice(STEPPERS))
+    fixed_dt: float | None = setting(None, _number(gt=0.0, nullable=True))
+    outputs_per_decade: int = setting(60, _integer(ge=4))
+    collect_energies: bool = setting(True, _boolean)
     seed: SeedConfig = field(default_factory=SeedConfig)
 
 
 @dataclass
 class OutputsConfig:
-    directory: str = "runs/run"
-    checkpoint_every: int = 20
+    directory: str = setting("runs/run", _nonempty_string)
+    checkpoint_every: int = setting(20, _integer(ge=1))
 
 
 @dataclass
 class AcceptanceConfig:
-    exponent_slack: float = 0.1
-    ratio_threshold: float = 10.0
-    preservation_tol: float = 1e-8
-    check_rates: str = "auto"   # "auto" | "always" | "never"
+    exponent_slack: float = setting(0.1, _number(gt=0.0))
+    ratio_threshold: float = setting(10.0, _number(gt=0.0))
+    preservation_tol: float = setting(1e-8, _number(gt=0.0))
+    check_rates: str = setting("auto", _choice(_CHECK_RATES))
 
 
 @dataclass
@@ -68,60 +147,44 @@ class RunConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     outputs: OutputsConfig = field(default_factory=OutputsConfig)
     acceptance: AcceptanceConfig = field(default_factory=AcceptanceConfig)
-    rng_seed: int = 1234
+    rng_seed: int = setting(1234, _integer(ge=0))
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["schema_version"] = SCHEMA_VERSION
-        # JSON uses the equation's name for the damping exponent
-        out["params"]["lambda"] = out["params"].pop("lam")
-        return out
+        return {**_to_dict(self), "schema_version": SCHEMA_VERSION}
 
     def dump(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-_SEED_SHAPES = ("zero", "parabolic", "quartic", "random")
-_STEPPERS = ("adaptive", "rk4")
-_CHECK_RATES = ("auto", "always", "never")
+def _key(f) -> str:
+    return f.metadata.get("key") or f.name
 
 
-def _require(cond: bool, path: str, message: str):
-    if not cond:
-        raise ConfigError(f"{path}: {message}")
+def _to_dict(section) -> dict:
+    out = {}
+    for f in fields(section):
+        value = getattr(section, f.name)
+        out[_key(f)] = _to_dict(value) if is_dataclass(value) else value
+    return out
 
 
-def _number(raw, path: str, lo=None, hi=None, lo_strict=None) -> float:
-    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
-        raise ConfigError(f"{path}: expected a number, got {raw!r}")
-    value = float(raw)
-    if lo is not None:
-        _require(value >= lo, path, f"must be >= {lo}")
-    if lo_strict is not None:
-        _require(value > lo_strict, path, f"must be > {lo_strict}")
-    if hi is not None:
-        _require(value <= hi, path, f"must be <= {hi}")
-    return value
-
-
-def _integer(raw, path: str, lo=None) -> int:
-    if not isinstance(raw, int) or isinstance(raw, bool):
-        raise ConfigError(f"{path}: expected an integer, got {raw!r}")
-    if lo is not None:
-        _require(raw >= lo, path, f"must be >= {lo}")
-    return raw
-
-
-def _choice(raw, path: str, options) -> str:
-    _require(isinstance(raw, str) and raw in options, path,
-             f"must be one of {list(options)}, got {raw!r}")
-    return raw
-
-
-def _section(data: dict, name: str) -> dict:
-    raw = data.get(name, {})
-    _require(isinstance(raw, dict), name, "expected an object")
-    return raw
+def _parse(cls, raw: dict, prefix: str, unknown: str = "unknown configuration key"):
+    """An instance of section ``cls`` from its JSON object: every key must
+    be declared, and every given value passes its field's rule."""
+    declared = {_key(f): f for f in fields(cls)}
+    for key in raw:
+        _require(key in declared, prefix + key, unknown)
+    values = {}
+    for key, f in declared.items():
+        if key not in raw:
+            continue
+        path = prefix + key
+        if is_dataclass(f.default_factory):
+            _require(isinstance(raw[key], dict), path, "expected an object")
+            values[f.name] = _parse(f.default_factory, raw[key], path + ".")
+        else:
+            values[f.name] = f.metadata["rule"](raw[key], path)
+    return cls(**values)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -131,88 +194,8 @@ def parse_config(data: dict) -> RunConfig:
     version = data.get("schema_version", SCHEMA_VERSION)
     _require(version == SCHEMA_VERSION, "schema_version",
              f"unsupported version {version!r} (expected {SCHEMA_VERSION})")
-    known = {"schema_version", "params", "ode", "solver", "outputs",
-             "acceptance", "rng_seed"}
-    for key in data:
-        _require(key in known, key, "unknown configuration section")
-
-    cfg = RunConfig()
-    p = _section(data, "params")
-    if "n" in p:
-        cfg.params.n = _integer(p["n"], "params.n")
-        _require(cfg.params.n in (2, 3), "params.n", "must be 2 or 3")
-    if "lambda" in p:
-        cfg.params.lam = _number(p["lambda"], "params.lambda", lo=0.0)
-        _require(cfg.params.lam < 1.0, "params.lambda", "must be < 1")
-    if "gamma" in p:
-        cfg.params.gamma = _number(p["gamma"], "params.gamma", lo_strict=1.0)
-    if "mass" in p:
-        cfg.params.mass = _number(p["mass"], "params.mass", lo_strict=0.0)
-
-    o = _section(data, "ode")
-    if "t_end" in o:
-        cfg.ode.t_end = _number(o["t_end"], "ode.t_end", lo=1.0, hi=1e8)
-    if "rel_tol" in o:
-        cfg.ode.rel_tol = _number(o["rel_tol"], "ode.rel_tol", lo_strict=0.0, hi=1e-3)
-    if "abs_tol" in o:
-        cfg.ode.abs_tol = _number(o["abs_tol"], "ode.abs_tol", lo_strict=0.0, hi=1e-3)
-
-    s = _section(data, "solver")
-    if "num_nodes" in s:
-        cfg.solver.num_nodes = _integer(s["num_nodes"], "solver.num_nodes", lo=16)
-    if "t_end" in s:
-        cfg.solver.t_end = _number(s["t_end"], "solver.t_end", lo_strict=0.0)
-    if "rel_tol" in s:
-        cfg.solver.rel_tol = _number(s["rel_tol"], "solver.rel_tol", lo_strict=0.0, hi=1e-3)
-    if "abs_tol" in s:
-        cfg.solver.abs_tol = _number(s["abs_tol"], "solver.abs_tol", lo_strict=0.0, hi=1e-3)
-    if "cfl_safety" in s:
-        cfg.solver.cfl_safety = _number(s["cfl_safety"], "solver.cfl_safety",
-                                        lo_strict=0.0, hi=1.0)
-    if "stepper" in s:
-        cfg.solver.stepper = _choice(s["stepper"], "solver.stepper", _STEPPERS)
-    if "fixed_dt" in s and s["fixed_dt"] is not None:
-        cfg.solver.fixed_dt = _number(s["fixed_dt"], "solver.fixed_dt", lo_strict=0.0)
-    if "outputs_per_decade" in s:
-        cfg.solver.outputs_per_decade = _integer(
-            s["outputs_per_decade"], "solver.outputs_per_decade", lo=4)
-    if "collect_energies" in s:
-        _require(isinstance(s["collect_energies"], bool),
-                 "solver.collect_energies", "expected a boolean")
-        cfg.solver.collect_energies = s["collect_energies"]
-    seed = s.get("seed", {})
-    _require(isinstance(seed, dict), "solver.seed", "expected an object")
-    if "shape" in seed:
-        cfg.solver.seed.shape = _choice(seed["shape"], "solver.seed.shape", _SEED_SHAPES)
-    if "amplitude" in seed:
-        cfg.solver.seed.amplitude = _number(seed["amplitude"],
-                                            "solver.seed.amplitude", lo=0.0)
-
-    out = _section(data, "outputs")
-    if "directory" in out:
-        _require(isinstance(out["directory"], str) and out["directory"],
-                 "outputs.directory", "expected a nonempty string")
-        cfg.outputs.directory = out["directory"]
-    if "checkpoint_every" in out:
-        cfg.outputs.checkpoint_every = _integer(
-            out["checkpoint_every"], "outputs.checkpoint_every", lo=1)
-
-    a = _section(data, "acceptance")
-    if "exponent_slack" in a:
-        cfg.acceptance.exponent_slack = _number(
-            a["exponent_slack"], "acceptance.exponent_slack", lo_strict=0.0)
-    if "ratio_threshold" in a:
-        cfg.acceptance.ratio_threshold = _number(
-            a["ratio_threshold"], "acceptance.ratio_threshold", lo_strict=0.0)
-    if "preservation_tol" in a:
-        cfg.acceptance.preservation_tol = _number(
-            a["preservation_tol"], "acceptance.preservation_tol", lo_strict=0.0)
-    if "check_rates" in a:
-        cfg.acceptance.check_rates = _choice(a["check_rates"],
-                                             "acceptance.check_rates", _CHECK_RATES)
-
-    if "rng_seed" in data:
-        cfg.rng_seed = _integer(data["rng_seed"], "rng_seed", lo=0)
+    body = {key: value for key, value in data.items() if key != "schema_version"}
+    cfg = _parse(RunConfig, body, "", unknown="unknown configuration section")
 
     _require(cfg.ode.t_end >= cfg.solver.t_end, "ode.t_end",
              "must cover solver.t_end")

@@ -424,9 +424,9 @@ class CorrectionPath:
                   zip(self.t_grid, self.h, self.h_t, self.theta, self.theta_t))
 
 
-def sample_grid(t_end: float, samples_per_decade: int = SAMPLES_PER_DECADE) -> np.ndarray:
+def sample_grid(t_end: float) -> np.ndarray:
     decades = max(math.log10(t_end / FIRST_SAMPLE_TIME), 1.0)
-    count = int(decades * samples_per_decade)
+    count = int(decades * SAMPLES_PER_DECADE)
     return np.concatenate([[0.0], np.geomspace(FIRST_SAMPLE_TIME, t_end, count)])
 
 
@@ -514,11 +514,10 @@ class ThetaPropertyReport:
         return self.theta_t_positive and self.theta_above_one
 
 
-def verify_theta_properties(path: CorrectionPath,
-                            fit_window: tuple[float, float] | None = None,
-                            ) -> ThetaPropertyReport:
+def verify_theta_properties(path: CorrectionPath) -> ThetaPropertyReport:
     """Check theta_t > 0 and theta > 1 on interior samples and estimate the
-    derivative envelopes |theta^(m)| <= C (1+t)^(kappa-m), m = 1..3."""
+    derivative envelopes |theta^(m)| <= C (1+t)^(kappa-m), m = 1..3, over
+    the last four decades (from t = 100 at least)."""
     t = path.t_grid[1:]
     theta = path.theta[1:]
     theta_t = path.theta_t[1:]
@@ -530,8 +529,7 @@ def verify_theta_properties(path: CorrectionPath,
         i = int(np.argmax(bad))
         first_violation = (float(t[i]), float(theta[i]), float(theta_t[i]))
     ratio = theta / path.params.nu(t)
-    if fit_window is None:
-        fit_window = (max(1e2, path.t_end / 1e4), path.t_end)
+    fit_window = (max(1e2, path.t_end / 1e4), path.t_end)
     # no-trend check on theta/nu over the last two decades
     drift = decay_fit(t, ratio, window=(path.t_end / 100.0, path.t_end)).exponent
     slopes = {}
@@ -590,9 +588,11 @@ def fit_h_envelope(path: CorrectionPath,
                         log_corrected=logfit, degenerate=False)
 
 
-def lyapunov_violations(path: CorrectionPath, slack: float = 1e-9) -> int:
+def lyapunov_violations(path: CorrectionPath) -> int:
     """Count sample pairs violating monotonicity of the damped-oscillator
-    functional kappa (n*gamma-n+1) h^2 + (1+t)^(lam+1) h_t^2 while h_t <= 0."""
+    functional kappa (n*gamma-n+1) h^2 + (1+t)^(lam+1) h_t^2 while h_t <= 0,
+    beyond a relative and absolute slack of 1e-9."""
+    slack = 1e-9
     p = path.params
     coef = p.kappa * (p.n * p.gamma - p.n + 1.0)
     value = coef * path.h ** 2 + (1.0 + path.t_grid) ** (p.lam + 1.0) * path.h_t ** 2
@@ -601,18 +601,16 @@ def lyapunov_violations(path: CorrectionPath, slack: float = 1e-9) -> int:
     return int(np.count_nonzero(both_down & increase))
 
 
-def ode_residual(path: CorrectionPath, times=None) -> float:
+def ode_residual(path: CorrectionPath) -> float:
     """Max step-scaled defect of the dense output against the ODE.
 
     The defect |d/dt y_dense - f(t, y_dense)| (derivatives by
     Richardson-extrapolated central differences) is multiplied by the local
     integrator step and divided by the local error tolerance
     atol + rtol*|y|; step control keeps this ratio O(1), and the invariant
-    suite asserts it stays below 10.
+    suite asserts it stays below 10.  Every fifth sample time is checked.
     """
-    if times is None:
-        times = path.t_grid[2:-2:5]
-    times = np.asarray(times, dtype=float)
+    times = path.t_grid[2:-2:5]
     steps = np.diff(path.step_times)
     rhs = _correction_rhs(path.params)
     worst = 0.0
@@ -634,12 +632,11 @@ def ode_residual(path: CorrectionPath, times=None) -> float:
     return worst
 
 
-def integrating_factor_bound_check(lam: float, k: float, t_max: float,
-                                   num_times: int = 40,
-                                   quad_tol: float = 1e-10) -> dict:
+def integrating_factor_bound_check(lam: float, k: float, t_max: float) -> dict:
     """Evaluate F(t) = e^(-psi(t)) int_0^t e^(psi(tau)) (1+tau)^(-k) dtau
     with psi(t) = (1+t)^(1-lam)/(1-lam), and return the max of
-    F(t) / (1+t)^(lam-k) over log-spaced t in [1, t_max].
+    F(t) / (1+t)^(lam-k) over 40 log-spaced t in [1, t_max], each integral
+    to a relative tolerance of 1e-10.
 
     The exponential is shifted inside the integrand so that only
     nonpositive exponents are exponentiated; the integral is restricted to
@@ -656,7 +653,8 @@ def integrating_factor_bound_check(lam: float, k: float, t_max: float,
     def psi(x):
         return (1.0 + x) ** (1.0 - lam) / (1.0 - lam)
 
-    times = np.geomspace(1.0, t_max, num_times)
+    quad_tol = 1e-10
+    times = np.geomspace(1.0, t_max, 40)
     ratios = np.empty_like(times)
     for i, t in enumerate(times):
         width = 45.0 * (1.0 + t) ** lam

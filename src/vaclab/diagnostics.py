@@ -22,6 +22,11 @@ from .radial import RadialOperator, RadialTrajectory
 
 GAP_NAMES = ("position", "density", "velocity")
 
+# a run whose sup |w| stays below this is the zero anchor
+ANCHOR_TOL = 1e-12
+# relative tolerance of the anchor's gaps against their closed forms
+IDENTITY_TOL = 1e-10
+
 
 @dataclass
 class GapSeries:
@@ -119,13 +124,11 @@ class RateReport:
 
 def theorem_rate_report(series: GapSeries, path: CorrectionPath, params: PhysParams,
                         r_max: float, slack: float = 0.1,
-                        window: tuple[float, float] | None = None,
-                        anchor_tol: float = 1e-12,
-                        identity_tol: float = 1e-10) -> RateReport:
+                        window: tuple[float, float] | None = None) -> RateReport:
     """Fit the three gap series and compare with the decay envelopes.
 
     Anchor runs (perturbation numerically zero): the gaps must match the
-    h-driven closed forms to ``identity_tol`` relative, and the fitted
+    h-driven closed forms to ``IDENTITY_TOL`` relative, and the fitted
     exponents must equal the h-envelope exponents within ``slack``.
     Perturbed runs: fitted exponents must not exceed the theorem envelopes
     (position kappa, relative density -n kappa, velocity kappa-1, each
@@ -136,7 +139,7 @@ def theorem_rate_report(series: GapSeries, path: CorrectionPath, params: PhysPar
         window = (t_end / 100.0, t_end)
     if window[1] < 99.0 * window[0]:
         raise ValueError("rate-fit window must cover at least two decades")
-    anchor = bool(np.max(series.sup_w) <= anchor_tol)
+    anchor = bool(np.max(series.sup_w) <= ANCHOR_TOL)
     lam, kappa, n = params.lam, params.kappa, params.n
     log_corrected = lam == 0.0
 
@@ -175,7 +178,7 @@ def theorem_rate_report(series: GapSeries, path: CorrectionPath, params: PhysPar
         else:
             passes[name] = fit.exponent <= envelopes[name] + slack
     if anchor:
-        passes["identity"] = identity_err <= identity_tol
+        passes["identity"] = identity_err <= IDENTITY_TOL
     return RateReport(anchor=anchor, window=window, exponents=exponents,
                       envelopes=envelopes, slack=slack, log_corrected=log_corrected,
                       passes=passes, identity_max_rel_err=identity_err, fits=fits)

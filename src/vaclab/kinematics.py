@@ -130,13 +130,15 @@ def d1_matrix(m: int, h: float) -> np.ndarray:
     return d
 
 
-def apply_d(grid: BoxGrid, field: np.ndarray, axis: int,
-            _cache: dict = {}) -> np.ndarray:
+_D1_MATRICES: dict[tuple[int, float], np.ndarray] = {}   # (nodes, spacing) -> matrix
+
+
+def apply_d(grid: BoxGrid, field: np.ndarray, axis: int) -> np.ndarray:
     """Apply the 1D derivative matrix along ``axis`` of a scalar field."""
     key = (grid.shape[axis], grid.spacing)
-    if key not in _cache:
-        _cache[key] = d1_matrix(*key)
-    d = _cache[key]
+    if key not in _D1_MATRICES:
+        _D1_MATRICES[key] = d1_matrix(*key)
+    d = _D1_MATRICES[key]
     out = np.tensordot(d, field, axes=([1], [axis]))
     return np.moveaxis(out, 0, axis)
 
@@ -317,13 +319,11 @@ def adjugate_residual(field: DeformationField) -> float:
     return float(np.max(np.abs(ja - adj)))
 
 
-def jacobian_expansion_residuals(field: DeformationField,
-                                 margin: float = 0.0) -> dict[str, float]:
-    """Sup residuals of J against its div/curl expansion, truncated at
-    linear, quadratic, and (for n = 3) cubic order."""
-    grid, n = field.grid, field.grid.n
+def jacobian_expansion_residuals(field: DeformationField) -> dict[str, float]:
+    """Sup residuals of J over the whole box against its div/curl expansion,
+    truncated at linear, quadratic, and (for n = 3) cubic order."""
+    n = field.grid.n
     g = field.grad_omega
-    mask = grid.interior_mask(margin) if margin > 0 else np.ones(grid.shape, bool)
     div = np.trace(g, axis1=-2, axis2=-1)
     grad_sq = np.sum(g ** 2, axis=(-2, -1))
     if n == 2:
@@ -335,12 +335,12 @@ def jacobian_expansion_residuals(field: DeformationField,
     quad = 0.5 * (div ** 2 + curl_sq - grad_sq)
     expansion = 1.0 + div + quad
     out = {
-        "linear": float(np.max(np.abs((field.jacobian - 1.0 - div))[mask])),
-        "quadratic": float(np.max(np.abs(field.jacobian - expansion)[mask])),
+        "linear": float(np.max(np.abs(field.jacobian - 1.0 - div))),
+        "quadratic": float(np.max(np.abs(field.jacobian - expansion))),
     }
     if n == 3:
         cubic = np.linalg.det(g)
-        out["cubic"] = float(np.max(np.abs(field.jacobian - expansion - cubic)[mask]))
+        out["cubic"] = float(np.max(np.abs(field.jacobian - expansion - cubic)))
     return out
 
 
@@ -353,16 +353,17 @@ def radial_vector_field(grid: BoxGrid, w_of_r) -> np.ndarray:
     return np.stack([ratio * g for g in grids], axis=-1)
 
 
-def _derivative_at_zero(w_of_r, h: float = 1e-6) -> float:
+def _derivative_at_zero(w_of_r) -> float:
+    h = 1e-6
     return (w_of_r(h) - w_of_r(-h)) / (2.0 * h)
 
 
 def random_smooth_field(grid: BoxGrid, rng: np.random.Generator,
-                        grad_amplitude: float, waves: int = 2) -> np.ndarray:
+                        grad_amplitude: float) -> np.ndarray:
     """Smooth trigonometric vector field, scaled so that its largest
     finite-difference gradient component over ``grid`` is ``grad_amplitude``.
 
-    Each component sums ``waves`` products of one sine per axis, with wave
+    Each component sums two products of one sine per axis, with wave
     numbers of 1 or 2 per box width, phases and amplitudes drawn from
     ``rng``.  The sines are sampled on sparse coordinates and broadcast,
     and the scale is the largest of the n^2 gradient components, taken one
@@ -371,7 +372,7 @@ def random_smooth_field(grid: BoxGrid, rng: np.random.Generator,
     width = grid.axes[0][-1] - grid.axes[0][0]
     omega = np.zeros(grid.shape + (grid.n,))
     for i in range(grid.n):
-        for _ in range(waves):
+        for _ in range(2):
             k = rng.integers(1, 3, size=grid.n)
             phase = rng.uniform(0, 2 * np.pi, size=grid.n)
             term = rng.uniform(0.5, 1.0)

@@ -18,6 +18,14 @@ import numpy as np
 
 from .quadrature import jacobi_rule_01, unit_sphere_area
 
+# Gauss-Jacobi nodes of the mass integral.  The rule is matched to the
+# fractional endpoint power, so the integrand is the pure quadrature weight
+# and the mass is exact to rounding.
+MASS_RULE_NODES = 96
+# A_bar bisection: relative bracket width and iteration cap
+_BISECTION_REL_TOL = 1e-12
+_BISECTION_MAX_ITER = 200
+
 
 class ParameterError(ValueError):
     """Raised for parameter combinations outside the supported regime."""
@@ -72,31 +80,17 @@ class PhysParams:
         return np.maximum(self.sigma(r), 0.0) ** self.iota
 
 
-def mass_integral(n: int, gamma: float, a_bar: float, b_bar: float,
-                  num_nodes: int = 96) -> float:
-    """Total mass of (a_bar - b_bar r^2)^(1/(gamma-1)) over its support ball.
-
-    Evaluated by a Gauss-Jacobi rule matched to the fractional endpoint
-    power; the integrand is then the pure quadrature weight, so the result
-    is exact to rounding.
-    """
-    iota = 1.0 / (gamma - 1.0)
-    _, w = jacobi_rule_01(num_nodes, iota, n / 2.0 - 1.0)
-    return _mass_from_weights(n, iota, a_bar, b_bar, w.sum())
-
-
 def _mass_from_weights(n: int, iota: float, a_bar: float, b_bar: float,
                        weight_sum: float) -> float:
-    """The mass integral for a Gauss-Jacobi weight sum, which does not
-    depend on a_bar or b_bar."""
+    """Total mass of (a_bar - b_bar r^2)^iota over its support ball, for the
+    Gauss-Jacobi weight sum, which does not depend on a_bar or b_bar."""
     r0_sq = a_bar / b_bar
     return float(
         unit_sphere_area(n) * 0.5 * r0_sq ** (n / 2.0) * a_bar ** iota * weight_sum
     )
 
 
-def derive_constants(n: int, lam: float, gamma: float, mass: float,
-                     *, rel_tol: float = 1e-12, max_iter: int = 200) -> PhysParams:
+def derive_constants(n: int, lam: float, gamma: float, mass: float) -> PhysParams:
     """Derive all profile constants from (n, lambda, gamma, M).
 
     A_bar is fixed by the total-mass constraint, found by bisection on the
@@ -115,7 +109,7 @@ def derive_constants(n: int, lam: float, gamma: float, mass: float,
     iota = 1.0 / (gamma - 1.0)
     b_bar = (gamma - 1.0) / (2.0 * gamma) * kappa
 
-    weight_sum = jacobi_rule_01(96, iota, n / 2.0 - 1.0)[1].sum()
+    weight_sum = jacobi_rule_01(MASS_RULE_NODES, iota, n / 2.0 - 1.0)[1].sum()
 
     def mass_of(a_bar: float) -> float:
         return _mass_from_weights(n, iota, a_bar, b_bar, weight_sum)
@@ -134,17 +128,17 @@ def derive_constants(n: int, lam: float, gamma: float, mass: float,
             if lo < 1e-40:
                 raise ParameterError("A_bar bracketing failed (mass too small)")
 
-    for _ in range(max_iter):
+    for _ in range(_BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mass_of(mid) < mass:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= rel_tol * mid:
+        if hi - lo <= _BISECTION_REL_TOL * mid:
             break
     else:
         raise ParameterError(
-            f"A_bar bisection did not reach relative tolerance {rel_tol}"
+            f"A_bar bisection did not reach relative tolerance {_BISECTION_REL_TOL}"
         )
     a_bar = 0.5 * (lo + hi)
 
@@ -160,7 +154,7 @@ class SelfSimilarProfile:
 
     def __init__(self, params: PhysParams):
         self.params = params
-        self._weight_sums: dict[int, float] = {}   # rule size -> Gauss-Jacobi weight sum
+        self._weight_sum: float | None = None   # of the mass rule, built on first use
 
     def support_radius(self, t) -> float:
         return self.params.nu(t) * self.params.R0
@@ -218,29 +212,27 @@ class SelfSimilarProfile:
             * (1.0 + t) ** (p.kappa - 1.0 - p.lam)
         )
 
-    def mass_error(self, t: float, num_nodes: int = 96) -> float:
+    def mass_error(self, t: float) -> float:
         """Relative error of the quadrature mass at time t against M."""
         p = self.params
-        weight_sum = self._weight_sums.get(num_nodes)
-        if weight_sum is None:
-            _, w = jacobi_rule_01(num_nodes, p.iota, p.n / 2.0 - 1.0)
-            weight_sum = self._weight_sums[num_nodes] = w.sum()
+        if self._weight_sum is None:
+            _, w = jacobi_rule_01(MASS_RULE_NODES, p.iota, p.n / 2.0 - 1.0)
+            self._weight_sum = w.sum()
         nu = float(p.nu(t))
         radius_sq = (nu * p.R0) ** 2
         total = (
             unit_sphere_area(p.n) * 0.5 * radius_sq ** (p.n / 2.0)
-            * nu ** (-p.n) * p.A_bar ** p.iota * weight_sum
+            * nu ** (-p.n) * p.A_bar ** p.iota * self._weight_sum
         )
         return abs(total - p.mass) / p.mass
 
-    def pme_residual(self, t: float, grid_spacing: float,
-                     window: tuple[float, float] = (0.1, 0.9)) -> float:
+    def pme_residual(self, t: float, grid_spacing: float) -> float:
         """Sup-norm residual of the porous-media equation on interior nodes.
 
         Centered second-order differences of rho^gamma in the radial
         Laplacian against the analytic time derivative, restricted to
-        radii in ``window`` (fractions of the support radius).  Converges
-        at O(h^2) since the profile solves the equation exactly.
+        radii from 0.1 to 0.9 of the support radius.  Converges at O(h^2)
+        since the profile solves the equation exactly.
         """
         if t <= 0.0:
             raise ValueError("pme_residual requires t > 0")
@@ -258,9 +250,9 @@ class SelfSimilarProfile:
             (p.n - 1.0) / r[1:-1] * (pressure[2:] - pressure[:-2]) / (2.0 * h)
         )
         resid = self.density_time_derivative(t, r) - (1.0 + t) ** p.lam * lap
-        mask = (r >= window[0] * edge) & (r <= window[1] * edge) & np.isfinite(resid)
+        mask = (r >= 0.1 * edge) & (r <= 0.9 * edge) & np.isfinite(resid)
         if not np.any(mask):
-            raise ValueError("no interior nodes in the requested window")
+            raise ValueError("no interior nodes in the window")
         return float(np.max(np.abs(resid[mask])))
 
 

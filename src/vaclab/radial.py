@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SEED_SHAPES, STEPPERS
 from .correction import CorrectionPath
 from .energy import EnergyReport, RadialEnergies, energy_indices
 from .kinematics import apply_d, box_grid, build_deformation, radial_vector_field
@@ -284,12 +285,14 @@ class RadialTrajectory:
         return np.array([float(np.max(np.abs(s.w))) for s in self.states])
 
 
-def output_schedule(t_end: float, per_decade: int = 60, t_first: float = 0.1) -> np.ndarray:
-    if t_end <= t_first:
+def output_schedule(t_end: float, per_decade: int = 60) -> np.ndarray:
+    """t = 0, then ``per_decade`` log-spaced times per decade from 0.1 to
+    ``t_end`` (at least 8)."""
+    if t_end <= 0.1:
         return np.array([0.0, t_end])
-    decades = np.log10(t_end / t_first)
+    decades = np.log10(t_end / 0.1)
     count = max(int(decades * per_decade), 8)
-    return np.concatenate([[0.0], np.geomspace(t_first, t_end, count)])
+    return np.concatenate([[0.0], np.geomspace(0.1, t_end, count)])
 
 
 def reconstruct_physical(operator: RadialOperator, state: RadialState) -> Reconstruction:
@@ -329,8 +332,8 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
            t_end: float, output_times=None, rel_tol: float = 1e-7,
            abs_tol: float = 1e-11, cfl_safety: float = 0.5,
            stepper: str = "adaptive", fixed_dt: float | None = None,
-           collect_energies: bool = True, collect_reconstructions: bool = True,
-           energy_level: int = 2) -> RadialTrajectory:
+           collect_energies: bool = True,
+           collect_reconstructions: bool = True) -> RadialTrajectory:
     """Integrate the radial system and record states, energies, and
     physical reconstructions at the output times.
 
@@ -349,7 +352,7 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
 
     states: list[RadialState] = []
     recons: list[Reconstruction] = []
-    indices = energy_indices(energy_level)
+    indices = energy_indices()
     evaluator = RadialEnergies(grid) if collect_energies else None
     comp: dict[tuple, list] = {idx: [] for idx in indices}
 
@@ -378,7 +381,7 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
             integrate_fixed_rk4(op.rhs, initial.t, y0, output_times,
                                 fixed_dt, on_output=on_output, stats=stats)
         else:
-            raise ValueError(f"unknown stepper {stepper!r}")
+            raise ValueError(f"unknown stepper {stepper!r}; options: {STEPPERS}")
     except (RadialInvariantError, StepSizeUnderflow) as exc:
         status = "failed"
         failure = {"time": getattr(exc, "t", float("nan")), "reason": str(exc)}
@@ -401,9 +404,6 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
 
 
 # -- initial data ------------------------------------------------------------
-
-SEED_SHAPES = ("zero", "parabolic", "quartic", "random")
-
 
 def seed_profile(shape: str, amplitude: float, grid: WeightedGrid,
                  rng: np.random.Generator | None = None) -> np.ndarray:

@@ -64,7 +64,6 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
                        output_times: Sequence[float],
                        rel_tol: float = 1e-7, abs_tol: float = 1e-11,
                        max_step: Callable[[float], float] | None = None,
-                       first_step: float | None = None,
                        on_output: Callable | None = None,
                        stats: IntegrationStats | None = None) -> IntegrationResult:
     """Integrate y' = rhs(t, y) from (t0, y0) through sorted output times.
@@ -93,8 +92,7 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
     t_final = outputs[-1]
 
     cap = max_step(t) if max_step is not None else (t_final - t0)
-    dt = first_step if first_step is not None else min(cap, 1e-4 * max(1.0, t_final - t0))
-    dt = min(dt, cap)
+    dt = min(cap, 1e-4 * max(1.0, t_final - t0))
     k_last = np.asarray(rhs(t, y), dtype=float)
     err_prev = 1.0
     k = np.empty((7,) + y.shape)

@@ -3,12 +3,13 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vaclab.cli import main
-from vaclab.config import ConfigError, load_config, parse_config
+from vaclab.config import ConfigError, RunConfig, load_config, parse_config
 from vaclab.runio import _read_state, read_series_csv, refit, resume, run
 from vaclab.suite import verify
 
@@ -43,6 +44,11 @@ def base_config(tmp_path, **overrides) -> dict:
     ({"acceptance": {"check_rates": "sometimes"}}, "acceptance.check_rates"),
     ({"bogus_section": {}}, "bogus_section"),
     ({"ode": {"t_end": 10.0}, "solver": {"t_end": 100.0}}, "ode.t_end"),
+    # misspelt keys fail instead of running the default
+    ({"params": {"lam": 0.5}}, "params.lam: unknown configuration key"),
+    ({"solver": {"num_node": 64}}, "solver.num_node: unknown configuration key"),
+    ({"solver": {"seed": {"amplitud": 0.1}}},
+     "solver.seed.amplitud: unknown configuration key"),
 ])
 def test_config_validation_names_field(patch, needle):
     data = {"params": {}, "ode": {}, "solver": {}, "outputs": {}, "acceptance": {}}
@@ -63,6 +69,13 @@ def _deep_update(dst, src):
             _deep_update(dst[key], value)
         else:
             dst[key] = value
+
+
+def test_readme_config_block_shows_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Run configuration", 1)[1]
+    block = section.split("```json", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == RunConfig().to_dict()
 
 
 def test_config_roundtrip(tmp_path):
