@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, OdeConfig, ParamsConfig, RunConfig, load_config
+from .config import (ConfigError, OdeConfig, ParamsConfig, RunConfig, load_config,
+                     validated)
 
 logger = logging.getLogger(__name__)
 
@@ -37,9 +38,13 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args):
+    """Constants from --n, --lambda, --gamma and --mass, checked by the rules
+    of the ``params`` section."""
     from .params import derive_constants
 
-    return derive_constants(args.n, args.lam, args.gamma, args.mass)
+    flags = validated(ParamsConfig(n=args.n, lam=args.lam, gamma=args.gamma, mass=args.mass),
+                      "params")
+    return derive_constants(flags.n, flags.lam, flags.gamma, flags.mass)
 
 
 def cmd_selfsim(args) -> int:
@@ -78,7 +83,8 @@ def cmd_ode(args) -> int:
                              solve_correction, verify_theta_properties)
 
     params = _params_from_args(args)
-    path = solve_correction(params, args.t_end)
+    t_end = validated(OdeConfig(t_end=args.t_end), "ode").t_end
+    path = solve_correction(params, t_end)
     rep = verify_theta_properties(path)
     print(f"theta_t > 0: {rep.theta_t_positive}   theta > 1: {rep.theta_above_one}")
     print(f"theta/nu in [{rep.theta_over_nu_min:.6g}, {rep.theta_over_nu_max:.6g}]")
@@ -86,7 +92,7 @@ def cmd_ode(args) -> int:
         print(f"|d^{m} theta| tail slope {slope:+.4f} "
               f"(envelope {rep.derivative_slope_targets[m]:+.4f})")
     ok = rep.ok
-    if args.t_end >= 1e4:
+    if t_end >= 1e4:
         env = fit_h_envelope(path)
         if env.degenerate:
             print("h envelope: degenerate (h numerically zero)")
@@ -119,11 +125,7 @@ def cmd_evolve(args) -> int:
         if not args.config:
             print("evolve: --config is required (or --resume DIR)", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            cfg = load_config(args.config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        cfg = load_config(args.config)
         if args.out:
             cfg.outputs.directory = args.out
         if args.seed is not None:
@@ -152,11 +154,7 @@ def cmd_sweep(args) -> int:
     """Grid of runs over (lambda, gamma, epsilon)."""
     from .sweep import sweep
 
-    try:
-        base = load_config(args.config) if args.config else RunConfig()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    base = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         base.rng_seed = args.seed
     rows = sweep(base, args.lambdas, args.gammas, args.epsilons,
@@ -270,6 +268,9 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         logger.error("%s", exc, exc_info=args.verbose)
         print(f"error: {exc}", file=sys.stderr)

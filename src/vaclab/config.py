@@ -4,8 +4,10 @@ Each setting is declared once, as a field of a section dataclass: its
 default, its validation rule and, where it differs from the attribute
 name, its JSON key (``params.lambda`` is ``ParamsConfig.lam``).
 :func:`parse_config` and :meth:`RunConfig.to_dict` both walk these
-declarations.  A key that no field declares is an error that names its
-path, so a misspelt setting never falls back to its default silently.
+declarations, and :func:`validated` applies the same rules to one section
+built from command-line flags.  A key that no field declares is an error
+that names its path, so a misspelt setting never falls back to its default
+silently.
 
 This module imports nothing from the rest of the package: the CLI reads
 its defaults here without loading the solvers.
@@ -185,6 +187,13 @@ def _parse(cls, raw: dict, prefix: str, unknown: str = "unknown configuration ke
         else:
             values[f.name] = f.metadata["rule"](raw[key], path)
     return cls(**values)
+
+
+def validated(section, name: str):
+    """A copy of the section ``section`` checked by its fields' rules, as
+    :func:`parse_config` checks them; an error names the key under ``name``
+    (``params.n: must be 2 or 3``)."""
+    return _parse(type(section), _to_dict(section), name + ".")
 
 
 def parse_config(data: dict) -> RunConfig:

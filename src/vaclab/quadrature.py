@@ -9,17 +9,59 @@ where the (1 - s)^a factor absorbs the degenerate density weight
 sigma(r) = A - B r^2 vanishing at the vacuum boundary.  Gauss-Jacobi rules
 with exactly that weight keep full accuracy despite the fractional endpoint
 behaviour, which plain Gauss-Legendre loses.
+
+The rules are built here with NumPy alone (Golub & Welsch, *Math. Comp.* 23,
+1969): the nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+matrix, polished by one Newton step on P_n, and the weights come from
+P_n' and P_(n-1), taken at the corrected nodes and normalized to the
+Beta-function integral of the weight, much as in SciPy's ``roots_jacobi``.  One three-term recurrence,
+:func:`jacobi_polynomials`, evaluates the polynomials for both.  SciPy is
+the independent oracle of the tests, not a dependency.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg  # noqa: F401  roots_jacobi imports it on its first call
-from scipy.special import gammaln, roots_jacobi
 
 
 def unit_sphere_area(n: int) -> float:
     """Surface area of the unit sphere in R^n (2*pi for n=2, 4*pi for n=3)."""
-    return float(2.0 * np.pi ** (n / 2.0) / np.exp(gammaln(n / 2.0)))
+    return float(2.0 * np.pi ** (n / 2.0) / math.exp(math.lgamma(n / 2.0)))
+
+
+def jacobi_polynomials(k: int, a: float, b: float, x) -> np.ndarray:
+    """Jacobi polynomials P_0^(a,b), ..., P_k^(a,b) at the points ``x``.
+
+    Returns an array of shape (k + 1,) + x.shape, one degree per row, in
+    the standard normalization P_j(1) = binom(j + a, j), from the
+    three-term recurrence P_(j+1) = (A_j x + B_j) P_j - C_j P_(j-1)
+    (DLMF 18.9.1-2).  Needs a, b > -1.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((k + 1,) + x.shape)
+    out[0] = 1.0
+    if k == 0:
+        return out
+    out[1] = 0.5 * ((a + b + 2.0) * x + (a - b))
+    # coefficients of the steps j -> j + 1, j = 1..k-1, one row per step
+    j = np.arange(1.0, k).reshape((-1,) + (1,) * x.ndim)
+    c = 2.0 * j + a + b
+    den = 2.0 * (j + 1.0) * (j + a + b + 1.0) * c
+    # run the recurrence on Q_j = P_j / h_j with h_(j+1) = C_j h_(j-1), which
+    # turns C_j into 1, so each degree costs one multiply and one subtract
+    back = 2.0 * (j + a) * (j + b) * (c + 2.0) / den
+    h = np.ones((k + 1,) + back.shape[1:])
+    h[2::2] = np.cumprod(back[0::2], axis=0)
+    h[3::2] = np.cumprod(back[1::2], axis=0)
+    scale = (c + 1.0) * h[1:k] / (den * h[2:])
+    factor = (scale * (c + 2.0) * c) * x + scale * (a * a - b * b)
+    rows = list(out)
+    for f, before, last, new in zip(factor, rows, rows[1:], rows[2:]):
+        np.multiply(f, last, new)
+        np.subtract(new, before, new)
+    out *= h
+    return out
 
 
 def jacobi_rule_01(num_nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -27,13 +69,53 @@ def jacobi_rule_01(num_nodes: int, a: float, b: float) -> tuple[np.ndarray, np.n
 
     The returned weights include the full weight function, so the integral
     is approximated by ``w @ f(s)``.  Exact for polynomials f of degree
-    <= 2*num_nodes - 1.
+    <= 2*num_nodes - 1.  The rule is built on [-1, 1] for the weight
+    (1-x)^a (1+x)^b and mapped by s = (x + 1) / 2.
     """
     if a <= -1 or b <= -1:
         raise ValueError(f"Jacobi exponents must exceed -1, got a={a}, b={b}")
-    x, w = roots_jacobi(num_nodes, a, b)
-    s = 0.5 * (x + 1.0)
-    return s, w * 2.0 ** (-(a + b + 1.0))
+    n = int(num_nodes)
+    if n < 1 or n != num_nodes:
+        raise ValueError(f"need a positive integer number of nodes, got {num_nodes}")
+    # Jacobi matrix of the monic recurrence: diagonal alpha_k, off-diagonal
+    # sqrt(beta_k); eigvalsh reads its lower triangle only
+    k = np.arange(1.0, n)
+    c = 2.0 * k + a + b
+    jac = np.zeros((n, n))
+    jac[0, 0] = (b - a) / (a + b + 2.0)
+    jac.flat[n + 1::n + 1] = (b * b - a * a) / (c * (c + 2.0))
+    off = 2.0 / c * np.sqrt((k + a) * (k + b) / (c + 1.0))
+    off[1:] *= np.sqrt(k[1:] * (k[1:] + a + b) / (c[1:] - 1.0))
+    jac.flat[n::n + 1] = off
+    # a node within rounding of an end is moved inside, where the derivative
+    # formulas below are finite
+    inner = np.nextafter(1.0, 0.0)
+    x = np.clip(np.linalg.eigvalsh(jac), -inner, inner)
+
+    # One Newton step on P_n.  The derivatives come from the table's last
+    # rows: (2j+a+b)(1-x^2) P_j' = j(a-b-(2j+a+b)x) P_j + 2(j+a)(j+b) P_(j-1)
+    # (DLMF 18.9.16) for j = n, n-1, and the Jacobi equation for P_n''.
+    p = jacobi_polynomials(n, a, b, x)
+    span = (1.0 - x) * (1.0 + x)
+    cn = 2.0 * n + a + b
+    dp = (n * ((a - b) - cn * x) * p[n] + 2.0 * (n + a) * (n + b) * p[n - 1]) / (cn * span)
+    step = -p[n] / dp
+    # log-derivative of the weight 1 / (P_(n-1) P_n'), which is as large as
+    # 1 / (1 - |x|) near the ends: the weight is taken at the corrected node,
+    # to first order in the step
+    slope = ((a + b + 2.0) * x - (b - a) + n * (n + a + b + 1.0) * step) / span
+    if n > 1:
+        cm = cn - 2.0
+        slope += ((n - 1) * ((a - b) - cm * x) + 2.0 * (n - 1 + a) * (n - 1 + b)
+                  * p[n - 2] / p[n - 1]) / (cm * span)
+    w = (1.0 - step * slope) / (p[n - 1] * dp)
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        # happens only where an exponent is so close to -1 that the node
+        # next to that end lies within a few roundings of it
+        raise ValueError(f"{n}-node Gauss-Jacobi rule for a={a}, b={b} is not "
+                         "resolved in double precision")
+    log_beta = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+    return 0.5 * (x + step + 1.0), w * (math.exp(log_beta) / w.sum())
 
 
 def sigma_moment(n: int, a_bar: float, b_bar: float, a: float, k: int = 0) -> float:
@@ -44,13 +126,14 @@ def sigma_moment(n: int, a_bar: float, b_bar: float, a: float, k: int = 0) -> fl
     quadrature exactness checks.
     """
     r0_sq = a_bar / b_bar
-    log_beta = gammaln(n / 2.0 + k) + gammaln(a + 1.0) - gammaln(n / 2.0 + k + a + 1.0)
+    log_beta = (math.lgamma(n / 2.0 + k) + math.lgamma(a + 1.0)
+                - math.lgamma(n / 2.0 + k + a + 1.0))
     return float(
         unit_sphere_area(n)
         * 0.5
         * r0_sq ** (n / 2.0 + k)
         * a_bar ** a
-        * np.exp(log_beta)
+        * math.exp(log_beta)
     )
 
 

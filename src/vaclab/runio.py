@@ -17,7 +17,7 @@ Layout of a run directory:
                          correction, grid, evolve, diagnostics, persist),
                          the integration stats, the correction path's
                          steps and whether this run solved it, and the
-                         Python, vaclab, NumPy and SciPy versions
+                         Python, vaclab and NumPy versions
 
 ``run`` enters the path with the seeded state at output 0.  ``resume``
 enters it with the last checkpoint at that checkpoint's output index + 1;
@@ -43,7 +43,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from . import correction
 from .config import RunConfig, load_config
@@ -237,7 +236,7 @@ def _new_telemetry() -> dict:
 
     return {"phases": {},
             "versions": {"python": platform.python_version(), "vaclab": __version__,
-                         "numpy": np.__version__, "scipy": scipy.__version__}}
+                         "numpy": np.__version__}}
 
 
 def _setup(cfg: RunConfig, telemetry: dict | None = None) -> _Setup:
@@ -301,8 +300,10 @@ def run(cfg: RunConfig, stop_after_outputs: int | None = None) -> RunResult:
     t_start = time.time()
     telemetry = _new_telemetry()
     setup = _setup(cfg, telemetry)
-    rng = np.random.default_rng(cfg.rng_seed)
-    w0 = seed_profile(cfg.solver.seed.shape, cfg.solver.seed.amplitude, setup.grid, rng)
+    # only the random shape draws: the others run without loading numpy.random
+    shape = cfg.solver.seed.shape
+    rng = np.random.default_rng(cfg.rng_seed) if shape == "random" else None
+    w0 = seed_profile(shape, cfg.solver.seed.amplitude, setup.grid, rng)
     initial = RadialState(t=0.0, w=w0, w_t=np.zeros_like(w0))
     return _execute(cfg, setup, Path(cfg.outputs.directory), initial, 0, t_start,
                     telemetry, stop_after_outputs)

@@ -361,7 +361,7 @@ def _telemetry(run_dir) -> dict:
     assert set(telemetry["integration"]) == {"steps", "rejected", "rhs_evaluations",
                                              "last_dt", "cap_limited"}
     assert set(telemetry["correction"]) == {"steps", "solved"}
-    assert set(telemetry["versions"]) == {"python", "vaclab", "numpy", "scipy"}
+    assert set(telemetry["versions"]) == {"python", "vaclab", "numpy"}
     return telemetry
 
 
@@ -455,11 +455,60 @@ def test_cli_entrypoint_subprocess():
     assert "[PASS] mass-conservation" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # every evolve and sweep process pays the import of vaclab.cli
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, vaclab.cli; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True)
+_LOADED_SCIPY = ("import sys; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+
+
+@pytest.mark.parametrize("action", [
+    "import",
+    "evolve",
+    "verify-quadrature-exactness",
+    "verify-hardy-ratio",
+    "verify-integrating-factor",
+])
+def test_cli_processes_load_no_scipy(tmp_path, action):
+    # vaclab runs on NumPy alone; SciPy is an oracle of the tests only
+    if action == "evolve":
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_config(tmp_path)))
+        argv = ["evolve", "--config", str(cfg_path)]
+    elif action.startswith("verify-"):
+        argv = ["verify", "--only", action.removeprefix("verify-")]
+    else:
+        argv = None
+    code = "import vaclab.cli"
+    if argv is not None:
+        code += f"; assert vaclab.cli.main({argv!r}) == 0"
+    proc = subprocess.run([sys.executable, "-c", f"{code}; {_LOADED_SCIPY}"],
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_evolve_of_a_deterministic_seed_loads_no_numpy_random(tmp_path):
+    # only the random seed shape draws numbers; the others should not pay
+    # numpy.random's import inside the run
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config(
+        tmp_path, **{"solver.seed": {"shape": "parabolic", "amplitude": 1e-3}})))
+    argv = ["evolve", "--config", str(cfg_path)]
+    code = (f"import sys, vaclab.cli; assert vaclab.cli.main({argv!r}) == 0; "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["selfsim", "--n", "5"], "params.n"),
+    (["selfsim", "--lambda", "1.5"], "params.lambda"),
+    (["selfsim", "--gamma", "1.0"], "params.gamma"),
+    (["ode", "--mass", "0"], "params.mass"),
+    (["ode", "--t-end", "1e9"], "ode.t_end"),
+    (["ode", "--t-end", "0.5"], "ode.t_end"),
+])
+def test_cli_parameter_flags_are_validated_as_config(capsys, argv, needle):
+    # README: exit 2 on a usage or configuration error, naming the field
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and needle in err

@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from vaclab import correction
-from vaclab.correction import (CorrectionPath, CorrectionSolveError, correction_path,
+from vaclab.correction import (CorrectionPath, CorrectionSolveError,
+                               boundary_layer_integral, correction_path,
                                fit_h_envelope,
                                integrating_factor_bound_check,
                                lyapunov_violations, ode_residual, rk4_reference,
@@ -128,10 +129,33 @@ def test_solver_input_validation(params3):
 
 def test_integrating_factor_zero_at_origin():
     # F(0) = 0: the boundary-layer quadrature over an empty interval
+    for lam, k in ((0.0, 2.0), (0.5, 1.0)):
+        assert boundary_layer_integral(lam, k, np.array([0.0])).tolist() == [0.0]
+
+
+@pytest.mark.parametrize("lam,k,t_max", [(0.0, 2.0, 100.0), (0.5, 1.0, 1000.0)])
+def test_boundary_layer_integral_matches_quad(lam, k, t_max):
+    # the integrating-factor check's integrands at its 40 times, against
+    # QUADPACK at the check's 1e-10 relative tolerance
     from scipy.integrate import quad
 
-    value, _ = quad(lambda tau: np.exp(tau - 0.0) * (1 + tau) ** -2.0, 0.0, 0.0)
-    assert value == 0.0
+    times = np.geomspace(1.0, t_max, 40)
+    got = boundary_layer_integral(lam, k, times)
+    for t, value in zip(times, got):
+        def integrand(tau):
+            return math.exp(((1.0 + tau) ** (1.0 - lam) - (1.0 + t) ** (1.0 - lam))
+                            / (1.0 - lam)) * (1.0 + tau) ** (-k)
+
+        lo = max(0.0, t - 45.0 * (1.0 + t) ** lam)
+        ref, _ = quad(integrand, lo, t, epsabs=0.0, epsrel=1e-12, limit=400)
+        assert value == pytest.approx(ref, rel=1e-10)
+
+
+def test_boundary_layer_integral_raises_when_unresolved(monkeypatch):
+    # one panel across 45 e-folds: the 8- and 16-node values disagree
+    monkeypatch.setattr(correction, "_LAYER_PANELS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        boundary_layer_integral(0.0, 2.0, np.array([100.0]))
 
 
 def test_integrating_factor_bound_stability():
