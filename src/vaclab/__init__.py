@@ -17,11 +17,10 @@ from .correction import (CorrectionPath, HEnvelopeFit, ThetaPropertyReport,
                          integrating_factor_bound_check, lyapunov_violations,
                          ode_residual, rk4_reference, solve_correction,
                          verify_theta_properties)
-from .diagnostics import (BoundednessReport, GapSeries, RateReport,
-                          boundedness_report, closed_form_gaps, gap_series,
-                          theorem_rate_report)
-from .energy import (EnergyReport, ModeEnergies, RadialEnergies,
-                     UnsupportedOrderError, energy_indices)
+from .diagnostics import (BoundednessReport, RateReport, boundedness_report,
+                          closed_form_gaps, gap_series, theorem_rate_report)
+from .energy import (ModeEnergies, RadialEnergies, UnsupportedOrderError,
+                     energy_indices)
 from .fitting import DecayFit, FitWindowError, decay_fit
 from .kinematics import (BoxGrid, DeformationDegenerateError, DeformationField,
                          IdentityReport, adjugate_residual, box_grid,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correction import CorrectionPath
-from .energy import EnergyReport, ModeEnergies, energy_indices
+from .energy import ModeEnergies, energy_columns, energy_indices
 from .tables import write_csv
 from .timestepping import IntegrationStats, integrate_fixed_rk4
 from .weighted import WeightedGrid
@@ -207,7 +207,7 @@ class ModeTrajectory:
     curl_norms: np.ndarray
     envelope: np.ndarray
     states: list
-    energies: EnergyReport | None
+    energies: dict[str, np.ndarray] | None   # t, E_m_i_j, E_total
     stats: IntegrationStats
     dt: float
     status: str = "completed"
@@ -302,11 +302,7 @@ def evolve_mode(grid: WeightedGrid, path: CorrectionPath, state,
                 comp[idx].append(evaluator.component(derivs, *idx, t))
 
     result = integrate_fixed_rk4(op.rhs, state.t, y0, times, dt, on_output=on_output)
-    energies = None
-    if evaluator is not None:
-        energies = EnergyReport(times=np.array(times),
-                                components={k: np.array(v) for k, v in comp.items()},
-                                indices=indices)
+    energies = energy_columns(times, comp) if evaluator is not None else None
     return ModeTrajectory(
         mode=state.mode, dimension=grid.params.n, times=np.array(times),
         curl_norms=np.array(curls), envelope=curl_envelope(path, times),

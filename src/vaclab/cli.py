@@ -64,7 +64,7 @@ def cmd_selfsim(args) -> int:
         for frac in fractions:
             r = frac * edge
             dens = float(profile.density_radial(t, r))
-            vel = params.kappa * r / (1.0 + t)
+            vel = float(profile.velocity(t, r))
             rows.append((t, r, dens, vel))
         print(f"t={t:g}: support radius={edge:.8g} "
               f"vacuum gradient={profile.vacuum_gradient(t):.8g} "

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .correction import CorrectionPath
-from .energy import EnergyReport
 from .fitting import DecayFit, decay_fit
 from .params import PhysParams
 from .radial import RadialOperator, RadialTrajectory
@@ -28,23 +27,11 @@ ANCHOR_TOL = 1e-12
 IDENTITY_TOL = 1e-10
 
 
-@dataclass
-class GapSeries:
-    """Sup-over-node gaps against the background, per output time."""
-
-    times: np.ndarray
-    position: np.ndarray
-    density: np.ndarray
-    velocity: np.ndarray
-    sup_w: np.ndarray
-
-    def column(self, name: str) -> np.ndarray:
-        return getattr(self, name)
-
-
 def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
-               params: PhysParams) -> GapSeries:
-    """Gaps |x - xbar|, |rho o x - rhobar o xbar| / rho0, |u o x - ubar o xbar|.
+               params: PhysParams) -> dict[str, np.ndarray]:
+    """The gap columns of series.csv, per output: t, sup |w| and the
+    sup-over-node gaps |x - xbar|, |rho o x - rhobar o xbar| / rho0 and
+    |u o x - ubar o xbar|, named position_gap, density_gap, velocity_gap.
 
     In Lagrangian radial variables:
         position gap  = |h r + theta w|,
@@ -54,24 +41,23 @@ def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
     n = params.n
     op = RadialOperator(trajectory.grid)
     r = trajectory.grid.r
-    times, pos, dens, vel, sup = [], [], [], [], []
+    rows = []
     for state in trajectory.states:
         t = state.t
         h = float(path.h_at(t))
         h_t = float(path.h_t_at(t))
         nu = params.nu(t)
         theta, theta_t = nu + h, params.nu_t(t) + h_t
-        times.append(t)
-        sup.append(float(np.max(np.abs(state.w))))
-        pos.append(float(np.max(np.abs(h * r + theta * state.w))))
         log_j = op.log_jacobian(state.w)
-        dens.append(float(np.max(np.abs(
-            nu ** (-n) * np.expm1(-n * np.log1p(h / nu) - log_j)
-        ))))
-        vel.append(float(np.max(np.abs(h_t * r + theta_t * state.w + theta * state.w_t))))
-    return GapSeries(times=np.array(times), position=np.array(pos),
-                     density=np.array(dens), velocity=np.array(vel),
-                     sup_w=np.array(sup))
+        rows.append((
+            t,
+            float(np.max(np.abs(state.w))),
+            float(np.max(np.abs(h * r + theta * state.w))),
+            float(np.max(np.abs(nu ** (-n) * np.expm1(-n * np.log1p(h / nu) - log_j)))),
+            float(np.max(np.abs(h_t * r + theta_t * state.w + theta * state.w_t))),
+        ))
+    names = ("t", "sup_w") + tuple(f"{name}_gap" for name in GAP_NAMES)
+    return dict(zip(names, np.array(rows).reshape(-1, len(names)).T))
 
 
 def closed_form_gaps(path: CorrectionPath, params: PhysParams, times,
@@ -122,10 +108,11 @@ class RateReport:
         return out
 
 
-def theorem_rate_report(series: GapSeries, path: CorrectionPath, params: PhysParams,
+def theorem_rate_report(series: dict[str, np.ndarray], path: CorrectionPath, params: PhysParams,
                         r_max: float, slack: float = 0.1,
                         window: tuple[float, float] | None = None) -> RateReport:
-    """Fit the three gap series and compare with the decay envelopes.
+    """Fit the three gap columns of ``series`` (named as in
+    :func:`gap_series`) and compare with the decay envelopes.
 
     Anchor runs (perturbation numerically zero): the gaps must match the
     h-driven closed forms to ``IDENTITY_TOL`` relative, and the fitted
@@ -134,12 +121,13 @@ def theorem_rate_report(series: GapSeries, path: CorrectionPath, params: PhysPar
     (position kappa, relative density -n kappa, velocity kappa-1, each
     carrying the same damped correction term) plus ``slack``.
     """
-    t_end = float(series.times[-1])
+    times = series["t"]
+    t_end = float(times[-1])
     if window is None:
         window = (t_end / 100.0, t_end)
     if window[1] < 99.0 * window[0]:
         raise ValueError("rate-fit window must cover at least two decades")
-    anchor = bool(np.max(series.sup_w) <= ANCHOR_TOL)
+    anchor = bool(np.max(series["sup_w"]) <= ANCHOR_TOL)
     lam, kappa, n = params.lam, params.kappa, params.n
     log_corrected = lam == 0.0
 
@@ -158,10 +146,10 @@ def theorem_rate_report(series: GapSeries, path: CorrectionPath, params: PhysPar
 
     identity_err = None
     if anchor:
-        closed = closed_form_gaps(path, params, series.times, r_max)
+        closed = closed_form_gaps(path, params, times, r_max)
         identity_err = 0.0
         for name in GAP_NAMES:
-            measured = series.column(name)
+            measured = series[f"{name}_gap"]
             expected = closed[name]
             scale = np.max(np.abs(expected)) + 1e-300
             identity_err = max(identity_err, float(
@@ -169,7 +157,7 @@ def theorem_rate_report(series: GapSeries, path: CorrectionPath, params: PhysPar
 
     exponents, passes, fits = {}, {}, {}
     for name in GAP_NAMES:
-        fit = decay_fit(series.times, series.column(name), window=window,
+        fit = decay_fit(times, series[f"{name}_gap"], window=window,
                         log_corrected=log_corrected, min_samples=50)
         fits[name] = fit
         exponents[name] = fit.exponent
@@ -210,17 +198,19 @@ class BoundednessReport:
         }
 
 
-def boundedness_report(energies: EnergyReport, threshold: float = 10.0) -> BoundednessReport:
-    """Energy-boundedness ratios; not applicable when E(0) = 0 (anchor)."""
-    total = energies.total
+def boundedness_report(energies: dict[str, np.ndarray],
+                       threshold: float = 10.0) -> BoundednessReport:
+    """Energy-boundedness ratios of the columns t, E_m_i_j..., E_total of
+    energies.csv; not applicable when E(0) = 0 (anchor)."""
+    total = energies["E_total"]
     if total[0] == 0.0:
         return BoundednessReport(applicable=False, threshold=threshold,
                                  total_ratio=None, component_ratios={}, flagged=[])
     ratios = {}
     flagged = []
-    for idx in energies.indices:
-        series = energies.components[idx]
-        name = "E_{}_{}_{}".format(*idx)
+    for name, series in energies.items():
+        if name in ("t", "E_total"):
+            continue
         base = series[0]
         if base <= 0.0:
             ratios[name] = float("nan")

@@ -23,14 +23,12 @@ kept result.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .derivnorms import SUPPORTED_FORMS, radial_form, required_scalars
 from .quadrature import unit_sphere_area
-from .tables import read_csv, write_csv
 from .weighted import WeightedGrid
 
 ENERGY_LEVEL = 2
@@ -52,6 +50,16 @@ def energy_indices(level: int = ENERGY_LEVEL) -> list[tuple[int, int, int]]:
     ]
     top = [(m + 1, i, j) for (m, i, j) in base if m + i + j == level]
     return base + top
+
+
+def energy_columns(times, components: Mapping[tuple[int, int, int], list[float]]
+                   ) -> dict[str, np.ndarray]:
+    """The columns of energies.csv: t, each component E_m_i_j in the order
+    of ``components``, and E_total, their sum."""
+    columns = {"E_{}_{}_{}".format(*idx): np.array(values)
+               for idx, values in components.items()}
+    return {"t": np.array(times), **columns,
+            "E_total": np.sum(list(columns.values()), axis=0)}
 
 
 def time_weight(m: int, t: float, kappa: float) -> float:
@@ -231,37 +239,3 @@ class ModeEnergies:
         t2 = self.spatial_norm(time_derivs[m], 0, j, a)
         t3 = self.spatial_norm(time_derivs[m], 1, j, a + 1.0)
         return time_weight(m, t, p.kappa) * (t1 + t2 + t3)
-
-
-@dataclass
-class EnergyReport:
-    """Sampled energy components over the output times of a run."""
-
-    times: np.ndarray
-    components: dict[tuple[int, int, int], np.ndarray]
-    indices: list[tuple[int, int, int]]
-
-    @property
-    def total(self) -> np.ndarray:
-        return np.sum([self.components[idx] for idx in self.indices], axis=0)
-
-    def columns(self) -> dict[str, np.ndarray]:
-        """The columns of energies.csv: t, each component E_m_i_j, E_total."""
-        return {"t": self.times,
-                **{"E_{}_{}_{}".format(*idx): self.components[idx] for idx in self.indices},
-                "E_total": self.total}
-
-    @classmethod
-    def from_columns(cls, columns: Mapping[str, np.ndarray]) -> EnergyReport:
-        names = list(columns)[1:-1]
-        indices = [tuple(int(v) for v in name.split("_")[1:]) for name in names]
-        return cls(times=columns["t"], indices=indices,
-                   components={idx: columns[name] for idx, name in zip(indices, names)})
-
-    def write_csv(self, path) -> None:
-        columns = self.columns()
-        write_csv(path, columns, zip(*columns.values()))
-
-
-def read_energy_csv(path) -> EnergyReport:
-    return EnergyReport.from_columns(read_csv(path))

@@ -165,23 +165,18 @@ class SelfSimilarProfile:
         Positions outside the closed support ball are an error; callers
         must clamp or test membership first.
         """
-        p = self.params
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        radius = np.linalg.norm(x, axis=-1)
-        nu = float(p.nu(t))
-        edge = nu * p.R0
-        if np.any(radius > edge * (1.0 + 1e-12)):
+        radius = np.linalg.norm(np.atleast_2d(np.asarray(x, dtype=float)), axis=-1)
+        if np.any(radius > self.support_radius(t) * (1.0 + 1e-12)):
             raise ValueError("position outside the support of the profile")
-        # written against the support radius so the density vanishes exactly
-        # on the boundary (sqrt(A/B) rounding would otherwise leave +-1 ulp)
-        base = p.B_bar * np.maximum(edge ** 2 - radius ** 2, 0.0) / nu ** 2
-        return nu ** (-p.n) * base ** p.iota
+        return self.density_radial(t, radius)
 
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.params.kappa * x / (1.0 + t)
 
     def density_radial(self, t: float, r) -> np.ndarray:
+        # written against the support radius so the density vanishes exactly
+        # on the boundary (sqrt(A/B) rounding would otherwise leave +-1 ulp)
         p = self.params
         nu = float(p.nu(t))
         edge = nu * p.R0

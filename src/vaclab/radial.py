@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import SEED_SHAPES, STEPPERS
 from .correction import CorrectionPath
-from .energy import EnergyReport, RadialEnergies, energy_indices
+from .energy import RadialEnergies, energy_columns, energy_indices
 from .kinematics import apply_d, box_grid, build_deformation, radial_vector_field
 from .quadrature import resample_matrix
 from .timestepping import (IntegrationStats, StepSizeUnderflow,
@@ -275,7 +275,7 @@ class RadialTrajectory:
     grid: WeightedGrid
     times: np.ndarray
     states: list[RadialState]
-    energies: EnergyReport | None
+    energies: dict[str, np.ndarray] | None   # the columns of energies.csv
     reconstructions: list[Reconstruction]
     stats: IntegrationStats
     status: str = "completed"
@@ -392,11 +392,7 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
     evaluated = len(comp[indices[0]])
     energies = None
     if evaluator is not None and evaluated:
-        energies = EnergyReport(
-            times=times[:evaluated],
-            components={idx: np.array(vals) for idx, vals in comp.items()},
-            indices=indices,
-        )
+        energies = energy_columns(times[:evaluated], comp)
     return RadialTrajectory(
         grid=grid, times=times, states=states, energies=energies,
         reconstructions=recons, stats=stats, status=status, failure=failure,

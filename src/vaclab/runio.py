@@ -24,8 +24,13 @@ enters it with the last checkpoint at that checkpoint's output index + 1;
 it rewrites the three per-output tables with the persisted rows up to the
 checkpoint in front of the new ones, adds the new checkpoints, and
 rewrites the three reports, which cover the whole run.  ``refit``
-recomputes the three reports from the persisted series and energies, by
-the same function.
+recomputes the three reports by the same function.
+
+The columns of series.csv and energies.csv, keyed by their header names,
+are the only in-memory form of the two tables: ``gap_series`` and
+``evolve`` produce them, ``_persist`` writes them, and the reports read
+them, the columns just written in ``run`` and ``resume`` and the columns
+read back in ``refit``.
 
 Numbers are written with repr-faithful formatting, so identical configs
 and seeds reproduce bit-identical CSV files.
@@ -47,9 +52,7 @@ import numpy as np
 from . import correction
 from .config import RunConfig, load_config
 from .correction import CorrectionPath
-from .diagnostics import (GapSeries, boundedness_report, gap_series,
-                          theorem_rate_report)
-from .energy import EnergyReport
+from .diagnostics import boundedness_report, gap_series, theorem_rate_report
 from .params import PhysParams, derive_constants
 from .radial import (RadialOperator, RadialState, RadialTrajectory, evolve,
                      output_schedule, reconstructed_mass, seed_profile)
@@ -57,12 +60,6 @@ from .tables import read_csv, write_csv
 from .weighted import WeightedGrid
 
 logger = logging.getLogger(__name__)
-
-# series.csv column -> GapSeries field; boundary_radius and mass_rel_err follow
-SERIES_COLUMNS = {"t": "times", "sup_w": "sup_w", "position_gap": "position",
-                  "density_gap": "density", "velocity_gap": "velocity"}
-read_series_csv = read_csv
-
 
 @dataclass
 class RunResult:
@@ -95,10 +92,11 @@ def _read_state(path: Path) -> tuple[RadialState, int]:
                        w_t=np.array(data["w_t"])), int(data["output_index"])
 
 
-def _series_columns(trajectory: RadialTrajectory, series: GapSeries,
+def _series_columns(trajectory: RadialTrajectory, series: dict[str, np.ndarray],
                     setup: _Setup) -> dict[str, np.ndarray]:
-    """series.csv columns of a trajectory; a state without a reconstruction
-    gets NaN boundary radius and mass error."""
+    """series.csv columns of a trajectory: its gap series, then the boundary
+    radius and mass error, which are NaN for a state without a
+    reconstruction."""
     params, path, grid = setup
     op = RadialOperator(grid, path)
     boundary, mass_err = [], []
@@ -108,42 +106,34 @@ def _series_columns(trajectory: RadialTrajectory, series: GapSeries,
         boundary.append(recon.boundary_radius if recon else float("nan"))
         mass_err.append(abs(reconstructed_mass(op, recon) - params.mass) / params.mass
                         if recon else float("nan"))
-    columns = {name: getattr(series, field) for name, field in SERIES_COLUMNS.items()}
-    columns["boundary_radius"] = np.array(boundary)
-    columns["mass_rel_err"] = np.array(mass_err)
-    return columns
-
-
-def _whole_run(tables: dict) -> tuple[GapSeries, EnergyReport | None]:
-    """Gap series and energies from the columns of series.csv and energies.csv."""
-    series = GapSeries(**{field: tables["series.csv"][name]
-                          for name, field in SERIES_COLUMNS.items()})
-    energies = tables.get("energies.csv")
-    return series, EnergyReport.from_columns(energies) if energies is not None else None
+    return {**series, "boundary_radius": np.array(boundary),
+            "mass_rel_err": np.array(mass_err)}
 
 
 RATE_GATE_HORIZON = 5e3   # below this, tail fits are pre-asymptotic
 
 
 def _evaluate_assertions(cfg: RunConfig, setup: _Setup, status: str, failure: dict | None,
-                         series: GapSeries, energies: EnergyReport | None) -> dict:
-    """Checks, rate report and boundedness report over a whole run."""
+                         tables: dict) -> dict:
+    """Checks, rate report and boundedness report over a whole run, from
+    the columns of its series.csv and energies.csv in ``tables``."""
     params, path, grid = setup
+    series, energies = tables["series.csv"], tables.get("energies.csv")
     report: dict = {"status": status}
     checks: dict[str, bool] = {"completed": status == "completed"}
     if failure:
         report["failure"] = failure
 
     anchor = cfg.solver.seed.amplitude == 0.0
-    if anchor and len(series.times):
-        sup = float(np.max(series.sup_w))
+    if anchor and len(series["t"]):
+        sup = float(np.max(series["sup_w"]))
         report["preservation_sup"] = sup
         checks["preservation"] = sup <= cfg.acceptance.preservation_tol
 
     # reported when the series supports a two-decade tail fit; gating is
     # a separate decision
     rates = None
-    if status == "completed" and len(series.times) >= 8:
+    if status == "completed" and len(series["t"]) >= 8:
         try:
             rates = theorem_rate_report(series, path, params, r_max=float(grid.r.max()),
                                         slack=cfg.acceptance.exponent_slack)
@@ -186,7 +176,7 @@ def _with_prefix(file: Path, columns: dict | None, t_resume: float) -> dict | No
 
 
 def _persist(run_dir: Path, cfg: RunConfig, setup: _Setup, trajectory: RadialTrajectory,
-             series: GapSeries, offset: int, t_resume: float) -> dict:
+             series: dict[str, np.ndarray], offset: int, t_resume: float) -> dict:
     """Write the configuration, correction path, checkpoints and per-output
     tables; output k of the trajectory has the global index offset + k.  A
     resumed run (offset > 0) keeps the persisted table rows up to its
@@ -204,7 +194,7 @@ def _persist(run_dir: Path, cfg: RunConfig, setup: _Setup, trajectory: RadialTra
     grid = setup.grid
     tables = {
         "series.csv": _series_columns(trajectory, series, setup),
-        "energies.csv": trajectory.energies.columns() if trajectory.energies else None,
+        "energies.csv": trajectory.energies,
         "reconstructions.csv": dict(zip(
             ("t", "y", "x", "density", "velocity"),
             np.hstack([np.vstack([np.full(grid.num_nodes, rec.t), grid.r, rec.radii,
@@ -281,7 +271,7 @@ def _execute(cfg: RunConfig, setup: _Setup, run_dir: Path, initial: RadialState,
         tables = _persist(run_dir, cfg, setup, trajectory, series, offset, initial.t)
     with _phase(telemetry, "diagnostics"):
         report = _evaluate_assertions(cfg, setup, trajectory.status, trajectory.failure,
-                                      *_whole_run(tables))
+                                      tables)
     telemetry["integration"] = dataclasses.asdict(trajectory.stats)
     report["telemetry"] = telemetry
     report["wall_seconds"] = time.time() - t_start
@@ -340,6 +330,6 @@ def refit(run_dir) -> dict:
     tables = {name: read_csv(run_dir / name) for name in ("series.csv", "energies.csv")
               if (run_dir / name).exists()}
     report.update(_evaluate_assertions(cfg, _setup(cfg), report["status"],
-                                       report.get("failure"), *_whole_run(tables)))
+                                       report.get("failure"), tables))
     _write_reports(run_dir, report)
     return report

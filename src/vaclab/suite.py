@@ -97,14 +97,14 @@ def _check_hardy(seed, fault):
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
     worst_drift = 0.0
+    grids = {nn: WeightedGrid(p, nn) for nn in (48, 96)}
     for k in (p.iota - 0.5, p.iota, p.iota + 1.0):
         if k <= -1.0:
             continue
         for trial in range(6):
             coeffs = rng.standard_normal(4)
-            grids = {}
-            for nn in (48, 96):
-                g = WeightedGrid(p, nn)
+            ratios = {}
+            for nn, g in grids.items():
                 if trial < 3:
                     f = (p.R0 - g.r) ** (trial + 1)
                     df = -(trial + 1) * (p.R0 - g.r) ** trial
@@ -112,9 +112,9 @@ def _check_hardy(seed, fault):
                     f = sum(c * g.s ** j for j, c in enumerate(coeffs))
                     df = sum(c * j * g.s ** (j - 1) for j, c in enumerate(coeffs)
                              if j > 0) * 2.0 * g.r / p.R0 ** 2
-                grids[nn] = hardy_check(g, f, df, k)
-            worst_ratio = max(worst_ratio, grids[48])
-            drift = abs(grids[48] - grids[96]) / max(abs(grids[96]), 1e-300)
+                ratios[nn] = hardy_check(g, f, df, k)
+            worst_ratio = max(worst_ratio, ratios[48])
+            drift = abs(ratios[48] - ratios[96]) / max(abs(ratios[96]), 1e-300)
             worst_drift = max(worst_drift, drift)
     passed = np.isfinite(worst_ratio) and worst_drift <= 0.02
     return passed, {"max_ratio": worst_ratio, "refinement_drift": worst_drift}

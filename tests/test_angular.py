@@ -96,7 +96,7 @@ def test_planar_force_has_the_closed_form_spectrum(lam, gamma, mode):
 def test_mode_energies_bounded(setup2, mode):
     _, path, g = setup2
     traj = evolve_mode(g, path, default_planar_state(g, mode), 20.0)
-    total = traj.energies.total
+    total = traj.energies["E_total"]
     assert np.all(total >= 0.0)
     assert np.max(total) / total[0] <= 10.0
 

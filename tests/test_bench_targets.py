@@ -1,12 +1,18 @@
 """The benchmark wraps functions of vaclab by name; each must exist, and the
 set-up boundary must be crossed where the benchmark expects it."""
 import ast
+import functools
 import importlib
+import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import vaclab
 from vaclab import correction, radial
+from vaclab.cli import main
 from vaclab.config import parse_config
 from vaclab.params import derive_constants
 from vaclab.timestepping import IntegrationStats, integrate_adaptive, integrate_fixed_rk4
@@ -15,6 +21,8 @@ from vaclab.weighted import WeightedGrid
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
 WORKLOADS = BENCH / "workloads.py"
+RUN = BENCH / "run.py"
+INTEGRATORS = ("timestepping.integrate_adaptive", "timestepping.integrate_fixed_rk4")
 
 
 def _targets():
@@ -131,3 +139,90 @@ def test_a_short_run_crosses_every_traced_boundary(monkeypatch):
     for result in (integrate_adaptive(lambda t, y: -y, 0.0, [1.0], [1.0]),
                    integrate_fixed_rk4(lambda t, y: -y, 0.0, [1.0], [1.0], 0.25)):
         assert isinstance(result.stats, IntegrationStats) and result.stats.steps > 0
+
+
+def _required():
+    """REQUIRED of bench/run.py, read from its source without running it: a
+    dict literal, then entries that extend another entry by a tuple."""
+    required = {}
+    for node in ast.parse(RUN.read_text()).body:
+        if not isinstance(node, ast.Assign):
+            continue
+        target = node.targets[0]
+        if getattr(target, "id", None) == "REQUIRED":
+            required = ast.literal_eval(node.value)
+        elif getattr(getattr(target, "value", None), "id", None) == "REQUIRED":
+            # REQUIRED["name"] = REQUIRED["other"] + (...)
+            base = required[ast.literal_eval(node.value.left.slice)]
+            required[ast.literal_eval(target.slice)] = base + ast.literal_eval(node.value.right)
+    assert set(required) == {"anchor", "sweep", "verify"}, "REQUIRED not found in bench/run.py"
+    return required
+
+
+def _record_crossings(monkeypatch) -> set:
+    """Wrap every trace target where bench/tracer.py wraps it, and each
+    integrator's ``on_output`` keyword; returns the names crossed so far."""
+    crossed = set()
+
+    def wrap(name, fn):
+        @functools.wraps(fn)
+        def crossing(*args, **kwargs):
+            crossed.add(name)
+            on_output = kwargs.get("on_output")
+            if name in INTEGRATORS and on_output is not None:
+                def outputting(*output):
+                    crossed.add("timestepping.on_output")
+                    return on_output(*output)
+
+                kwargs["on_output"] = outputting
+            return fn(*args, **kwargs)
+
+        return crossing
+
+    for name, module, attribute, _record in _targets():
+        loaded = importlib.import_module(module)
+        owner_name, _, method = attribute.rpartition(".")
+        if owner_name:
+            owner = getattr(loaded, owner_name)
+            monkeypatch.setattr(owner, method, wrap(name, vars(owner)[method]))
+            continue
+        original = getattr(loaded, method)
+        wrapped = wrap(name, original)
+        for module_name, held in list(sys.modules.items()):
+            if module_name == "vaclab" or module_name.startswith("vaclab."):
+                for key, value in list(vars(held).items()):
+                    if value is original:
+                        monkeypatch.setattr(held, key, wrapped)
+    return crossed
+
+
+def _bench_workloads(monkeypatch):
+    """WORKLOADS of bench/workloads.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # its dataclass looks itself up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def test_scaled_down_workloads_cross_every_required_boundary(tmp_path, monkeypatch):
+    # the workloads' own CLI calls, with the anchor's and the sweep's grids
+    # and horizons shrunk; a refactor that stops crossing a boundary the
+    # traced benchmark requires fails here, not only under the benchmark
+    assert vaclab.__file__   # every module is loaded, as in a benchmark repetition
+    required = _required()
+    for name, workload in _bench_workloads(monkeypatch).items():
+        rep_dir = tmp_path / name
+        rep_dir.mkdir()
+        argv = workload.cli_argv(rep_dir, 7)
+        if "--config" in argv:
+            config_path = Path(argv[argv.index("--config") + 1])
+            config = json.loads(config_path.read_text())
+            config["solver"].update(num_nodes=16, t_end=20.0)
+            config_path.write_text(json.dumps(config))
+        correction._memoized_path.cache_clear()   # each workload solves its paths
+        with monkeypatch.context() as patch:
+            crossed = _record_crossings(patch)
+            assert main(argv) == 0, name
+        missing = [b for b in required[name] if b not in crossed]
+        assert not missing, f"{name}: {missing}"

@@ -10,8 +10,9 @@ import pytest
 
 from vaclab.cli import main
 from vaclab.config import ConfigError, RunConfig, load_config, parse_config
-from vaclab.runio import _read_state, read_series_csv, refit, resume, run
+from vaclab.runio import _read_state, refit, resume, run
 from vaclab.suite import verify
+from vaclab.tables import read_csv
 
 
 def base_config(tmp_path, **overrides) -> dict:
@@ -120,7 +121,7 @@ def test_perturbed_run_writes_reports(tmp_path):
     bounded = json.loads((d / "boundedness.json").read_text())
     assert set(rates["exponents"]) == {"position", "density", "velocity"}
     assert bounded["applicable"] and bounded["total_ratio"] <= 10.0
-    series = read_series_csv(d / "series.csv")
+    series = read_csv(d / "series.csv")
     assert np.all(np.isfinite(series["mass_rel_err"]))
     assert np.max(series["mass_rel_err"]) <= 1e-8
 
@@ -166,12 +167,12 @@ def test_resume_matches_uninterrupted(tmp_path):
     scale = np.max(np.abs(w_full.w))
     assert np.max(np.abs(w_full.w - w_part.w)) <= 1e-8 * scale
     # merged series covers the full schedule exactly once
-    s_full = read_series_csv(tmp_path / "full" / "series.csv")
-    s_part = read_series_csv(tmp_path / "part" / "series.csv")
+    s_full = read_csv(tmp_path / "full" / "series.csv")
+    s_part = read_csv(tmp_path / "part" / "series.csv")
     np.testing.assert_allclose(s_part["t"], s_full["t"], rtol=0, atol=0)
 
 
-def test_resume_reports_against_the_whole_run(tmp_path):
+def test_resume_reports_against_the_full_run(tmp_path):
     seed = {"shape": "parabolic", "amplitude": 1e-3}
     full, part = tmp_path / "full", tmp_path / "part"
     run(parse_config(base_config(tmp_path, **{"outputs.directory": str(full),
@@ -193,7 +194,7 @@ def test_resume_reports_against_the_whole_run(tmp_path):
     assert bounded_part["total_ratio"] == pytest.approx(bounded_full["total_ratio"], rel=1e-5)
     assert bounded_part["component_ratios"] == pytest.approx(
         bounded_full["component_ratios"], rel=1e-5, nan_ok=True)
-    recon_times = {d: set(read_series_csv(d / "reconstructions.csv")["t"])
+    recon_times = {d: set(read_csv(d / "reconstructions.csv")["t"])
                    for d in (full, part)}
     assert recon_times[full] <= recon_times[part]
     # refit computes the same reports from the persisted tables
@@ -227,11 +228,12 @@ def test_refit_reproduces_reports(tmp_path):
     cfg = parse_config(base_config(
         tmp_path, **{"solver.seed": {"shape": "parabolic", "amplitude": 1e-3}}))
     result = run(cfg)
-    before = json.loads((result.directory / "rates.json").read_text())
+    names = ("rates.json", "boundedness.json")
+    before = {name: (result.directory / name).read_bytes() for name in names}
     out = refit(result.directory)
-    assert out["rates"]["exponents"] == pytest.approx(before["exponents"])
-    assert out["boundedness"]["total_ratio"] == pytest.approx(
-        json.loads((result.directory / "boundedness.json").read_text())["total_ratio"])
+    assert out["rates"]["exponents"] and out["boundedness"]["applicable"]
+    for name in names:
+        assert (result.directory / name).read_bytes() == before[name], name
 
 
 SWEEP_GRID = ([0.0, 0.3, 0.7], [1.5, 2.0], [0.0, 1e-3])
@@ -341,7 +343,7 @@ def test_run_whose_seed_breaks_the_invariant_keeps_its_artifacts(tmp_path):
     d = result.directory
     report = json.loads((d / "run_report.json").read_text())
     assert report["status"] == "failed" and not report["ok"]
-    series = read_series_csv(d / "series.csv")
+    series = read_csv(d / "series.csv")
     assert series["t"][0] == 0.0
     assert np.isnan(series["density_gap"][0])
 

@@ -5,9 +5,11 @@ import pytest
 from vaclab.correction import solve_correction
 from vaclab.diagnostics import (boundedness_report, closed_form_gaps, gap_series,
                                 theorem_rate_report)
+from vaclab.energy import energy_indices
 from vaclab.fitting import FitWindowError, decay_fit
 from vaclab.params import derive_constants
 from vaclab.radial import RadialState, evolve, seed_profile
+from vaclab.tables import read_csv, write_csv
 from vaclab.weighted import WeightedGrid
 
 
@@ -63,9 +65,9 @@ def anchor_setup():
 def test_anchor_gaps_match_closed_forms(anchor_setup):
     p, path, g, traj = anchor_setup
     series = gap_series(traj, path, p)
-    closed = closed_form_gaps(path, p, series.times, float(g.r.max()))
+    closed = closed_form_gaps(path, p, series["t"], float(g.r.max()))
     for name in ("position", "density", "velocity"):
-        measured = series.column(name)
+        measured = series[f"{name}_gap"]
         scale = np.max(np.abs(closed[name]))
         assert np.max(np.abs(measured - closed[name])) <= 1e-10 * scale
 
@@ -108,7 +110,7 @@ def test_boundedness_for_perturbed_run(anchor_setup):
     assert rep.total_ratio <= 10.0
     assert not rep.flagged
     assert rep.ok
-    assert len(rep.component_ratios) == len(traj.energies.indices)
+    assert len(rep.component_ratios) == len(energy_indices())
 
 
 def test_energy_csv_roundtrip(tmp_path, anchor_setup):
@@ -117,9 +119,7 @@ def test_energy_csv_roundtrip(tmp_path, anchor_setup):
     traj = evolve(g, path, RadialState(0.0, w0, np.zeros_like(w0)), 10.0,
                   output_times=np.linspace(0.0, 10.0, 6))
     out = tmp_path / "energies.csv"
-    traj.energies.write_csv(out)
-    from vaclab.energy import read_energy_csv
-
-    back = read_energy_csv(out)
-    assert back.indices == traj.energies.indices
-    np.testing.assert_allclose(back.total, traj.energies.total, rtol=1e-15)
+    write_csv(out, traj.energies, zip(*traj.energies.values()))
+    back = read_csv(out)
+    assert list(back) == list(traj.energies)
+    np.testing.assert_allclose(back["E_total"], traj.energies["E_total"], rtol=1e-15)

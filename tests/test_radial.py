@@ -370,11 +370,11 @@ def test_state_that_fails_at_an_output_is_kept_and_reported():
     assert traj.status == "failed" and traj.failure["time"] == pytest.approx(0.1)
     assert [s.t for s in traj.states] == pytest.approx([0.0, 0.1])
     assert len(traj.reconstructions) == 1
-    assert traj.energies.times.tolist() == [0.0]
+    assert traj.energies["t"].tolist() == [0.0]
     with np.errstate(invalid="ignore"):
         series = gap_series(traj, path, p)
-    assert np.isfinite(series.density[0]) and np.isnan(series.density[1])
-    assert np.all(np.isfinite(series.position))
+    assert np.isfinite(series["density_gap"][0]) and np.isnan(series["density_gap"][1])
+    assert np.all(np.isfinite(series["position_gap"]))
 
 
 def test_rhs_makes_one_dense_evaluation_per_time(setup, monkeypatch):

@@ -95,6 +95,25 @@ def test_hardy_family_bounded(setup3):
     assert worst < 1e3
 
 
+def test_hardy_check_of_verify_builds_its_two_grids_once(monkeypatch):
+    # 2 grids of 48 and 96 nodes: their base rules and 6 sigma^k rules each
+    from vaclab import suite, weighted
+
+    builds = []
+    build = weighted.jacobi_rule_01
+
+    def counting(num_nodes, *exponents):
+        builds.append(num_nodes)
+        return build(num_nodes, *exponents)
+
+    monkeypatch.setattr(weighted, "jacobi_rule_01", counting)
+    passed, details = suite._check_hardy(0, None)
+    assert passed
+    assert details == {"max_ratio": 192.5864639337569,
+                       "refinement_drift": 7.390391769092034e-06}
+    assert len(builds) <= 14
+
+
 def test_energy_zero_field(setup3):
     _, g = setup3
     en = RadialEnergies(g)
