@@ -108,8 +108,8 @@ class RateReport:
         return out
 
 
-def theorem_rate_report(series: dict[str, np.ndarray], path: CorrectionPath, params: PhysParams,
-                        r_max: float, slack: float = 0.1,
+def theorem_rate_report(series: dict[str, np.ndarray], path: CorrectionPath,
+                        params: PhysParams, r_max: float, slack: float = 0.1,
                         window: tuple[float, float] | None = None) -> RateReport:
     """Fit the three gap columns of ``series`` (named as in
     :func:`gap_series`) and compare with the decay envelopes.

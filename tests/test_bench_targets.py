@@ -1,5 +1,6 @@
-"""The benchmark wraps functions of vaclab by name; each must exist, and the
-set-up boundary must be crossed where the benchmark expects it."""
+"""The benchmark wraps functions of vaclab by name; each must exist, the
+set-up boundary must be crossed where the benchmark expects it, and each
+workload must cross every boundary its traced run requires."""
 import ast
 import functools
 import importlib
@@ -10,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 
-import vaclab
 from vaclab import correction, radial
 from vaclab.cli import main
 from vaclab.config import parse_config
@@ -22,20 +22,20 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 TRACER = BENCH / "tracer.py"
 WORKLOADS = BENCH / "workloads.py"
 RUN = BENCH / "run.py"
-INTEGRATORS = ("timestepping.integrate_adaptive", "timestepping.integrate_fixed_rk4")
 
 
-def _targets():
-    """TARGETS of bench/tracer.py, read from its source without running it."""
+def _tracer_literal(name):
+    """A literal of bench/tracer.py (TARGETS, INTEGRATORS), read from its
+    source without running it."""
     for node in ast.parse(TRACER.read_text()).body:
         if isinstance(node, ast.Assign) and any(
-                getattr(t, "id", None) == "TARGETS" for t in node.targets):
+                getattr(t, "id", None) == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError("TARGETS not found in bench/tracer.py")
+    raise AssertionError(f"{name} not found in bench/tracer.py")
 
 
 def test_every_trace_target_resolves():
-    targets = _targets()
+    targets = _tracer_literal("TARGETS")
     assert targets
     missing = []
     for name, module, attribute, _record in targets:
@@ -163,13 +163,14 @@ def _record_crossings(monkeypatch) -> set:
     """Wrap every trace target where bench/tracer.py wraps it, and each
     integrator's ``on_output`` keyword; returns the names crossed so far."""
     crossed = set()
+    integrators = _tracer_literal("INTEGRATORS")
 
     def wrap(name, fn):
         @functools.wraps(fn)
         def crossing(*args, **kwargs):
             crossed.add(name)
             on_output = kwargs.get("on_output")
-            if name in INTEGRATORS and on_output is not None:
+            if name in integrators and on_output is not None:
                 def outputting(*output):
                     crossed.add("timestepping.on_output")
                     return on_output(*output)
@@ -179,7 +180,7 @@ def _record_crossings(monkeypatch) -> set:
 
         return crossing
 
-    for name, module, attribute, _record in _targets():
+    for name, module, attribute, _record in _tracer_literal("TARGETS"):
         loaded = importlib.import_module(module)
         owner_name, _, method = attribute.rpartition(".")
         if owner_name:
@@ -209,7 +210,6 @@ def test_scaled_down_workloads_cross_every_required_boundary(tmp_path, monkeypat
     # the workloads' own CLI calls, with the anchor's and the sweep's grids
     # and horizons shrunk; a refactor that stops crossing a boundary the
     # traced benchmark requires fails here, not only under the benchmark
-    assert vaclab.__file__   # every module is loaded, as in a benchmark repetition
     required = _required()
     for name, workload in _bench_workloads(monkeypatch).items():
         rep_dir = tmp_path / name

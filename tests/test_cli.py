@@ -124,6 +124,14 @@ def test_perturbed_run_writes_reports(tmp_path):
     series = read_csv(d / "series.csv")
     assert np.all(np.isfinite(series["mass_rel_err"]))
     assert np.max(series["mass_rel_err"]) <= 1e-8
+    # the header names are the in-memory keys, and bench/checks.py reads them
+    headers = {name: (d / name).read_text().splitlines()[0]
+               for name in ("series.csv", "energies.csv")}
+    assert headers["series.csv"] == (
+        "t,sup_w,position_gap,density_gap,velocity_gap,boundary_radius,mass_rel_err")
+    assert headers["energies.csv"] == (
+        "t,E_0_0_0,E_0_0_1,E_0_1_0,E_1_0_0,E_0_0_2,E_0_1_1,E_0_2_0,E_1_0_1,E_1_1_0,"
+        "E_2_0_0,E_1_0_2,E_1_1_1,E_1_2_0,E_2_0_1,E_2_1_0,E_3_0_0,E_total")
 
 
 def test_malformed_config_exits_2_without_run_dir(tmp_path):
