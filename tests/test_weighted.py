@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaclab import suite, weighted
 from vaclab.derivnorms import SUPPORTED_FORMS, radial_form, required_scalars
 from vaclab.energy import RadialEnergies, UnsupportedOrderError, energy_indices
 from vaclab.params import derive_constants
@@ -97,8 +98,6 @@ def test_hardy_family_bounded(setup3):
 
 def test_hardy_check_of_verify_builds_its_two_grids_once(monkeypatch):
     # 2 grids of 48 and 96 nodes: their base rules and 6 sigma^k rules each
-    from vaclab import suite, weighted
-
     builds = []
     build = weighted.jacobi_rule_01
 
