@@ -17,7 +17,7 @@ import numpy as np
 from .correction import CorrectionPath
 from .fitting import DecayFit, decay_fit
 from .params import PhysParams
-from .radial import RadialOperator, RadialTrajectory
+from .radial import RadialTrajectory, deformation
 
 GAP_NAMES = ("position", "density", "velocity")
 
@@ -39,7 +39,6 @@ def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
         velocity gap  = |h_t r + theta_t w + theta w_t|.
     """
     n = params.n
-    op = RadialOperator(trajectory.grid)
     r = trajectory.grid.r
     rows = []
     for state in trajectory.states:
@@ -48,7 +47,8 @@ def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
         h_t = float(path.h_t_at(t))
         nu = params.nu(t)
         theta, theta_t = nu + h, params.nu_t(t) + h_t
-        log_j = op.log_jacobian(state.w)
+        _, _, _, _, log_x, log_y = deformation(trajectory.grid, state.w, check=False)
+        log_j = log_x + (n - 1.0) * log_y
         rows.append((
             t,
             float(np.max(np.abs(state.w))),

@@ -57,6 +57,22 @@ class RadialState:
     w_t: np.ndarray
 
 
+def deformation(grid: WeightedGrid, w: np.ndarray, t: float | None = None,
+                check: bool = True):
+    """(p, p_s, X, Y, log X, log Y) of a radial field w = r p(s): its strain
+    p = w/r and p_s, the deformation factors X = 1 + w_r and Y = 1 + w/r
+    (J = X Y^(n-1)) and their logarithms.  ``check`` raises at the first node
+    where X, else Y, is not positive; without it the logarithms read NaN there."""
+    p, p_s, u = grid.radial_strain(w)
+    x = 1.0 + u
+    # 1 + p <= 0 exactly when p <= -1 (1 + p is exact for p near -1)
+    if check and (x.min() <= 0.0 or p.min() <= -1.0):
+        failed_x = x <= 0.0
+        factor, failed = ("1 + w_r", failed_x) if failed_x.any() else ("1 + w/r", p <= -1.0)
+        raise RadialInvariantError(np.nan if t is None else t, int(np.argmax(failed)), factor)
+    return p, p_s, x, 1.0 + p, np.log1p(u), np.log1p(p)
+
+
 class RadialOperator:
     """Discrete radial pressure operator and its directional derivatives."""
 
@@ -85,40 +101,14 @@ class RadialOperator:
         # nodal values of w/r -> its interpolant at the boundary s = 1
         self._edge = resample_matrix(grid.s, np.array([1.0]), grid._bary)
 
-    # -- pointwise deformation factors ------------------------------------
-    def _factors(self, w, t=None):
-        pvals, dp, u = self.grid.radial_strain(w)
-        x = 1.0 + u          # 1 + w_r
-        y = 1.0 + pvals      # 1 + w/r
-        if np.any(x <= 0.0) or np.any(y <= 0.0):
-            bad_x = np.where(x <= 0.0)[0]
-            node = int(bad_x[0]) if bad_x.size else int(np.where(y <= 0.0)[0][0])
-            factor = "1 + w_r" if bad_x.size else "1 + w/r"
-            raise RadialInvariantError(np.nan if t is None else t, node, factor)
-        return pvals, dp, u, x, y
-
     def pressure(self, w: np.ndarray, t: float | None = None) -> np.ndarray:
         """N(w): sigma^(-iota)-scaled radial pressure divergence (odd field)."""
-        pvals, dp, u = self.grid.radial_strain(w)
-        x = 1.0 + u
-        # 1 + p <= 0 exactly when p <= -1 (1 + p is exact for p near -1)
-        if x.min() <= 0.0 or pvals.min() <= -1.0:
-            self._factors(w, t)   # raises, naming the first failing node
-        la, lb = np.log1p(u), np.log1p(pvals)
+        _, dp, x, _, la, lb = deformation(self.grid, w, t)
         alpha = np.expm1(self._p1 * la + self._q1 * lb)
         one_plus_beta = np.exp(self._p2 * la + self._q2 * lb)
         # (alpha - beta)/r = -(1+beta) * (2r/R0^2) p'(s) / X, exactly
         return (self._alpha_coef * alpha + self._alpha_slope_coef * (self.grid.d_s @ alpha)
                 + self._tangential_coef * one_plus_beta * dp / x)
-
-    def log_jacobian(self, w: np.ndarray) -> np.ndarray:
-        """log J = log(1 + w_r) + (n-1) log(1 + w/r) of the deformation.
-
-        Unlike the dynamics this does not check the invariant: where the
-        deformation is not invertible log J is NaN, so the last state of a
-        failed trajectory can still be reported."""
-        pvals, _, u = self.grid.radial_strain(w)
-        return np.log1p(u) + (self.params.n - 1.0) * np.log1p(pvals)
 
     def stiffness(self, w: np.ndarray, t: float | None = None) -> np.ndarray:
         """K(w) = kappa w + N(w)."""
@@ -127,8 +117,7 @@ class RadialOperator:
     def _prologue(self, w):
         """The w-dependent factors of K' and K'' at w: the strain slope
         p'(s), X, Y, 1 + alpha, 1 + beta and the slope p'(s)/X."""
-        pvals, dp, u, x, y = self._factors(w)
-        la, lb = np.log1p(u), np.log1p(pvals)
+        _, dp, x, y, la, lb = deformation(self.grid, w)
         one_plus_alpha = np.exp(self._p1 * la + self._q1 * lb)
         one_plus_beta = np.exp(self._p2 * la + self._q2 * lb)
         return dp, x, y, one_plus_alpha, one_plus_beta, dp / x
@@ -303,7 +292,7 @@ def reconstruct_physical(operator: RadialOperator, state: RadialState) -> Recons
     p = operator.params
     th = float(path.theta_at(state.t))
     th_t = float(path.theta_t_at(state.t))
-    pvals, _, _, x_fac, y_fac = operator._factors(state.w, state.t)
+    pvals, _, x_fac, y_fac, _, _ = deformation(g, state.w, state.t)
     jac = x_fac * y_fac ** (p.n - 1.0)
     density = p.rho0(g.r) / jac * th ** (-p.n)
     radii = th * (g.r + state.w)
@@ -321,7 +310,7 @@ def reconstructed_mass(operator: RadialOperator, recon: Reconstruction) -> float
     g, p = operator.grid, operator.params
     th = float(operator.path.theta_at(recon.t))
     state_w = recon.radii / th - g.r
-    _, _, _, x_fac, y_fac = operator._factors(state_w)
+    _, _, x_fac, y_fac, _, _ = deformation(g, state_w)
     jac = x_fac * y_fac ** (p.n - 1.0)
     smooth = recon.density * th ** p.n * jac / p.sigma(g.r) ** p.iota
     rule = g.rule(p.iota)

@@ -6,9 +6,10 @@ from vaclab.correction import solve_correction
 from vaclab.diagnostics import gap_series
 from vaclab.params import derive_constants
 from vaclab.quadrature import jacobi_polynomials, jacobi_rule_01, resample_matrix
-from vaclab.radial import (RadialInvariantError, RadialOperator, RadialState, evolve,
-                           radial_oracle_check, reconstruct_physical,
-                           reconstructed_mass, seed_profile)
+from vaclab.radial import (RadialInvariantError, RadialOperator, RadialState,
+                           RadialTrajectory, evolve, radial_oracle_check,
+                           reconstruct_physical, reconstructed_mass, seed_profile)
+from vaclab.timestepping import IntegrationStats
 from vaclab.weighted import WeightedGrid
 
 
@@ -323,6 +324,38 @@ def test_pressure_names_the_first_node_that_breaks_the_invariant(setup, p_of_s, 
         op.pressure(g.r * p_of_s(g.s), 2.5)
     node = int(np.argmax(x_of_s(g.s) <= 0.0))
     assert (raised.value.t, raised.value.node, raised.value.factor) == (2.5, node, "1 + w_r")
+
+
+def test_every_reader_of_the_deformation_names_the_same_failure(setup):
+    # pressure, the reconstruction and the time derivatives read one check;
+    # the density gap of the failed state reads NaN, and on a valid state
+    # it is nu^-n |expm1(-n log1p(h/nu) - log1p(w_r) - (n-1) log1p(w/r))|
+    p, path, g, op = setup
+    bad = g.r * -g.s ** 2                       # 1 + w_r = 1 - 5 s^2 fails first
+    zero = np.zeros_like(bad)
+    failures = []
+    for read in (lambda: op.pressure(bad, 2.5),
+                 lambda: reconstruct_physical(op, RadialState(2.5, bad, zero)),
+                 lambda: op.time_derivatives(2.5, bad, zero, order=4)):
+        with pytest.raises(RadialInvariantError) as raised:
+            read()
+        failures.append((raised.value.t, raised.value.node, raised.value.factor))
+    node = int(np.argmax(1.0 - 5.0 * g.s ** 2 <= 0.0))
+    assert failures == [(2.5, node, "1 + w_r")] * 3
+
+    eps = 0.05
+    good = seed_profile("quartic", eps, g)      # w/r = eps (1 - s)/R0, w_r = eps (1 - 3 s)/R0
+    states = [RadialState(2.5, good, 0.1 * good), RadialState(2.5, bad, zero)]
+    traj = RadialTrajectory(grid=g, times=np.array([2.5, 2.5]), states=states,
+                            energies=None, reconstructions=[], stats=IntegrationStats())
+    with np.errstate(invalid="ignore"):
+        gaps = gap_series(traj, path, p)["density_gap"]
+    h, nu = float(path.h_at(2.5)), p.nu(2.5)
+    log_j = (np.log1p(eps * (1.0 - 3.0 * g.s) / p.R0)
+             + (p.n - 1) * np.log1p(eps * (1.0 - g.s) / p.R0))
+    expected = np.max(nu ** -p.n * np.abs(np.expm1(-p.n * np.log1p(h / nu) - log_j)))
+    assert gaps[0] == pytest.approx(expected, rel=1e-12)
+    assert np.isnan(gaps[1])
 
 
 def test_invariant_violation_truncates_with_metadata(setup):
