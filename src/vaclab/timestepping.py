@@ -3,8 +3,12 @@
 A custom stepper (rather than a library solver) because the wave-like
 systems here need a step cap that grows with time as the effective
 stiffness decays; the cap is supplied as a callable of t and re-evaluated
-every step.  Steps are clipped to land exactly on the requested output
-times, which keeps output deterministic across runs.
+every step.  The adaptive stepper steps over the output times: the error
+controller and the cap alone set its steps, only the final time is landed
+on, and each output inside an accepted step is read off Dormand-Prince's
+free order-4 continuous extension (Shampine, Math. Comp. 46, 1986), so the
+step sequence does not depend on the outputs.  The fixed RK4 stepper clips
+its steps to land on every output, which the refinement studies need.
 """
 from __future__ import annotations
 
@@ -29,6 +33,21 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4   # weights of the embedded error estimate
+# Order-4 dense output (Shampine's c6, the P matrix of SciPy's RK45): the
+# state at t + theta*dt is y + dt * (_P @ [theta, theta^2, theta^3, theta^4]) @ k.
+_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+     -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+     87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+     -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+     701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -44,6 +63,7 @@ class IntegrationStats:
     rhs_evaluations: int = 0
     last_dt: float = 0.0
     cap_limited: int = 0    # accepted steps whose length max_step(t) set
+    interpolated_outputs: int = 0   # outputs read off the dense output
 
 
 @dataclass
@@ -60,6 +80,33 @@ def _counted(rhs: Callable, stats: IntegrationStats) -> Callable:
     return counted
 
 
+def _dp5_step(rhs: Callable, t: float, y: np.ndarray, dt: float,
+              k: np.ndarray) -> np.ndarray:
+    """The 5th-order state at t + dt; fills the stages k[1:] from k[0]."""
+    for stage in range(1, 7):
+        k[stage] = rhs(t + _C[stage] * dt, y + dt * (_A[stage, :stage] @ k[:stage]))
+    return y + dt * (_B5 @ k)
+
+
+def _dense_output(y: np.ndarray, dt: float, k: np.ndarray, theta: float) -> np.ndarray:
+    """The state at t + theta*dt inside the step from (t, y) with stages k."""
+    return y + dt * ((_P @ theta ** np.arange(1, 5)) @ k)
+
+
+def _output_times(t0: float, output_times: Sequence[float]) -> list[float]:
+    """The output times as floats, checked to be sorted and to start no
+    earlier than ``t0``; a ``ValueError`` names the first index that is not."""
+    outputs = [float(tt) for tt in output_times]
+    previous = float(t0)
+    for i, tt in enumerate(outputs):
+        if not tt >= previous:
+            what = ("precedes the initial time" if not tt >= t0
+                    else f"decreases from output_times[{i - 1}] = {previous!r}")
+            raise ValueError(f"output_times[{i}] = {tt!r} {what}")
+        previous = tt
+    return outputs
+
+
 def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
                        output_times: Sequence[float],
                        rel_tol: float = 1e-7, abs_tol: float = 1e-11,
@@ -69,16 +116,18 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
     """Integrate y' = rhs(t, y) from (t0, y0) through sorted output times.
 
     Error control uses the embedded 4th-order solution with a PI
-    controller; ``max_step(t)`` bounds the step (stability cap).
-    ``on_output(t, y)`` is invoked at every output time, including t0 if it
-    is listed.  Counters accumulate in ``stats`` when one is passed, so
-    they survive an exception raised by ``rhs``.
+    controller; ``max_step(t)`` bounds the step (stability cap).  Steps
+    land on the last output time only: ``on_output(t, y)`` is invoked at
+    every output time, including t0 if it is listed, with the dense output
+    of the step that covers t, or the step's new state where the step ends
+    at t.  An output is emitted only once its step has been accepted, so a
+    run that raises keeps the outputs up to its last accepted step.
+    Counters accumulate in ``stats`` when one is passed, so they survive an
+    exception raised by ``rhs`` or ``on_output``.
     """
     y = np.array(y0, dtype=float)
     t = float(t0)
-    outputs = [float(tt) for tt in output_times]
-    if any(tt < t0 for tt in outputs):
-        raise ValueError("output times must not precede the initial time")
+    outputs = _output_times(t, output_times)
     stats = IntegrationStats() if stats is None else stats
     rhs = _counted(rhs, stats)
     emit = on_output or (lambda tt, yy: None)
@@ -97,34 +146,35 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
     err_prev = 1.0
     k = np.empty((7,) + y.shape)
 
-    while idx < len(outputs):
+    while t < t_final:
         cap = max_step(t) if max_step is not None else np.inf
         capped = cap <= dt
-        dt = min(dt, cap, t_final - t)
-        hit_output = False
-        if t + dt >= outputs[idx] - 1e-14 * max(1.0, abs(outputs[idx])):
-            dt = outputs[idx] - t
-            hit_output = True
+        dt = min(dt, cap)
+        final = t + dt >= t_final - 1e-14 * max(1.0, abs(t_final))
+        if final:
+            dt = t_final - t
             capped = False
         if dt <= 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflow(t, dt)
 
         k[0] = k_last
-        for stage in range(1, 7):
-            k[stage] = rhs(t + _C[stage] * dt, y + dt * (_A[stage, :stage] @ k[:stage]))
-        y5 = y + dt * (_B5 @ k)
+        y5 = _dp5_step(rhs, t, y, dt, k)
         err_vec = dt * (_E @ k)
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
 
         if err <= 1.0 or dt <= 1.05e-14 * max(1.0, abs(t)):
-            t = t + dt
-            y = y5
+            t_new = t_final if final else t + dt
             k_last = k[6]  # FSAL
             stats.steps += 1
             stats.cap_limited += capped
             stats.last_dt = dt
-            if hit_output:
+            while idx < len(outputs) and outputs[idx] < t_new:
+                stats.interpolated_outputs += 1
+                emit(outputs[idx], _dense_output(y, dt, k, (outputs[idx] - t) / dt))
+                idx += 1
+            t, y = t_new, y5
+            while idx < len(outputs) and outputs[idx] <= t:
                 emit(t, y)
                 idx += 1
             # PI controller (order 5)
@@ -147,12 +197,12 @@ def integrate_fixed_rk4(rhs: Callable, t0: float, y0: np.ndarray,
         raise ValueError("dt must be positive")
     y = np.array(y0, dtype=float)
     t = float(t0)
+    outputs = _output_times(t, output_times)
     stats = IntegrationStats() if stats is None else stats
     rhs = _counted(rhs, stats)
     emit = on_output or (lambda tt, yy: None)
 
-    for t_target in output_times:
-        t_target = float(t_target)
+    for t_target in outputs:
         if t_target <= t + 1e-14 * max(1.0, abs(t)):
             emit(t, y)
             continue

@@ -369,7 +369,8 @@ def _telemetry(run_dir) -> dict:
         assert all(v >= 0.0 for v in cost.values())
     assert sum(c["wall_s"] for c in telemetry["phases"].values()) <= report["wall_seconds"]
     assert set(telemetry["integration"]) == {"steps", "rejected", "rhs_evaluations",
-                                             "last_dt", "cap_limited"}
+                                             "last_dt", "cap_limited",
+                                             "interpolated_outputs"}
     assert set(telemetry["correction"]) == {"steps", "solved"}
     assert set(telemetry["versions"]) == {"python", "vaclab", "numpy"}
     return telemetry
