@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_jacobi, roots_jacobi
 
+from vaclab import quadrature
 from vaclab.quadrature import jacobi_polynomials, jacobi_rule_01
 
 # sizes the program builds: verify's grids (32, 48, 96) and their m + 6
@@ -56,8 +57,9 @@ def _check_against_scipy(m, a, b):
 
 
 @settings(max_examples=60, deadline=None)
-@given(m=st.integers(8, 270), a=st.floats(-0.999, 5.0), b=st.sampled_from([0.0, 0.5]))
+@given(m=st.integers(1, 270), a=st.floats(-0.999, 5.0), b=st.sampled_from([0.0, 0.5]))
 def test_rule_matches_scipy_and_is_exact(m, a, b):
+    # the asymptotic starting guesses are least accurate at small m
     _check_against_scipy(m, a, b)
 
 
@@ -65,6 +67,27 @@ def test_rule_matches_scipy_and_is_exact(m, a, b):
 def test_program_rules_match_scipy_and_are_exact(m):
     for a, b in PROGRAM_EXPONENTS:
         _check_against_scipy(m, a, b)
+
+
+def test_program_rules_build_without_lapack(monkeypatch):
+    # a dense eigensolve runs on a second OpenBLAS thread from about 72 nodes
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gauss-Jacobi rule called numpy.linalg")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    for m in PROGRAM_SIZES:
+        for a, b in PROGRAM_EXPONENTS:
+            s, w = jacobi_rule_01(m, a, b)
+            assert np.all(np.diff(s) > 0.0) and np.all(w > 0.0)
+
+
+def test_rule_refuses_an_iteration_that_has_not_converged(monkeypatch):
+    # (32, 1, 1/2) converges at its second evaluation of P_n
+    jacobi_rule_01(32, 1.0, 0.5)
+    monkeypatch.setattr(quadrature, "MAX_ITERATIONS", 1)
+    with pytest.raises(ValueError, match="did not converge in 1 Newton iterations"):
+        jacobi_rule_01(32, 1.0, 0.5)
 
 
 def test_moving_one_node_fails_the_exactness_check():
