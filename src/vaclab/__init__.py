@@ -26,7 +26,6 @@ from .kinematics import (BoxGrid, DeformationDegenerateError, DeformationField,
                          IdentityReport, adjugate_residual, box_grid,
                          build_deformation, check_identities, curl_eta,
                          deformation_on_window, div_eta, grad_eta,
-                         jacobian_expansion_residuals,
                          radial_vector_field, random_smooth_field)
 from .params import (ParameterError, PhysParams, SelfSimilarProfile,
                      barenblatt_fields, derive_constants)
@@ -36,7 +35,7 @@ from .radial import (RadialInvariantError, RadialOperator, RadialState,
                      radial_oracle_check, reconstruct_physical,
                      reconstructed_mass, seed_profile)
 from .runio import RunResult, refit, resume, run
-from .suite import CHECKS, SuiteReport, verify
+from .suite import CHECKS, SuiteReport, jacobian_expansion_residuals, verify
 from .sweep import sweep
 from .weighted import WeightedGrid, hardy_check, weighted_norm
 

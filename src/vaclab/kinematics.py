@@ -6,15 +6,23 @@ one-sided closures at the box boundary; identity residuals are therefore
 measured on an interior window (fixed physical margin) where the pure
 centered stencils apply and Richardson ratios follow the interior order.
 
+Everything here runs on the calling thread, with no BLAS product and no
+LAPACK call.  :func:`apply_d` is a slicing 5-point stencil along one axis,
+and :func:`build_deformation` forms J = det(I + d omega) by a Laplace
+expansion of the closed-form cofactors and A = adj / J for n = 2 and 3.
+:func:`adjugate_residual` checks J A against minors of its own.
+
 Nothing is computed farther from the window than it is read.  Every
 derivative is one 5-point stencil, which reads at most 2 nodes beyond the
-node it gives.  :func:`check_identities` differentiates the deformation's
-fields once more, so it forms its residuals on the window plus a 2-node
-halo (:meth:`BoxGrid.crop`).  :func:`deformation_on_window` builds the
-deformation itself on the window plus a 4-node halo: the gradient of
-omega then takes the box's centred stencil at every node that
-``check_identities`` reads, since those lie at least 2 nodes inside the
-crop.  A crop keeps the faces of the box it was cut from, so its
+node it gives, in a fixed order, so a node's derivative does not depend on
+the extent of the array it is taken on.  :func:`check_identities`
+differentiates the deformation's fields once more, so it forms its
+residuals on the window plus a 2-node halo (:meth:`BoxGrid.crop`).
+:func:`deformation_on_window` builds the deformation itself on the window
+plus a 4-node halo: the gradient of omega then takes the box's centred
+stencil at every node that ``check_identities`` reads, since those lie at
+least 2 nodes inside the crop.  Both give the whole box's residuals bit for
+bit.  A crop keeps the faces of the box it was cut from, so its
 :meth:`BoxGrid.interior_window` names the box's window nodes, and where a
 halo is clamped at a box face the crop keeps that face's one-sided rows,
 as the box does.
@@ -115,32 +123,39 @@ def box_grid(n: int, half_width: float, num_points: int) -> BoxGrid:
                    spacing=float(axis[1] - axis[0]))
 
 
-def d1_matrix(m: int, h: float) -> np.ndarray:
-    """First-derivative matrix: 4th-order centered interior, 3rd-order
-    one-sided rows at the two boundary pairs."""
-    if m < 6:
-        raise ValueError("need at least 6 points per axis")
-    d = np.zeros((m, m))
-    for i in range(2, m - 2):
-        d[i, i - 2:i + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    d[0, 0:4] = np.array([-11.0, 18.0, -9.0, 2.0]) / (6.0 * h)
-    d[1, 0:4] = np.array([-2.0, -3.0, 6.0, -1.0]) / (6.0 * h)
-    d[m - 1, m - 4:m] = -np.array([2.0, -9.0, 18.0, -11.0]) / (6.0 * h)
-    d[m - 2, m - 4:m] = -np.array([-1.0, 6.0, -3.0, -2.0]) / (6.0 * h)
-    return d
-
-
-_D1_MATRICES: dict[tuple[int, float], np.ndarray] = {}   # (nodes, spacing) -> matrix
+# First-derivative stencils in units of 1/h.  Interior nodes take the
+# fourth-order centred stencil (f[i-2] - 8 f[i-1] + 8 f[i+1] - f[i+2]) / 12;
+# the boundary pairs take third-order one-sided rows over the 4 nodes at
+# their face: _EDGE_ROWS[p] gives node p from nodes 0..3, and the far face
+# mirrors it with the sign flipped.
+_EDGE_ROWS = ((-11.0, 18.0, -9.0, 2.0), (-2.0, -3.0, 6.0, -1.0))
 
 
 def apply_d(grid: BoxGrid, field: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the 1D derivative matrix along ``axis`` of a scalar field."""
-    key = (grid.shape[axis], grid.spacing)
-    if key not in _D1_MATRICES:
-        _D1_MATRICES[key] = d1_matrix(*key)
-    d = _D1_MATRICES[key]
-    out = np.tensordot(d, field, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
+    """First derivative of a scalar field along ``axis``: the 5-point
+    stencil at every node at least 2 from the box's ends, one-sided rows
+    at the two boundary pairs (see ``_EDGE_ROWS``).
+
+    Each node's value is formed from its own neighbours along the axis in a
+    fixed order, so it does not depend on the array's extent or layout: a
+    crop gives every node at least 2 inside it the whole box's value
+    bit for bit.  Returns a new C-ordered array."""
+    m = field.shape[axis]
+    if m < 6:
+        raise ValueError("need at least 6 points per axis")
+    f = np.moveaxis(field, axis, 0)
+    out = np.empty(field.shape)
+    d = np.moveaxis(out, axis, 0)
+    centre = d[2:-2]
+    np.subtract(f[3:-1], f[1:-3], out=centre)
+    centre *= 8.0
+    centre += f[:-4]
+    centre -= f[4:]
+    centre /= 12.0 * grid.spacing
+    for p, row in enumerate(_EDGE_ROWS):
+        d[p] = sum(c * f[q] for q, c in enumerate(row)) / (6.0 * grid.spacing)
+        d[-1 - p] = -sum(c * f[-1 - q] for q, c in enumerate(row)) / (6.0 * grid.spacing)
+    return out
 
 
 def gradient_tensor(grid: BoxGrid, omega: np.ndarray) -> np.ndarray:
@@ -164,22 +179,47 @@ class DeformationField:
     inverse_matrix: np.ndarray  # A with [grad_eta f]_i = A^k_i d_k f
 
 
+def _adjugate(m: np.ndarray) -> np.ndarray:
+    """Adjugate of each 2x2 or 3x3 matrix in a stack (..., n, n), in closed
+    form: adj[..., i, j] is the (j, i) cofactor."""
+    n = m.shape[-1]
+    adj = np.empty_like(m)
+    if n == 2:
+        adj[..., 0, 0] = m[..., 1, 1]
+        adj[..., 0, 1] = -m[..., 0, 1]
+        adj[..., 1, 0] = -m[..., 1, 0]
+        adj[..., 1, 1] = m[..., 0, 0]
+        return adj
+    if n != 3:
+        raise ValueError(f"closed-form adjugate needs n = 2 or 3, got {n}")
+    for i in range(3):
+        i1, i2 = (i + 1) % 3, (i + 2) % 3
+        for j in range(3):
+            j1, j2 = (j + 1) % 3, (j + 2) % 3
+            # cyclic index order carries the cofactor's sign
+            adj[..., j, i] = m[..., i1, j1] * m[..., i2, j2] - m[..., i1, j2] * m[..., i2, j1]
+    return adj
+
+
 def build_deformation(grid: BoxGrid, omega: np.ndarray) -> DeformationField:
-    """Differentiate omega and form J and A = (d eta / d y)^(-1) nodewise."""
+    """Differentiate omega and form J = det(d eta / d y) and
+    A = (d eta / d y)^(-1) = adj / J nodewise, in closed form."""
     omega = np.asarray(omega, dtype=float)
     if omega.shape != grid.shape + (grid.n,):
         raise ValueError("omega samples must have shape grid.shape + (n,)")
     grad = gradient_tensor(grid, omega)
     m = grad + np.eye(grid.n)
-    jac = np.linalg.det(m)
+    adj = _adjugate(m)
+    # Laplace expansion along the first row of M
+    jac = sum(m[..., 0, j] * adj[..., j, 0] for j in range(grid.n))
     if np.any(jac <= 0.0) or not np.all(np.isfinite(jac)):
         bad = np.unravel_index(int(np.argmin(jac)), jac.shape)
         raise DeformationDegenerateError(bad, jac[bad])
     # A^k_i = (M^{-1})_{ki} with M_{ij} = d_j eta_i, so the raw inverse has
     # exactly the wanted index layout: inverse_matrix[..., k, i].
-    a = np.linalg.inv(m)
+    adj /= jac[..., None, None]
     return DeformationField(grid=grid, omega=omega, grad_omega=grad,
-                            jacobian=jac, inverse_matrix=a)
+                            jacobian=jac, inverse_matrix=adj)
 
 
 def deformation_on_window(grid: BoxGrid, omega: np.ndarray,
@@ -317,31 +357,6 @@ def adjugate_residual(field: DeformationField) -> float:
                     m[..., i1, j1] * m[..., i2, j2] - m[..., i1, j2] * m[..., i2, j1]
                 )
     return float(np.max(np.abs(ja - adj)))
-
-
-def jacobian_expansion_residuals(field: DeformationField) -> dict[str, float]:
-    """Sup residuals of J over the whole box against its div/curl expansion,
-    truncated at linear, quadratic, and (for n = 3) cubic order."""
-    n = field.grid.n
-    g = field.grad_omega
-    div = np.trace(g, axis1=-2, axis2=-1)
-    grad_sq = np.sum(g ** 2, axis=(-2, -1))
-    if n == 2:
-        curl_sq = (g[..., 1, 0] - g[..., 0, 1]) ** 2
-    else:
-        curl_sq = ((g[..., 2, 1] - g[..., 1, 2]) ** 2
-                   + (g[..., 0, 2] - g[..., 2, 0]) ** 2
-                   + (g[..., 1, 0] - g[..., 0, 1]) ** 2)
-    quad = 0.5 * (div ** 2 + curl_sq - grad_sq)
-    expansion = 1.0 + div + quad
-    out = {
-        "linear": float(np.max(np.abs(field.jacobian - 1.0 - div))),
-        "quadratic": float(np.max(np.abs(field.jacobian - expansion))),
-    }
-    if n == 3:
-        cubic = np.linalg.det(g)
-        out["cubic"] = float(np.max(np.abs(field.jacobian - expansion - cubic)))
-    return out
 
 
 def radial_vector_field(grid: BoxGrid, w_of_r) -> np.ndarray:

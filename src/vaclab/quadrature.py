@@ -38,6 +38,11 @@ MAX_ITERATIONS = 8
 # error of order NEWTON_TOL^2 (1 - x^2), far below rounding
 NEWTON_TOL = 1e-9
 _ROUNDING = 4.0 * np.finfo(float).eps
+# a rule is refused when one rounding of its node next to s = 0 can move its
+# weights by more than this, relative (see jacobi_rule_01).  With b near -1
+# the moments of the rules let through are off by at most 0.75 times that
+# estimate; the program's rules (b = 0 or 1/2) estimate at most 3e-15
+RESOLUTION_TOL = 1e-7
 
 
 def unit_sphere_area(n: int) -> float:
@@ -45,20 +50,21 @@ def unit_sphere_area(n: int) -> float:
     return float(2.0 * np.pi ** (n / 2.0) / math.exp(math.lgamma(n / 2.0)))
 
 
-def jacobi_polynomials(k: int, a: float, b: float, x) -> np.ndarray:
+def jacobi_polynomials(k: int, a: float, b: float, x, last: int | None = None) -> np.ndarray:
     """Jacobi polynomials P_0^(a,b), ..., P_k^(a,b) at the points ``x``.
 
     Returns an array of shape (k + 1,) + x.shape, one degree per row, in
     the standard normalization P_j(1) = binom(j + a, j), from the
     three-term recurrence P_(j+1) = (A_j x + B_j) P_j - C_j P_(j-1)
-    (DLMF 18.9.1-2).  Needs a, b > -1.
+    (DLMF 18.9.1-2).  Needs a, b > -1.  With ``last``, only the rows of
+    the top ``last`` degrees are kept (fewer if k + 1 < last), each equal
+    bit for bit to its row of the full table.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((k + 1,) + x.shape)
-    out[0] = 1.0
-    if k == 0:
-        return out
-    out[1] = 0.5 * ((a + b + 2.0) * x + (a - b))
+    keep = k + 1 if last is None else last
+    rows = [np.ones(x.shape)]
+    if k > 0:
+        rows.append(0.5 * ((a + b + 2.0) * x + (a - b)))
     # coefficients of the steps j -> j + 1, j = 1..k-1, one row per step
     j = np.arange(1.0, k).reshape((-1,) + (1,) * x.ndim)
     c = 2.0 * j + a + b
@@ -70,13 +76,14 @@ def jacobi_polynomials(k: int, a: float, b: float, x) -> np.ndarray:
     h[2::2] = np.cumprod(back[0::2], axis=0)
     h[3::2] = np.cumprod(back[1::2], axis=0)
     scale = (c + 1.0) * h[1:k] / (den * h[2:])
-    factor = (scale * (c + 2.0) * c) * x + scale * (a * a - b * b)
-    rows = list(out)
-    for f, before, last, new in zip(factor, rows, rows[1:], rows[2:]):
-        np.multiply(f, last, new)
-        np.subtract(new, before, new)
-    out *= h
-    return out
+    for f in (scale * (c + 2.0) * c) * x + scale * (a * a - b * b):
+        new = f * rows[-1]
+        new -= rows[-2]
+        rows.append(new)
+        if len(rows) > max(keep, 2):
+            del rows[0]
+    rows = rows[-keep:]
+    return np.array(rows) * h[k + 1 - len(rows):]
 
 
 def jacobi_rule_01(num_nodes: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -110,10 +117,11 @@ def jacobi_rule_01(num_nodes: int, a: float, b: float) -> tuple[np.ndarray, np.n
             raise ValueError(unresolved)
         # Newton correction -r = -P_n / P_n', with (2j+a+b)(1-x^2) P_j' =
         # j(a-b-(2j+a+b)x) P_j + 2(j+a)(j+b) P_(j-1) (DLMF 18.9.16), j = n
-        p = jacobi_polynomials(n, a, b, x)
+        # rows P_(n-2), P_(n-1), P_n (P_0, P_1 at n = 1)
+        p = jacobi_polynomials(n, a, b, x, last=3)
         span = (1.0 - x) * (1.0 + x)
-        dp = (n * ((a - b) - cn * x) * p[n] + 2.0 * (n + a) * (n + b) * p[n - 1]) / (cn * span)
-        step = -p[n] / dp
+        dp = (n * ((a - b) - cn * x) * p[-1] + 2.0 * (n + a) * (n + b) * p[-2]) / (cn * span)
+        step = -p[-1] / dp
         if np.all(np.abs(step) <= NEWTON_TOL * span + _ROUNDING):
             break
         # Aberth-Ehrlich: x_k - r_k / (1 - r_k sum_(j != k) 1 / (x_k - x_j))
@@ -141,14 +149,23 @@ def jacobi_rule_01(num_nodes: int, a: float, b: float) -> tuple[np.ndarray, np.n
     if n > 1:
         cm = cn - 2.0
         slope += ((n - 1) * ((a - b) - cm * x) + 2.0 * (n - 1 + a) * (n - 1 + b)
-                  * p[n - 2] / p[n - 1]) / (cm * span)
-    w = (1.0 - step * slope) / (p[n - 1] * dp)
+                  * p[-3] / p[-2]) / (cm * span)
+    w = (1.0 - step * slope) / (p[-2] * dp)
     if not np.all(np.isfinite(w) & (w > 0.0)):
         # happens only where an exponent is so close to -1 that the node
         # next to that end lies within a few roundings of it
         raise ValueError(unresolved)
+    s = 0.5 * (x + step + 1.0)
+    # The node next to s = 0 keeps only x's absolute accuracy, about eps,
+    # and its weight varies like 1 / s there.  As b nears -1 that weight
+    # carries most of the sum that normalizes all the others, so one
+    # rounding of the node moves every weight by about eps / s_0 times its
+    # share of the sum.  (At the a end the node next to s = 1 carries as
+    # much of every moment as of the sum, so no such check is needed.)
+    if np.finfo(float).eps * w[0] > RESOLUTION_TOL * s[0] * w.sum():
+        raise ValueError(f"{unresolved}: the node next to s = 0 is {s[0]:.3e}")
     log_beta = math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
-    return 0.5 * (x + step + 1.0), w * (math.exp(log_beta) / w.sum())
+    return s, w * (math.exp(log_beta) / w.sum())
 
 
 def sigma_moment(n: int, a_bar: float, b_bar: float, a: float, k: int = 0) -> float:

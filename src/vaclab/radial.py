@@ -464,10 +464,10 @@ def _cartesian_pressure_on_ray(bgrid, p, w_of_r, ray_idx) -> np.ndarray:
     Only a slab is built: the whole first axis and the 9 nodes c-4 .. c+4
     around the centre c of every other axis (fewer where the box is
     narrower).  On the ray, d_k G^k_0 reads G at offsets -2 .. 2 across
-    it; G there needs d omega at those nodes only, which rows 2 .. 6 of
-    the slab's 9-node derivative matrix give with the box's centred
-    stencil (reading omega at -4 .. 4).  So no one-sided row of the slab
-    is read, and the ray's values equal the full box's."""
+    it; G there needs d omega at those nodes only, which the slab's 9
+    nodes give with the box's centred 5-point stencil (reading omega at
+    -4 .. 4).  So no one-sided row of the slab is read, and the ray's
+    values equal the full box's."""
     centre = tuple(slice(m // 2, m // 2 + 1) for m in bgrid.shape[1:])
     slab, _, ray = bgrid.crop((slice(None),) + centre, halo=4)
     fld = build_deformation(slab, radial_vector_field(slab, w_of_r))

@@ -152,6 +152,34 @@ def test_exponents_near_minus_one_build_a_rule_or_refuse(gap, m):
     assert _moment_error(s, w, a, 0.5) <= 1e-6
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0])
+def test_b_near_minus_one_builds_a_rule_or_refuses(a):
+    # next to b = -1 the node by s = 0 keeps only the absolute accuracy of
+    # x = 2s - 1, and its weight sets the others' normalization
+    for k in range(6, 17):
+        b = -1.0 + 10.0 ** -k
+        for m in (1, 2, 3, 5, 8, 13, 20, 54, 100, 200, 270):
+            try:
+                s, w = jacobi_rule_01(m, a, b)
+            except ValueError as exc:
+                assert "not resolved in double precision" in str(exc), (k, m)
+                continue
+            assert _moment_error(s, w, a, b) <= 1e-6, (k, m)
+
+
+@pytest.mark.parametrize("m", PROGRAM_SIZES)
+def test_last_rows_equal_the_full_table(m):
+    # the rule evaluates only P_(n-2), P_(n-1), P_n: bit for bit the rows of
+    # the full table, so the rules stay what the full recurrence gave
+    x = np.cos(np.linspace(0.01, 3.13, m))
+    for a, b in PROGRAM_EXPONENTS:
+        full = jacobi_polynomials(m, a, b, x)
+        assert np.array_equal(jacobi_polynomials(m, a, b, x, last=3), full[-3:])
+    for k in (0, 1, 2):
+        assert np.array_equal(jacobi_polynomials(k, 1.0, 0.5, x, last=3),
+                              jacobi_polynomials(k, 1.0, 0.5, x))
+
+
 def test_rule_rejects_bad_arguments():
     with pytest.raises(ValueError, match="exceed -1"):
         jacobi_rule_01(8, -1.0, 0.0)
