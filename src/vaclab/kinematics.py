@@ -215,8 +215,9 @@ def build_deformation(grid: BoxGrid, omega: np.ndarray) -> DeformationField:
     if np.any(jac <= 0.0) or not np.all(np.isfinite(jac)):
         bad = np.unravel_index(int(np.argmin(jac)), jac.shape)
         raise DeformationDegenerateError(bad, jac[bad])
-    # A^k_i = (M^{-1})_{ki} with M_{ij} = d_j eta_i, so the raw inverse has
-    # exactly the wanted index layout: inverse_matrix[..., k, i].
+    # A^k_i = (M^{-1})_{ki} with M_{ij} = d_j eta_i, so the raw inverse
+    # adj / J, formed in place, has exactly the wanted index layout:
+    # inverse_matrix[..., k, i].
     adj /= jac[..., None, None]
     return DeformationField(grid=grid, omega=omega, grad_omega=grad,
                             jacobian=jac, inverse_matrix=adj)

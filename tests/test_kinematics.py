@@ -139,6 +139,20 @@ def test_closed_form_matches_lapack(n):
     assert np.allclose(fld.inverse_matrix, np.linalg.inv(m), rtol=0.0, atol=1e-14)
 
 
+def test_deformation_and_identities_call_no_blas_or_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("kinematics called a BLAS product or LAPACK")
+
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np, "tensordot", refuse)
+    for n in (2, 3):
+        g = box_grid(n, 1.0, 17)
+        fld = build_deformation(g, random_smooth_field(g, np.random.default_rng(n), 0.05))
+        check_identities(fld, margin=0.2)
+        adjugate_residual(fld)
+
+
 def test_small_deformation_matrix_bounds():
     # |d omega| small keeps J in [1/2, 2] and every entry of A within 2
     g = box_grid(3, 1.0, 25)
