@@ -281,7 +281,7 @@ def evolve_mode(grid: WeightedGrid, path: CorrectionPath, state,
     m = grid.num_nodes
     states: list = []
     curls: list[float] = []
-    indices = [idx for idx in energy_indices(2) if idx[1] == 0]
+    indices = [idx for idx in energy_indices() if idx[1] == 0]
     evaluator = ModeEnergies(grid, state.mode) if (collect_energies and planar) else None
     comp: dict[tuple, list] = {idx: [] for idx in indices}
 

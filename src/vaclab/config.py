@@ -9,8 +9,8 @@ built from command-line flags.  A key that no field declares is an error
 that names its path, so a misspelt setting never falls back to its default
 silently.
 
-This module imports nothing from the rest of the package: the CLI reads
-its defaults here without loading the solvers.
+This module imports nothing from the rest of the package, so any module
+can import it: ``radial`` reads the seed shapes and steppers here.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ SCHEMA_VERSION = 1
 
 SEED_SHAPES = ("zero", "parabolic", "quartic", "random")
 STEPPERS = ("adaptive", "rk4")
-_CHECK_RATES = ("auto", "always", "never")
 
 
 class ConfigError(ValueError):
@@ -120,7 +119,6 @@ class SolverConfig:
     t_end: float = setting(1e4, _number(gt=0.0))
     rel_tol: float = setting(1e-7, _number(gt=0.0, le=1e-3))
     abs_tol: float = setting(1e-11, _number(gt=0.0, le=1e-3))
-    cfl_safety: float = setting(0.5, _number(gt=0.0, le=1.0))
     stepper: str = setting("adaptive", _choice(STEPPERS))
     fixed_dt: float | None = setting(None, _number(gt=0.0, nullable=True))
     outputs_per_decade: int = setting(60, _integer(ge=4))
@@ -135,20 +133,11 @@ class OutputsConfig:
 
 
 @dataclass
-class AcceptanceConfig:
-    exponent_slack: float = setting(0.1, _number(gt=0.0))
-    ratio_threshold: float = setting(10.0, _number(gt=0.0))
-    preservation_tol: float = setting(1e-8, _number(gt=0.0))
-    check_rates: str = setting("auto", _choice(_CHECK_RATES))
-
-
-@dataclass
 class RunConfig:
     params: ParamsConfig = field(default_factory=ParamsConfig)
     ode: OdeConfig = field(default_factory=OdeConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
     outputs: OutputsConfig = field(default_factory=OutputsConfig)
-    acceptance: AcceptanceConfig = field(default_factory=AcceptanceConfig)
     rng_seed: int = setting(1234, _integer(ge=0))
 
     def to_dict(self) -> dict:

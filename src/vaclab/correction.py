@@ -431,7 +431,7 @@ def sample_grid(t_end: float) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(FIRST_SAMPLE_TIME, t_end, count)])
 
 
-def solve_correction(params: PhysParams, t_end: float = 1e6,
+def solve_correction(params: PhysParams, t_end: float,
                      rel_tol: float = 1e-10, abs_tol: float = 1e-13) -> CorrectionPath:
     """Adaptive high-order integration of the correction ODE with dense output."""
     if t_end < 1.0:
@@ -469,7 +469,7 @@ def _memoized_path(params: PhysParams, t_end: float, rel_tol: float,
     return solve_correction(params, t_end, rel_tol, abs_tol)
 
 
-def correction_path(params: PhysParams, t_end: float = 1e6,
+def correction_path(params: PhysParams, t_end: float,
                     rel_tol: float = 1e-10, abs_tol: float = 1e-13) -> CorrectionPath:
     """:func:`solve_correction`, solved once per process for each argument set.
 

@@ -38,17 +38,17 @@ class UnsupportedOrderError(ValueError):
     """Raised when a derivative order outside the implemented set is requested."""
 
 
-def energy_indices(level: int = ENERGY_LEVEL) -> list[tuple[int, int, int]]:
-    """Implemented (m, i, j) set: the full simplex up to ``level`` plus the
-    time-augmented top shell."""
+def energy_indices() -> list[tuple[int, int, int]]:
+    """Implemented (m, i, j) set: the full simplex up to ``ENERGY_LEVEL``
+    plus the time-augmented top shell."""
     base = [
         (m, i, j)
-        for total in range(level + 1)
+        for total in range(ENERGY_LEVEL + 1)
         for m in range(total + 1)
         for i in range(total - m + 1)
         for j in (total - m - i,)
     ]
-    top = [(m + 1, i, j) for (m, i, j) in base if m + i + j == level]
+    top = [(m + 1, i, j) for (m, i, j) in base if m + i + j == ENERGY_LEVEL]
     return base + top
 
 

@@ -74,7 +74,7 @@ class BoxGrid:
         grids = self.meshgrid()
         return np.sqrt(sum(g ** 2 for g in grids))
 
-    def interior_window(self, margin: float = 0.15) -> tuple[slice, ...]:
+    def interior_window(self, margin: float) -> tuple[slice, ...]:
         """Per-axis slices of the nodes at least ``margin`` * width away
         from every box face (the axes increase, so each is one run)."""
         window = []
@@ -85,7 +85,7 @@ class BoxGrid:
             window.append(slice(int(lo), int(hi)))
         return tuple(window)
 
-    def interior_mask(self, margin: float = 0.15) -> np.ndarray:
+    def interior_mask(self, margin: float) -> np.ndarray:
         """Nodes at least ``margin`` * width away from every box face."""
         mask = np.zeros(self.shape, dtype=bool)
         mask[self.interior_window(margin)] = True
@@ -288,7 +288,7 @@ class IdentityReport:
     margin: float
 
 
-def check_identities(field: DeformationField, margin: float = 0.15) -> IdentityReport:
+def check_identities(field: DeformationField, margin: float) -> IdentityReport:
     """Residuals of the Piola identity and the differentiation formulae
     d_j J = J A^s_r d_j d_s omega^r and
     d_j A^k_i = -A^k_r A^s_i d_j d_s omega^r, as sup-norms over the

@@ -154,7 +154,7 @@ class SelfSimilarProfile:
 
     def __init__(self, params: PhysParams):
         self.params = params
-        self._weight_sum: float | None = None   # of the mass rule, built on first use
+        self._mass_rule: tuple[np.ndarray, np.ndarray] | None = None   # built on first use
 
     def support_radius(self, t) -> float:
         return self.params.nu(t) * self.params.R0
@@ -208,17 +208,20 @@ class SelfSimilarProfile:
         )
 
     def mass_error(self, t: float) -> float:
-        """Relative error of the quadrature mass at time t against M."""
+        """Relative error against M of the mass of :meth:`density_radial` at
+        time t.
+
+        With r = nu R0 sqrt(s), the mass is |S^(n-1)|/2 (nu R0)^n times the
+        integral over [0, 1] of the density against s^(n/2-1).  The rule's
+        weight is (1-s)^iota s^(n/2-1), so it integrates the density over
+        (1-s)^iota, which is constant for the exact profile at any iota."""
         p = self.params
-        if self._weight_sum is None:
-            _, w = jacobi_rule_01(MASS_RULE_NODES, p.iota, p.n / 2.0 - 1.0)
-            self._weight_sum = w.sum()
-        nu = float(p.nu(t))
-        radius_sq = (nu * p.R0) ** 2
-        total = (
-            unit_sphere_area(p.n) * 0.5 * radius_sq ** (p.n / 2.0)
-            * nu ** (-p.n) * p.A_bar ** p.iota * self._weight_sum
-        )
+        if self._mass_rule is None:
+            self._mass_rule = jacobi_rule_01(MASS_RULE_NODES, p.iota, p.n / 2.0 - 1.0)
+        s, w = self._mass_rule
+        edge = self.support_radius(t)
+        density = self.density_radial(t, edge * np.sqrt(s)) / (1.0 - s) ** p.iota
+        total = unit_sphere_area(p.n) * 0.5 * edge ** p.n * float(w @ density)
         return abs(total - p.mass) / p.mass
 
     def pme_residual(self, t: float, grid_spacing: float) -> float:

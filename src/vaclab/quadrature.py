@@ -200,11 +200,10 @@ def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def differentiation_matrix(nodes: np.ndarray, bary_w: np.ndarray | None = None) -> np.ndarray:
-    """Spectral differentiation matrix for the polynomial interpolant."""
+def differentiation_matrix(nodes: np.ndarray, bary_w: np.ndarray) -> np.ndarray:
+    """Spectral differentiation matrix for the polynomial interpolant with
+    barycentric weights ``bary_w``."""
     nodes = np.asarray(nodes, dtype=float)
-    if bary_w is None:
-        bary_w = barycentric_weights(nodes)
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
     d = (bary_w[None, :] / bary_w[:, None]) / diff

@@ -34,6 +34,7 @@ from .weighted import WeightedGrid
 logger = logging.getLogger(__name__)
 
 MAX_TIME_DERIVATIVE = 4
+CFL_SAFETY = 0.5   # share of the wave part's stability limit a step may take
 
 
 class RadialInvariantError(RuntimeError):
@@ -237,11 +238,11 @@ class RadialOperator:
         p, m = self.params, self.grid.num_nodes
         return (1.0 + p.lam) * m * (2.0 * m + p.n + 2.0 * p.iota - 2.0) / (p.n + 2.0 * p.iota)
 
-    def step_cap(self, cfl_safety: float = 0.5):
+    def step_cap(self):
         rho = self.spectral_radius()
 
         def cap(t: float) -> float:
-            wave = cfl_safety * 2.8 / np.sqrt(self.wave_coefficient(t)[0] * rho)
+            wave = CFL_SAFETY * 2.8 / np.sqrt(self.wave_coefficient(t)[0] * rho)
             damp = 2.5 / self.damping(t)[0]
             return float(min(wave, damp))
 
@@ -319,8 +320,7 @@ def reconstructed_mass(operator: RadialOperator, recon: Reconstruction) -> float
 
 def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
            t_end: float, output_times=None, rel_tol: float = 1e-7,
-           abs_tol: float = 1e-11, cfl_safety: float = 0.5,
-           stepper: str = "adaptive", fixed_dt: float | None = None,
+           abs_tol: float = 1e-11, stepper: str = "adaptive", fixed_dt: float | None = None,
            collect_energies: bool = True,
            collect_reconstructions: bool = True) -> RadialTrajectory:
     """Integrate the radial system and record states, energies, and
@@ -361,7 +361,7 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
         if stepper == "adaptive":
             integrate_adaptive(
                 op.rhs, initial.t, y0, output_times, rel_tol=rel_tol,
-                abs_tol=abs_tol, max_step=op.step_cap(cfl_safety),
+                abs_tol=abs_tol, max_step=op.step_cap(),
                 on_output=on_output, stats=stats,
             )
         elif stepper == "rk4":
@@ -412,9 +412,8 @@ def seed_profile(shape: str, amplitude: float, grid: WeightedGrid,
 
 # -- cross-check of the radial pressure reduction ----------------------------
 
-def radial_oracle_check(grid: WeightedGrid, num_samples: int = 3,
-                        box_points: int = 49, seed: int = 0,
-                        fault: str | None = None) -> float:
+def radial_oracle_check(grid: WeightedGrid, num_samples: int, box_points: int,
+                        seed: int, fault: str | None = None) -> float:
     """Compare the radial pressure reduction against the full Cartesian
     divergence evaluated by finite differences on a ``box_points``-node
     tensor grid, along a coordinate ray.  Returns the max relative

@@ -111,6 +111,7 @@ def _series_columns(trajectory: RadialTrajectory, series: dict[str, np.ndarray],
 
 
 RATE_GATE_HORIZON = 5e3   # below this, tail fits are pre-asymptotic
+PRESERVATION_TOL = 1e-8   # sup |w| an anchor (zero-amplitude) run may reach
 
 
 def _evaluate_assertions(cfg: RunConfig, setup: _Setup, status: str, failure: dict | None,
@@ -128,27 +129,23 @@ def _evaluate_assertions(cfg: RunConfig, setup: _Setup, status: str, failure: di
     if anchor and len(series["t"]):
         sup = float(np.max(series["sup_w"]))
         report["preservation_sup"] = sup
-        checks["preservation"] = sup <= cfg.acceptance.preservation_tol
+        checks["preservation"] = sup <= PRESERVATION_TOL
 
-    # reported when the series supports a two-decade tail fit; gating is
-    # a separate decision
+    # reported when the series supports a two-decade tail fit; gated only
+    # from RATE_GATE_HORIZON on
     rates = None
     if status == "completed" and len(series["t"]) >= 8:
         try:
-            rates = theorem_rate_report(series, path, params, r_max=float(grid.r.max()),
-                                        slack=cfg.acceptance.exponent_slack)
+            rates = theorem_rate_report(series, path, params, r_max=float(grid.r.max()))
         except ValueError:   # includes FitWindowError
             pass
-    if cfg.acceptance.check_rates == "always":
-        checks["rates"] = rates is not None and rates.ok
-    elif (cfg.acceptance.check_rates == "auto"
-          and cfg.solver.t_end >= RATE_GATE_HORIZON and rates is not None):
+    if cfg.solver.t_end >= RATE_GATE_HORIZON and rates is not None:
         checks["rates"] = rates.ok
     report["rates"] = rates.to_dict() if rates else None
 
     bounded = None
     if energies is not None and not anchor:
-        bounded = boundedness_report(energies, threshold=cfg.acceptance.ratio_threshold)
+        bounded = boundedness_report(energies)
         if bounded.applicable:
             checks["boundedness"] = bounded.ok
     report["boundedness"] = bounded.to_dict() if bounded else None
@@ -262,8 +259,8 @@ def _execute(cfg: RunConfig, setup: _Setup, run_dir: Path, initial: RadialState,
         trajectory = evolve(
             grid, path, initial, cfg.solver.t_end, output_times=schedule[offset:stop],
             rel_tol=cfg.solver.rel_tol, abs_tol=cfg.solver.abs_tol,
-            cfl_safety=cfg.solver.cfl_safety, stepper=cfg.solver.stepper,
-            fixed_dt=cfg.solver.fixed_dt, collect_energies=cfg.solver.collect_energies,
+            stepper=cfg.solver.stepper, fixed_dt=cfg.solver.fixed_dt,
+            collect_energies=cfg.solver.collect_energies,
         )
     with _phase(telemetry, "diagnostics"):
         series = gap_series(trajectory, path, params)

@@ -14,8 +14,20 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from .angular import curl_decay_fit, default_planar_state, evolve_mode
+from .correction import (correction_path, fit_h_envelope, integrating_factor_bound_check,
+                         lyapunov_violations, ode_residual, verify_theta_properties)
+from .fitting import decay_fit
+from .kinematics import (adjugate_residual, box_grid, build_deformation, check_identities,
+                         deformation_on_window, random_smooth_field)
+from .params import SelfSimilarProfile, derive_constants
+from .quadrature import sigma_moment
+from .radial import RadialState, evolve, radial_oracle_check
+from .weighted import WeightedGrid, hardy_check, weighted_norm
 
 logger = logging.getLogger(__name__)
 
@@ -52,8 +64,6 @@ class SuiteReport:
         }
 
     def write_json(self, path) -> None:
-        from pathlib import Path
-
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def summary_lines(self) -> list[str]:
@@ -67,10 +77,6 @@ class SuiteReport:
 
 
 def _check_quadrature_exactness(seed, fault):
-    from .params import derive_constants
-    from .quadrature import sigma_moment
-    from .weighted import WeightedGrid, weighted_norm
-
     worst = 0.0
     for n, gamma in ((3, 2.0), (2, 2.0), (3, 5.0 / 3.0)):
         p = derive_constants(n, 0.0, gamma, 1.0)
@@ -90,9 +96,6 @@ def _check_quadrature_exactness(seed, fault):
 
 
 def _check_hardy(seed, fault):
-    from .params import derive_constants
-    from .weighted import WeightedGrid, hardy_check
-
     p = derive_constants(3, 0.0, 2.0, 1.0)
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
@@ -121,9 +124,6 @@ def _check_hardy(seed, fault):
 
 
 def _check_kinematic_identities(seed, fault):
-    from .kinematics import (box_grid, build_deformation, check_identities,
-                             adjugate_residual)
-
     g = box_grid(3, 1.0, 25)
     grids = g.meshgrid()
     affine = np.stack([0.01 * grids[0] + 0.002 * grids[1],
@@ -138,9 +138,6 @@ def _check_kinematic_identities(seed, fault):
 
 
 def _check_piola_richardson(seed, fault):
-    from .kinematics import (box_grid, check_identities, deformation_on_window,
-                             random_smooth_field)
-
     def report(npts):
         g = box_grid(3, 1.0, npts)
         # drawn on the whole box, whose largest gradient sets the field's scale
@@ -191,8 +188,6 @@ def jacobian_expansion_residuals(field) -> dict[str, float]:
 
 
 def _check_jacobian_expansion(seed, fault):
-    from .kinematics import box_grid, build_deformation, random_smooth_field
-
     amp = 1e-3
     out = {}
     ok = True
@@ -212,15 +207,10 @@ def _check_jacobian_expansion(seed, fault):
 def _long_path(lam: float):
     """The correction path of n = 3, gamma = 2, M = 1 to t = 1e6, which the
     ODE checks share (each is solved in the first check that asks for it)."""
-    from .correction import correction_path
-    from .params import derive_constants
-
     return correction_path(derive_constants(3, lam, 2.0, 1.0), 1e6)
 
 
 def _check_ode_properties(seed, fault):
-    from .correction import ode_residual, verify_theta_properties
-
     details = {}
     ok = True
     for lam in ODE_LAMBDAS:
@@ -241,8 +231,6 @@ def _check_ode_properties(seed, fault):
 
 
 def _check_h_envelope(seed, fault):
-    from .correction import fit_h_envelope
-
     details = {}
     ok = True
     for lam in ODE_LAMBDAS:
@@ -256,9 +244,6 @@ def _check_h_envelope(seed, fault):
 
 
 def _check_integrating_factor(seed, fault):
-    from .correction import integrating_factor_bound_check
-    from .fitting import decay_fit
-
     r100 = integrating_factor_bound_check(0.0, 2.0, 100.0)
     r50 = integrating_factor_bound_check(0.0, 2.0, 50.0)
     stability = abs(r100["max_ratio"] - r50["max_ratio"]) / r50["max_ratio"]
@@ -271,8 +256,6 @@ def _check_integrating_factor(seed, fault):
 
 
 def _check_lyapunov(seed, fault):
-    from .correction import lyapunov_violations
-
     counts = {}
     for lam in ODE_LAMBDAS:
         counts[f"lam{lam:g}"] = lyapunov_violations(_long_path(lam))
@@ -280,10 +263,6 @@ def _check_lyapunov(seed, fault):
 
 
 def _check_radial_oracle(seed, fault):
-    from .params import derive_constants
-    from .radial import radial_oracle_check
-    from .weighted import WeightedGrid
-
     details = {}
     ok = True
     for n in (3, 2):
@@ -300,9 +279,6 @@ def _check_radial_oracle(seed, fault):
 
 
 def _check_zero_run_preservation(seed, fault):
-    from .radial import RadialState, evolve
-    from .weighted import WeightedGrid
-
     path = _long_path(0.0)
     g = WeightedGrid(path.params, 48)
     traj = evolve(g, path, RadialState(0.0, np.zeros(48), np.zeros(48)), 1e3,
@@ -312,11 +288,6 @@ def _check_zero_run_preservation(seed, fault):
 
 
 def _check_curl_envelope(seed, fault):
-    from .angular import curl_decay_fit, default_planar_state, evolve_mode
-    from .correction import correction_path
-    from .params import derive_constants
-    from .weighted import WeightedGrid
-
     details = {}
     ok = True
     for lam in (0.0, 0.5):
@@ -338,8 +309,6 @@ def _check_curl_envelope(seed, fault):
 
 
 def _check_pme_residual(seed, fault):
-    from .params import SelfSimilarProfile, derive_constants
-
     details = {}
     ok = True
     for n, gamma, lam in ((3, 2.0, 0.0), (2, 2.0, 0.5)):
@@ -354,8 +323,6 @@ def _check_pme_residual(seed, fault):
 
 
 def _check_mass_conservation(seed, fault):
-    from .params import SelfSimilarProfile, derive_constants
-
     worst = 0.0
     for n, gamma, lam in ((3, 2.0, 0.0), (2, 2.0, 0.3), (3, 1.5, 0.7)):
         prof = SelfSimilarProfile(derive_constants(n, lam, gamma, 1.0))

@@ -1,6 +1,7 @@
 """Configuration, run directories, restart, sweep, suite, and the CLI."""
 import importlib
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from vaclab.cli import main
 from vaclab.config import ConfigError, RunConfig, load_config, parse_config
+from vaclab.params import derive_constants
 from vaclab.runio import _read_state, refit, resume, run
 from vaclab.suite import verify
 from vaclab.tables import read_csv
@@ -42,7 +44,8 @@ def base_config(tmp_path, **overrides) -> dict:
     ({"solver": {"seed": {"amplitude": -1.0}}}, "solver.seed.amplitude"),
     ({"solver": {"seed": {"shape": "sawtooth"}}}, "solver.seed.shape"),
     ({"solver": {"stepper": "rk4"}}, "solver.fixed_dt"),
-    ({"acceptance": {"check_rates": "sometimes"}}, "acceptance.check_rates"),
+    # the acceptance policy is fixed: its old section fails as unknown
+    ({"acceptance": {}}, "acceptance: unknown configuration section"),
     ({"bogus_section": {}}, "bogus_section"),
     ({"ode": {"t_end": 10.0}, "solver": {"t_end": 100.0}}, "ode.t_end"),
     # misspelt keys fail instead of running the default
@@ -50,9 +53,10 @@ def base_config(tmp_path, **overrides) -> dict:
     ({"solver": {"num_node": 64}}, "solver.num_node: unknown configuration key"),
     ({"solver": {"seed": {"amplitud": 0.1}}},
      "solver.seed.amplitud: unknown configuration key"),
+    ({"solver": {"cfl_safety": 0.5}}, "solver.cfl_safety: unknown configuration key"),
 ])
 def test_config_validation_names_field(patch, needle):
-    data = {"params": {}, "ode": {}, "solver": {}, "outputs": {}, "acceptance": {}}
+    data = {"params": {}, "ode": {}, "solver": {}, "outputs": {}}
     for section, content in patch.items():
         if isinstance(content, dict):
             data.setdefault(section, {})
@@ -109,6 +113,62 @@ def test_anchor_run_passes_and_writes_layout(anchor_result):
     report = json.loads((d / "run_report.json").read_text())
     assert report["checks"]["preservation"]
     assert report["preservation_sup"] <= 1e-8
+
+
+def test_rates_gate_a_run_from_the_horizon_on(anchor_result, tmp_path, monkeypatch):
+    # the rate report is written either way; it gates the run iff
+    # solver.t_end >= RATE_GATE_HORIZON.  The anchor's fits over t <= 100
+    # are pre-asymptotic and miss their envelopes, so a gate fails the run
+    runio = importlib.import_module("vaclab.runio")
+    run_dir = tmp_path / "anchor"
+    shutil.copytree(anchor_result.directory, run_dir)
+    for horizon, gated in ((100.0, True), (np.nextafter(100.0, np.inf), False)):
+        monkeypatch.setattr(runio, "RATE_GATE_HORIZON", horizon)
+        report = refit(run_dir)
+        assert report["rates"] is not None and not report["rates"]["ok"]
+        assert ("rates" in report["checks"]) == gated
+        assert report["ok"] == (not gated)
+
+
+def _short_run(tmp_path, name, **overrides):
+    return run(parse_config(base_config(
+        tmp_path / name, **{"solver.t_end": 20.0, "ode.t_end": 40.0,
+                            "solver.num_nodes": 16, **overrides})))
+
+
+QUARTIC = {"shape": "quartic", "amplitude": 1e-3}
+
+
+@pytest.mark.parametrize("base,setting,counter", [
+    ({}, {"ode.rel_tol": 1e-6}, "correction"),
+    ({}, {"ode.abs_tol": 1e-6}, "correction"),
+    ({"solver.seed": QUARTIC}, {"solver.rel_tol": 1e-4}, "integration"),
+    ({"solver.seed": QUARTIC}, {"solver.abs_tol": 1e-5}, "integration"),
+])
+def test_tolerance_settings_reach_their_integrator(tmp_path, base, setting, counter):
+    # each tolerance changes the steps its integrator takes
+    steps = [_short_run(tmp_path, name, **base, **given).report["telemetry"][counter]["steps"]
+             for name, given in (("default", {}), ("set", setting))]
+    assert steps[0] != steps[1]
+
+
+def test_rk4_stepper_takes_fixed_steps(tmp_path):
+    result = _short_run(tmp_path, "rk4", **{"solver.seed": QUARTIC,
+                                            "solver.stepper": "rk4", "solver.fixed_dt": 0.05})
+    assert result.ok
+    integration = result.report["telemetry"]["integration"]
+    assert integration["rejected"] == 0
+    assert integration["rhs_evaluations"] == 4 * integration["steps"]
+    # dt = 0.05 over t <= 20, plus the steps the outputs clip
+    assert 400 <= integration["steps"] <= 400 + len(result.trajectory.times)
+
+
+def test_mass_setting_sizes_the_background(tmp_path):
+    result = _short_run(tmp_path, "mass2", **{"params.mass": 2.0})
+    assert result.ok
+    radius = read_csv(result.directory / "series.csv")["boundary_radius"][0]
+    assert radius == derive_constants(3, 0.0, 2.0, 2.0).R0
+    assert radius != derive_constants(3, 0.0, 2.0, 1.0).R0
 
 
 def test_perturbed_run_writes_reports(tmp_path):
@@ -328,8 +388,7 @@ def test_sweep_records_cell_failure_without_abort(tmp_path):
 
     base = parse_config(base_config(
         tmp_path, **{"solver.t_end": 20.0, "ode.t_end": 40.0,
-                     "solver.num_nodes": 24,
-                     "acceptance": {"check_rates": "never"}}))
+                     "solver.num_nodes": 24}))
     # amplitude large enough to break the deformation invariant immediately
     rows = sweep(base, [0.0], [2.0], [0.0, 5.0], tmp_path / "sweep2", workers=1)
     assert len(rows) == 2
@@ -342,8 +401,7 @@ def test_sweep_records_cell_failure_without_abort(tmp_path):
 def test_run_whose_seed_breaks_the_invariant_keeps_its_artifacts(tmp_path):
     cfg = parse_config(base_config(
         tmp_path, **{"solver.t_end": 20.0, "ode.t_end": 40.0, "solver.num_nodes": 24,
-                     "solver.seed": {"shape": "parabolic", "amplitude": 5.0},
-                     "acceptance": {"check_rates": "never"}}))
+                     "solver.seed": {"shape": "parabolic", "amplitude": 5.0}}))
     result = run(cfg)
     assert not result.ok
     assert result.report["status"] == "failed"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vaclab.params import (ParameterError, SelfSimilarProfile, barenblatt_fields,
                            derive_constants)
+from vaclab.suite import verify
 
 
 def closed_form_a_bar(n, gamma, b_bar, mass):
@@ -64,8 +65,22 @@ def test_profile_builds_its_mass_rule_once(monkeypatch):
     errors = [prof.mass_error(t).hex() for t in (0.0, 1.0, 10.0, 1e3)]
     assert len(rules) == 1
     # the values of a rule built at every call
-    assert errors == ["0x1.0780000000000p-43", "0x1.0780000000000p-43",
-                      "0x1.0780000000000p-43", "0x1.0780000000000p-43"]
+    assert errors == ["0x1.0880000000000p-43", "0x1.0780000000000p-43",
+                      "0x1.0800000000000p-43", "0x1.0880000000000p-43"]
+
+
+def test_mass_conservation_check_sees_a_faulty_density(monkeypatch):
+    # mass_error integrates density_radial, so a density off by nu^0.5
+    # fails the suite's check from t = 1 on
+    density = SelfSimilarProfile.density_radial
+
+    def faulty(self, t, r):
+        return density(self, t, r) * float(self.params.nu(t)) ** 0.5
+
+    assert verify(only="mass-conservation").ok
+    monkeypatch.setattr(SelfSimilarProfile, "density_radial", faulty)
+    report = verify(only="mass-conservation")
+    assert not report.ok and report.results[0].details["max_rel_err"] > 1e-2
 
 
 def test_derived_exponents_n3():

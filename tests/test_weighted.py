@@ -240,7 +240,7 @@ def test_one_stacked_pass_per_output():
 
 
 def test_energy_index_set():
-    indices = energy_indices(2)
+    indices = energy_indices()
     base = [idx for idx in indices if sum(idx) <= 2]
     assert len(base) == 10
     top = [idx for idx in indices if idx not in base]
