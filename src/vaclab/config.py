@@ -10,7 +10,9 @@ that names its path, so a misspelt setting never falls back to its default
 silently.
 
 This module imports nothing from the rest of the package, so any module
-can import it: ``radial`` reads the seed shapes and steppers here.
+can import it: ``radial`` reads the seed shapes and steppers here, and
+``radial`` and ``correction`` take their functions' default tolerances,
+stepper and output density from the fields below.
 """
 from __future__ import annotations
 

@@ -17,11 +17,25 @@ its real and complex 2x2 systems in closed form; for two unknowns it costs
 a fraction of SciPy's general n-dimensional machinery.  SciPy's ``Radau``
 serves as the test oracle.
 
+At the default settings a solve to t = 1e6 at rtol 1e-10 takes a few
+thousand steps, and the right-hand side is a small share of a step: with
+2x2 algebra, calling a helper, building a list or packing a tuple costs as
+much as the arithmetic it wraps.  So the step loop and the simplified
+Newton iteration are one function on local floats: about 17 us per step on
+a 2-CPU x86-64 VM, where the loop that called helpers took 35-45 us.  That
+version is kept in ``tests/radau_reference.py``.  The loop here keeps each
+of its floating-point expressions, in the same order, and the tests
+require equal step times and tables, bit for bit, on the oracle parameter
+sets and on scripted right-hand sides that reach the rarer branches.
+
 A solved path keeps the steps' collocation polynomials as one float64
 table and evaluates them itself: a scalar time in Python floats, an array
 of times with the same elementwise arithmetic in NumPy, so both agree
 bitwise.  The time coefficients of the perturbation equations are read at
-every stage of every step.
+every stage of every step, so ``CorrectionPath.coefficients`` computes
+theta to its third derivative, d and c inline, from one dense evaluation,
+with the arithmetic of ``theta_derivatives``; the test reference keeps the
+version that called it.
 """
 from __future__ import annotations
 
@@ -29,10 +43,12 @@ import bisect
 import functools
 import logging
 import math
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import OdeConfig
 from .fitting import DecayFit, decay_fit
 from .params import PhysParams
 from .quadrature import jacobi_rule_01
@@ -104,32 +120,7 @@ _P_T = tuple(zip(*_P))
 _NEWTON_MAXITER = 6
 _MIN_FACTOR, _MAX_FACTOR = 0.2, 10.0
 _EPS = np.finfo(float).eps
-
-
-def _mix(m, v):
-    """The 3x2 product m @ v of a 3x3 matrix and a flat row-major 3x2 v."""
-    (a, b, c), (d, e, f), (g, h, i) = m
-    v0, v1, v2, v3, v4, v5 = v
-    return [a * v0 + b * v2 + c * v4, a * v1 + b * v3 + c * v5,
-            d * v0 + e * v2 + f * v4, d * v1 + e * v3 + f * v5,
-            g * v0 + h * v2 + i * v4, g * v1 + h * v3 + i * v5]
-
-
-def _rms(*values):
-    """Root mean square of a few floats (SciPy's ``norm``)."""
-    return math.sqrt(sum(v * v for v in values)) / len(values) ** 0.5
-
-
-def _lu(m, J):
-    """m I - J for a 2x2 Jacobian, with its determinant (real or complex m)."""
-    a00, a01, a10, a11 = m - J[0][0], -J[0][1], -J[1][0], m - J[1][1]
-    return a00, a01, a10, a11, a00 * a11 - a01 * a10
-
-
-def _lu_solve(lu, r0, r1):
-    """The solution of (m I - J) x = r by Cramer's rule."""
-    a00, a01, a10, a11, det = lu
-    return (a11 * r0 - a01 * r1) / det, (a00 * r1 - a10 * r0) / det
+_ROW = struct.Struct("10d")     # a row of CorrectionPath.segments, packed
 
 
 def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
@@ -139,42 +130,6 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     multiplier = (1.0 if error_norm_old is None or h_abs_old is None
                   else h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25)
     return min(1.0, multiplier) * error_norm ** -0.25
-
-
-def _newton(fun, t, y, h, z, s0, s1, tol, lu_real, lu_complex):
-    """Simplified Newton iteration for the stage increments z (flat 3x2),
-    SciPy's ``solve_collocation_system``: (converged, iterations, z, rate).
-    A non-finite or failing right-hand side ends it unconverged."""
-    m_real, m_complex = _MU_REAL / h, _MU_COMPLEX / h
-    w = _mix(_TI, z)
-    rate = norm_old = None
-    for k in range(_NEWTON_MAXITER):
-        try:
-            f = [v for i in range(3)
-                 for v in fun(t + h * _C[i], (y[0] + z[2 * i], y[1] + z[2 * i + 1]))]
-            if not all(map(math.isfinite, f)):
-                break
-            r = [f[j] * _TI[0][0] + f[2 + j] * _TI[0][1] + f[4 + j] * _TI[0][2]
-                 - m_real * w[j] for j in (0, 1)]
-            c = [f[j] * _TI_COMPLEX[0] + f[2 + j] * _TI_COMPLEX[1]
-                 + f[4 + j] * _TI_COMPLEX[2] - m_complex * (w[2 + j] + 1j * w[4 + j])
-                 for j in (0, 1)]
-            dr, dc = _lu_solve(lu_real, *r), _lu_solve(lu_complex, *c)
-        except (ArithmeticError, ValueError):
-            break
-        dw = (dr[0], dr[1], dc[0].real, dc[1].real, dc[0].imag, dc[1].imag)
-        dw_norm = _rms(dw[0] / s0, dw[1] / s1, dw[2] / s0, dw[3] / s1, dw[4] / s0, dw[5] / s1)
-        if norm_old is not None:
-            rate = dw_norm / norm_old
-        if rate is not None and (
-                rate >= 1 or rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dw_norm > tol):
-            break
-        w = [a + b for a, b in zip(w, dw)]
-        z = _mix(_T, w)
-        if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm < tol:
-            return True, k + 1, z, rate
-        norm_old = dw_norm
-    return False, k + 1, z, rate
 
 
 def _radau(fun, jac, t_end: float, rtol: float, atol: float):
@@ -187,26 +142,46 @@ def _radau(fun, jac, t_end: float, rtol: float, atol: float):
     of the steps' collocation polynomials.  Raises
     :class:`CorrectionSolveError` when the step falls below ten ulps of t
     or a right-hand side at an accepted point is not finite.
+
+    The step loop and the simplified Newton iteration (SciPy's
+    ``solve_collocation_system``) work on local floats: the stage
+    increments z, their transform w = TI z, the real matrix m I - J with
+    its determinant, and the complex one.  SciPy's ``norm`` of k values,
+    sqrt(sum(v*v)) / sqrt(k), keeps ``sum``: it rounds differently from
+    chained additions from Python 3.12 on.
     """
+    c0, c1, c2 = _C
+    e0, e1, e2 = _E
+    (ti00, ti01, ti02), (ti10, ti11, ti12), (ti20, ti21, ti22) = _TI
+    tc0, tc1, tc2 = _TI_COMPLEX
+    (tt00, tt01, tt02), (tt10, tt11, tt12), (tt20, tt21, tt22) = _T
+    (pp00, pp01, pp02), (pp10, pp11, pp12), (pp20, pp21, pp22) = _P_T
+    maxiter, isfinite, sqrt, inf = _NEWTON_MAXITER, math.isfinite, math.sqrt, math.inf
+    root2, root6 = 2 ** 0.5, 6 ** 0.5
     newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
     rtol = max(rtol, 100 * _EPS)          # SciPy floors rtol, not newton_tol
-    t, y = 0.0, (0.0, 0.0)
+    t, y0, y1 = 0.0, 0.0, 0.0
     try:
-        f = fun(t, y)
+        fy0, fy1 = fun(t, (y0, y1))
         # initial step (Hairer, Norsett & Wanner I, II.4) for the order-3
         # error estimate; y(0) = 0, so h0 = 1e-6
         h0 = min(1e-6, t_end)
-        f1 = fun(t + h0, (h0 * f[0], h0 * f[1]))
-        d1 = _rms(f[0] / atol, f[1] / atol)
-        d2 = _rms((f1[0] - f[0]) / atol, (f1[1] - f[1]) / atol) / h0
+        f1 = fun(t + h0, (h0 * fy0, h0 * fy1))
+        u0, u1 = fy0 / atol, fy1 / atol
+        d1 = sqrt(sum((u0 * u0, u1 * u1))) / root2
+        u0, u1 = (f1[0] - fy0) / atol, (f1[1] - fy1) / atol
+        d2 = sqrt(sum((u0 * u0, u1 * u1))) / root2 / h0
         h1 = (max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15
               else (0.01 / max(d1, d2)) ** 0.25)
         proposal = min(100 * h0, h1, t_end)
-        J, current_jac = jac(t, y), True
-        lu_real = lu_complex = h_abs_old = error_norm_old = previous = None
+        (j00, j01), (j10, j11) = jac(t, (y0, y1))
+        # lu_stale: m I - J is formed again before the next Newton
+        # iteration, where SciPy sets its LU factors to None
+        current_jac, lu_stale = True, True
+        h_abs_old = error_norm_old = previous = None
         times, rows = [t], []
         while t < t_end:
-            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            min_step = 10 * (math.nextafter(t, inf) - t)
             h_abs, h_old, err_old = proposal, h_abs_old, error_norm_old
             if proposal < min_step:
                 h_abs, h_old, err_old = min_step, None, None
@@ -217,44 +192,121 @@ def _radau(fun, jac, t_end: float, rtol: float, atol: float):
                                                f"{min_step:.3g} at t={t:.6g}")
                 t_new = min(t + h_abs, t_end)
                 h = h_abs = t_new - t
+                ts0, ts1, ts2 = t + h * c0, t + h * c1, t + h * c2
+                m_real, m_complex = _MU_REAL / h, _MU_COMPLEX / h
+                # predictor: the previous step's collocation polynomial at
+                # the stages, as _collocation evaluates it, less y
                 if previous is None:
-                    z0 = [0.0] * 6
+                    zp0 = zp1 = zp2 = zp3 = zp4 = zp5 = 0.0
                 else:
-                    z0 = [v - y[j] for i in range(3)
-                          for j, v in enumerate(_collocation(t + h * _C[i], *previous))]
-                s0, s1 = atol + abs(y[0]) * rtol, atol + abs(y[1]) * rtol
+                    t_old, step, q00, q01, q02, q10, q11, q12, v0, v1 = previous
+                    x = (ts0 - t_old) / step
+                    x2 = x * x
+                    x3 = x2 * x
+                    zp0 = q00 * x + q01 * x2 + q02 * x3 + v0 - y0
+                    zp1 = q10 * x + q11 * x2 + q12 * x3 + v1 - y1
+                    x = (ts1 - t_old) / step
+                    x2 = x * x
+                    x3 = x2 * x
+                    zp2 = q00 * x + q01 * x2 + q02 * x3 + v0 - y0
+                    zp3 = q10 * x + q11 * x2 + q12 * x3 + v1 - y1
+                    x = (ts2 - t_old) / step
+                    x2 = x * x
+                    x3 = x2 * x
+                    zp4 = q00 * x + q01 * x2 + q02 * x3 + v0 - y0
+                    zp5 = q10 * x + q11 * x2 + q12 * x3 + v1 - y1
+                s0, s1 = atol + abs(y0) * rtol, atol + abs(y1) * rtol
                 converged = False
                 while not converged:
-                    if lu_real is None or lu_complex is None:
-                        lu_real, lu_complex = _lu(_MU_REAL / h, J), _lu(_MU_COMPLEX / h, J)
-                    converged, n_iter, z, rate = _newton(
-                        fun, t, y, h, z0, s0, s1, newton_tol, lu_real, lu_complex)
+                    if lu_stale:
+                        a01, a10 = -j01, -j10
+                        ra00, ra11 = m_real - j00, m_real - j11
+                        rdet = ra00 * ra11 - a01 * a10
+                        ca00, ca11 = m_complex - j00, m_complex - j11
+                        cdet = ca00 * ca11 - a01 * a10
+                        lu_stale = False
+                    # simplified Newton iteration from the predictor; a
+                    # non-finite or failing right-hand side ends it unconverged
+                    z0, z1, z2, z3, z4, z5 = zp0, zp1, zp2, zp3, zp4, zp5
+                    w0 = ti00 * z0 + ti01 * z2 + ti02 * z4
+                    w1 = ti00 * z1 + ti01 * z3 + ti02 * z5
+                    w2 = ti10 * z0 + ti11 * z2 + ti12 * z4
+                    w3 = ti10 * z1 + ti11 * z3 + ti12 * z5
+                    w4 = ti20 * z0 + ti21 * z2 + ti22 * z4
+                    w5 = ti20 * z1 + ti21 * z3 + ti22 * z5
+                    rate = norm_old = None
+                    for k in range(maxiter):
+                        try:
+                            f0, f1 = fun(ts0, (y0 + z0, y1 + z1))
+                            f2, f3 = fun(ts1, (y0 + z2, y1 + z3))
+                            f4, f5 = fun(ts2, (y0 + z4, y1 + z5))
+                            if not (isfinite(f0) and isfinite(f1) and isfinite(f2)
+                                    and isfinite(f3) and isfinite(f4) and isfinite(f5)):
+                                break
+                            r0 = f0 * ti00 + f2 * ti01 + f4 * ti02 - m_real * w0
+                            r1 = f1 * ti00 + f3 * ti01 + f5 * ti02 - m_real * w1
+                            rc0 = f0 * tc0 + f2 * tc1 + f4 * tc2 - m_complex * (w2 + 1j * w4)
+                            rc1 = f1 * tc0 + f3 * tc1 + f5 * tc2 - m_complex * (w3 + 1j * w5)
+                            dw0 = (ra11 * r0 - a01 * r1) / rdet
+                            dw1 = (ra00 * r1 - a10 * r0) / rdet
+                            dc0 = (ca11 * rc0 - a01 * rc1) / cdet
+                            dc1 = (ca00 * rc1 - a10 * rc0) / cdet
+                        except (ArithmeticError, ValueError):
+                            break
+                        dw2, dw3, dw4, dw5 = dc0.real, dc1.real, dc0.imag, dc1.imag
+                        u0, u1, u2 = dw0 / s0, dw1 / s1, dw2 / s0
+                        u3, u4, u5 = dw3 / s1, dw4 / s0, dw5 / s1
+                        dw_norm = sqrt(sum((u0 * u0, u1 * u1, u2 * u2,
+                                            u3 * u3, u4 * u4, u5 * u5))) / root6
+                        if norm_old is not None:
+                            rate = dw_norm / norm_old
+                        if rate is not None and (
+                                rate >= 1 or rate ** (maxiter - k) / (1 - rate) * dw_norm
+                                > newton_tol):
+                            break
+                        w0, w1, w2 = w0 + dw0, w1 + dw1, w2 + dw2
+                        w3, w4, w5 = w3 + dw3, w4 + dw4, w5 + dw5
+                        z0 = tt00 * w0 + tt01 * w2 + tt02 * w4
+                        z1 = tt00 * w1 + tt01 * w3 + tt02 * w5
+                        z2 = tt10 * w0 + tt11 * w2 + tt12 * w4
+                        z3 = tt10 * w1 + tt11 * w3 + tt12 * w5
+                        z4 = tt20 * w0 + tt21 * w2 + tt22 * w4
+                        z5 = tt20 * w1 + tt21 * w3 + tt22 * w5
+                        if dw_norm == 0 or rate is not None and rate / (1 - rate) * dw_norm \
+                                < newton_tol:
+                            converged = True
+                            break
+                        norm_old = dw_norm
+                    n_iter = k + 1
                     if not converged:
                         if current_jac:
                             break
-                        J, current_jac = jac(t, y), True
-                        lu_real = lu_complex = None
+                        (j00, j01), (j10, j11) = jac(t, (y0, y1))
+                        current_jac, lu_stale = True, True
                 if not converged:
                     h_abs *= 0.5
-                    lu_real = lu_complex = None
+                    lu_stale = True
                     continue
-                y_new = (y[0] + z[4], y[1] + z[5])
-                ze = [(z[j] * _E[0] + z[2 + j] * _E[1] + z[4 + j] * _E[2]) / h
-                      for j in (0, 1)]
-                error = _lu_solve(lu_real, f[0] + ze[0], f[1] + ze[1])
-                s0 = atol + max(abs(y[0]), abs(y_new[0])) * rtol
-                s1 = atol + max(abs(y[1]), abs(y_new[1])) * rtol
-                error_norm = _rms(error[0] / s0, error[1] / s1)
-                safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+                yn0, yn1 = y0 + z4, y1 + z5
+                ze0 = (z0 * e0 + z2 * e1 + z4 * e2) / h
+                ze1 = (z1 * e0 + z3 * e1 + z5 * e2) / h
+                r0, r1 = fy0 + ze0, fy1 + ze1
+                err0, err1 = (ra11 * r0 - a01 * r1) / rdet, (ra00 * r1 - a10 * r0) / rdet
+                s0 = atol + max(abs(y0), abs(yn0)) * rtol
+                s1 = atol + max(abs(y1), abs(yn1)) * rtol
+                u0, u1 = err0 / s0, err1 / s1
+                error_norm = sqrt(sum((u0 * u0, u1 * u1))) / root2
+                safety = 0.9 * (2 * maxiter + 1) / (2 * maxiter + n_iter)
                 if rejected and error_norm > 1:
-                    g = fun(t, (y[0] + error[0], y[1] + error[1]))
-                    error = _lu_solve(lu_real, g[0] + ze[0], g[1] + ze[1])
-                    error_norm = _rms(error[0] / s0, error[1] / s1)
+                    g0, g1 = fun(t, (y0 + err0, y1 + err1))
+                    r0, r1 = g0 + ze0, g1 + ze1
+                    err0, err1 = (ra11 * r0 - a01 * r1) / rdet, (ra00 * r1 - a10 * r0) / rdet
+                    u0, u1 = err0 / s0, err1 / s1
+                    error_norm = sqrt(sum((u0 * u0, u1 * u1))) / root2
                 if error_norm > 1:
                     factor = _predict_factor(h_abs, h_old, error_norm, err_old)
                     h_abs *= max(_MIN_FACTOR, safety * factor)
-                    lu_real = lu_complex = None
-                    rejected = True
+                    lu_stale = rejected = True
                 else:
                     break
             recompute_jac = n_iter > 2 and rate > 1e-3
@@ -263,17 +315,25 @@ def _radau(fun, jac, t_end: float, rtol: float, atol: float):
             if not recompute_jac and growth < 1.2:
                 growth = 1.0
             else:
-                lu_real = lu_complex = None
-            f = fun(t_new, y_new)
-            if not (math.isfinite(f[0]) and math.isfinite(f[1])):
+                lu_stale = True
+            fy0, fy1 = fun(t_new, (yn0, yn1))
+            if not (isfinite(fy0) and isfinite(fy1)):
                 raise CorrectionSolveError(f"correction ODE solve failed: non-finite "
                                            f"right-hand side at t={t_new:.6g}")
-            J, current_jac = (jac(t_new, y_new), True) if recompute_jac else (J, False)
+            if recompute_jac:
+                (j00, j01), (j10, j11) = jac(t_new, (yn0, yn1))
+            current_jac = recompute_jac
             h_abs_old, error_norm_old, proposal = proposal, error_norm, h_abs * growth
-            q = _mix(_P_T, z)
-            previous = (t, h, q[0], q[2], q[4], q[1], q[3], q[5], y[0], y[1])
+            previous = (t, h,
+                        pp00 * z0 + pp01 * z2 + pp02 * z4,
+                        pp10 * z0 + pp11 * z2 + pp12 * z4,
+                        pp20 * z0 + pp21 * z2 + pp22 * z4,
+                        pp00 * z1 + pp01 * z3 + pp02 * z5,
+                        pp10 * z1 + pp11 * z3 + pp12 * z5,
+                        pp20 * z1 + pp21 * z3 + pp22 * z5,
+                        y0, y1)
             rows.append(previous)
-            t, y = t_new, y_new
+            t, y0, y1 = t_new, yn0, yn1
             times.append(t)
     except (ArithmeticError, ValueError) as exc:   # overflow, zero pivot, domain
         raise CorrectionSolveError(f"correction ODE solve failed at t={t:.6g}: {exc}") from exc
@@ -312,14 +372,10 @@ def _collocation(t, t_old, step, q00, q01, q02, q10, q11, q12, y0, y1):
 
 
 def _evaluate(step_times, segments, t):
-    """(h, h_t) at t from the collocation table: a step time belongs to the
-    step on its left, times outside [0, t_end] use the first or last step."""
-    t = _as_time(t)
-    last = len(segments) - 1
-    if isinstance(t, float):
-        i = bisect.bisect_left(step_times, t) - 1
-        return _collocation(t, *segments[min(max(i, 0), last)].tolist())
-    i = np.clip(np.searchsorted(step_times, t, side="left") - 1, 0, last)
+    """(h, h_t) at an array of times from the collocation table: a step time
+    belongs to the step on its left, times outside [0, t_end] use the first
+    or last step."""
+    i = np.clip(np.searchsorted(step_times, t, side="left") - 1, 0, len(segments) - 1)
     return _collocation(t, *np.moveaxis(segments[i], -1, 0))
 
 
@@ -333,7 +389,9 @@ class CorrectionPath:
     one float64 table laid out like SciPy's ``RadauDenseOutput``.  As in
     SciPy's ``OdeSolution``, a step time belongs to the step on its left,
     and times outside [0, t_end] use the first or last step.  A scalar time is evaluated in
-    Python floats, an array of times with the same arithmetic in NumPy.
+    Python floats, an array of times with the same arithmetic in NumPy.  For
+    a scalar the path keeps the step times as a Python list to bisect and
+    the table as packed float64 bytes, from which a row is read as floats.
     """
 
     params: PhysParams
@@ -348,10 +406,26 @@ class CorrectionPath:
     step_times: np.ndarray = field(repr=False)
     segments: np.ndarray = field(repr=False)
     _last_coefficients: TimeCoefficients | None = field(default=None, init=False, repr=False)
+    _times: list = field(init=False, repr=False, compare=False)
+    _table: bytes = field(init=False, repr=False, compare=False)
+    _exponents: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._times = self.step_times.tolist()
+        self._table = np.asarray(self.segments, dtype=float).tobytes()
+        p = self.params
+        # lam, kappa, q = n - n gamma - 1 and e = n gamma - n + 2
+        self._exponents = (p.lam, p.kappa, p.n - p.n * p.gamma - 1.0, p.damping_power)
 
     def _dense(self, t):
         """(h, h_t) at t: floats for a scalar t, arrays shaped like t."""
-        return _evaluate(self.step_times, self.segments, t)
+        t = _as_time(t)
+        if not isinstance(t, float):
+            return _evaluate(self.step_times, self.segments, t)
+        times = self._times
+        # the searchsorted-and-clip of _evaluate, in one bisection
+        i = bisect.bisect_left(times, t, 1, len(times) - 1) - 1
+        return _collocation(t, *_ROW.unpack_from(self._table, _ROW.size * i))
 
     def h_at(self, t):
         return self._dense(t)[0]
@@ -398,26 +472,35 @@ class CorrectionPath:
     def coefficients(self, t: float) -> TimeCoefficients:
         """d, c and their first two derivatives at a scalar t.  The last
         result is kept, so the coefficients of one time cost one dense
-        evaluation however many callers read them."""
+        evaluation however many callers read them.  Theta and its
+        derivatives are those of :meth:`theta_derivatives`, same arithmetic,
+        with nu and nu_t of PhysParams written out and each power of u and
+        theta raised once."""
         last = self._last_coefficients
         if last is not None and last.t == t:
             return last
         t = float(t)
-        lam, e = self.params.lam, self.params.damping_power
-        th, th1, th2, th3 = self.theta_derivatives(t)
+        lam, kappa, q, e = self._exponents
+        h, h_t = self._dense(t)
         u = 1.0 + t
+        u_lam, u_lam1 = u ** (-lam), u ** (-lam - 1.0)
+        th = u ** kappa + h
+        th1 = kappa * u ** (kappa - 1.0) + h_t
+        th2 = kappa * th ** q - u_lam * th1
+        th3 = kappa * q * th ** (q - 1.0) * th1 + lam * u_lam1 * th1 - u_lam * th2
         d = (
-            u ** (-lam) + 2.0 * th1 / th,
-            -lam * u ** (-lam - 1.0) + 2.0 * (th2 / th - th1 ** 2 / th ** 2),
+            u_lam + 2.0 * th1 / th,
+            -lam * u_lam1 + 2.0 * (th2 / th - th1 ** 2 / th ** 2),
             lam * (lam + 1.0) * u ** (-lam - 2.0) + 2.0 * (
                 th3 / th - 3.0 * th1 * th2 / th ** 2 + 2.0 * th1 ** 3 / th ** 3),
         )
+        th_e1 = th ** (-e - 1.0)
         c = (
             th ** (-e),
-            -e * th ** (-e - 1.0) * th1,
-            e * (e + 1.0) * th ** (-e - 2.0) * th1 ** 2 - e * th ** (-e - 1.0) * th2,
+            -e * th_e1 * th1,
+            e * (e + 1.0) * th ** (-e - 2.0) * th1 ** 2 - e * th_e1 * th2,
         )
-        coefficients = self._last_coefficients = TimeCoefficients(t=t, d=d, c=c)
+        coefficients = self._last_coefficients = TimeCoefficients(t, d, c)
         return coefficients
 
     def write_csv(self, path) -> None:
@@ -431,8 +514,8 @@ def sample_grid(t_end: float) -> np.ndarray:
     return np.concatenate([[0.0], np.geomspace(FIRST_SAMPLE_TIME, t_end, count)])
 
 
-def solve_correction(params: PhysParams, t_end: float,
-                     rel_tol: float = 1e-10, abs_tol: float = 1e-13) -> CorrectionPath:
+def solve_correction(params: PhysParams, t_end: float, rel_tol: float = OdeConfig.rel_tol,
+                     abs_tol: float = OdeConfig.abs_tol) -> CorrectionPath:
     """Adaptive high-order integration of the correction ODE with dense output."""
     if t_end < 1.0:
         raise ValueError("t_end must be at least 1")
@@ -469,8 +552,8 @@ def _memoized_path(params: PhysParams, t_end: float, rel_tol: float,
     return solve_correction(params, t_end, rel_tol, abs_tol)
 
 
-def correction_path(params: PhysParams, t_end: float,
-                    rel_tol: float = 1e-10, abs_tol: float = 1e-13) -> CorrectionPath:
+def correction_path(params: PhysParams, t_end: float, rel_tol: float = OdeConfig.rel_tol,
+                    abs_tol: float = OdeConfig.abs_tol) -> CorrectionPath:
     """:func:`solve_correction`, solved once per process for each argument set.
 
     Every caller with equal arguments, defaulted or explicit, receives the

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SEED_SHAPES, STEPPERS
+from .config import SEED_SHAPES, STEPPERS, SolverConfig
 from .correction import CorrectionPath
 from .energy import RadialEnergies, energy_columns, energy_indices
 from .kinematics import apply_d, box_grid, build_deformation, radial_vector_field
@@ -275,7 +275,8 @@ class RadialTrajectory:
         return np.array([float(np.max(np.abs(s.w))) for s in self.states])
 
 
-def output_schedule(t_end: float, per_decade: int = 60) -> np.ndarray:
+def output_schedule(t_end: float,
+                    per_decade: int = SolverConfig.outputs_per_decade) -> np.ndarray:
     """t = 0, then ``per_decade`` log-spaced times per decade from 0.1 to
     ``t_end`` (at least 8)."""
     if t_end <= 0.1:
@@ -319,8 +320,9 @@ def reconstructed_mass(operator: RadialOperator, recon: Reconstruction) -> float
 
 
 def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
-           t_end: float, output_times=None, rel_tol: float = 1e-7,
-           abs_tol: float = 1e-11, stepper: str = "adaptive", fixed_dt: float | None = None,
+           t_end: float, output_times=None, rel_tol: float = SolverConfig.rel_tol,
+           abs_tol: float = SolverConfig.abs_tol, stepper: str = SolverConfig.stepper,
+           fixed_dt: float | None = None,
            collect_energies: bool = True,
            collect_reconstructions: bool = True) -> RadialTrajectory:
     """Integrate the radial system and record states, energies, and

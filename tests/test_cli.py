@@ -1,5 +1,7 @@
 """Configuration, run directories, restart, sweep, suite, and the CLI."""
+import dataclasses
 import importlib
+import inspect
 import json
 import shutil
 import subprocess
@@ -9,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vaclab import correction, radial
 from vaclab.cli import main
-from vaclab.config import ConfigError, RunConfig, load_config, parse_config
+from vaclab.config import (ConfigError, OdeConfig, RunConfig, SolverConfig, load_config,
+                           parse_config)
 from vaclab.params import derive_constants
 from vaclab.runio import _read_state, refit, resume, run
 from vaclab.suite import verify
@@ -81,6 +85,23 @@ def test_readme_config_block_shows_the_defaults():
     section = readme.split("## Run configuration", 1)[1]
     block = section.split("```json", 1)[1].split("```", 1)[0]
     assert json.loads(block) == RunConfig().to_dict()
+
+
+@pytest.mark.parametrize("function,parameter,section,setting", [
+    (radial.evolve, "rel_tol", SolverConfig, "rel_tol"),
+    (radial.evolve, "abs_tol", SolverConfig, "abs_tol"),
+    (radial.evolve, "stepper", SolverConfig, "stepper"),
+    (radial.output_schedule, "per_decade", SolverConfig, "outputs_per_decade"),
+    (correction.solve_correction, "rel_tol", OdeConfig, "rel_tol"),
+    (correction.solve_correction, "abs_tol", OdeConfig, "abs_tol"),
+    (correction.correction_path, "rel_tol", OdeConfig, "rel_tol"),
+    (correction.correction_path, "abs_tol", OdeConfig, "abs_tol"),
+])
+def test_function_defaults_are_their_config_defaults(function, parameter, section, setting):
+    # a direct call and a run with a default config use the same value
+    default = inspect.signature(function).parameters[parameter].default
+    field = next(f for f in dataclasses.fields(section) if f.name == setting)
+    assert default == field.default
 
 
 def test_config_roundtrip(tmp_path):

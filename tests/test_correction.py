@@ -1,8 +1,11 @@
 """Correction ODE: initial data, long-time envelopes, and bound checks."""
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
+import radau_reference as reference
 from scipy.integrate import solve_ivp
 
 from vaclab import correction
@@ -377,3 +380,117 @@ def test_correction_path_is_solved_once_per_argument_set(monkeypatch):
     assert all(other is not path for other in others)
     assert len(solves) == 6
     assert correction_path(p, 100.0) is path
+
+
+# the floored rtol = 1e-16 case beside the oracle sets
+REFERENCE_SETS = ORACLE_SETS + [(3, 0.0, 100.0, 1e-16, 1e-13)]
+
+
+@pytest.mark.parametrize("n,lam,t_end,rel_tol,abs_tol", REFERENCE_SETS)
+def test_radau_equals_its_loop_reference(n, lam, t_end, rel_tol, abs_tol):
+    # the flat loop keeps the helper-call version's arithmetic: same steps,
+    # same collocation tables, bit for bit
+    p = derive_constants(n, lam, 2.0, 1.0)
+    path = solve_correction(p, t_end, rel_tol, abs_tol)
+    times, rows = reference._radau(correction._correction_rhs(p),
+                                   correction._correction_jac(p), t_end, rel_tol, abs_tol)
+    assert np.array_equal(path.step_times, times)
+    assert np.array_equal(path.segments, rows)
+
+
+def _reference_lines(text):
+    """Line numbers of the reference ``_radau`` whose source contains text."""
+    lines, first = inspect.getsourcelines(reference._radau)
+    found = [first + i for i, line in enumerate(lines) if text in line]
+    assert found, text
+    return set(found)
+
+
+# Scripted right-hand sides, each with the reference branch it must reach;
+# no oracle set reaches any of them.  The k-th call of the script returns
+# NaN or a finite outlier in h'' in place of the true value.
+SCRIPTS = {
+    # Newton fails on the first step, whose Jacobian is fresh: the step halves
+    "halving": (lambda k, t: math.nan if k == 3 else None, "h_abs *= 0.5"),
+    # an outlier at an accepted point rejects the next step twice, and the
+    # second rejection re-evaluates the error estimate
+    "error-reevaluation": (lambda k, t: 1e10 if k == 30 else None,
+                           "g = fun(t, (y[0] + error[0], y[1] + error[1]))"),
+    # an outlier at t = 0 proposes a zero first step, raised to the
+    # min_step floor, where Newton fails and the solve ends
+    "min-step-floor": (lambda k, t: 1e300 if k == 1 else None,
+                       "h_abs, h_old, err_old = min_step, None, None"),
+    # NaN from t = 10 on: the steps shrink below ten ulps of t
+    "step-below-min-step": (lambda k, t: math.nan if t >= 10.0 else None,
+                            "step below"),
+}
+
+
+def _scripted_solve(radau, script, params):
+    """Run radau on the scripted right-hand side: its outcome (the step
+    times and table, or the error message) and every call's arguments."""
+    rhs, calls = correction._correction_rhs(params), []
+
+    def fun(t, y):
+        calls.append((t, y))
+        h_t, h_tt = rhs(t, y)
+        outlier = script(len(calls), t)
+        return h_t, h_tt if outlier is None else outlier
+
+    try:
+        outcome = radau(fun, correction._correction_jac(params), 100.0, 1e-10, 1e-13)
+    except CorrectionSolveError as exc:
+        outcome = str(exc)
+    return outcome, [repr(call) for call in calls]
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPTS))
+def test_radau_equals_its_loop_reference_on_scripted_rhs(params3, name):
+    script, marker = SCRIPTS[name]
+    branch, reached = _reference_lines(marker), set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not reference._radau.__code__:
+            return None
+
+        def lines(frame, event, arg):
+            if event == "line" and frame.f_lineno in branch:
+                reached.add(frame.f_lineno)
+            return lines
+        return lines
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        expected, expected_calls = _scripted_solve(reference._radau, script, params3)
+    finally:
+        sys.settrace(previous)
+    assert reached, f"the script does not reach {marker!r}"
+    outcome, calls = _scripted_solve(correction._radau, script, params3)
+    # every right-hand side call, argument for argument (repr keeps each bit)
+    first = next((i for i, pair in enumerate(zip(calls, expected_calls))
+                  if pair[0] != pair[1]), None)
+    assert first is None, f"call {first + 1}: {calls[first]} != {expected_calls[first]}"
+    assert len(calls) == len(expected_calls)
+    if isinstance(expected, str):
+        assert outcome == expected
+    else:
+        assert np.array_equal(outcome[0], expected[0])
+        assert np.array_equal(outcome[1], expected[1])
+
+
+@pytest.mark.parametrize("n,lam", [(3, 0.0), (3, 0.5), (2, 0.3)])
+def test_time_coefficients_equal_their_reference(n, lam):
+    # the inline lookup keeps theta_derivatives' arithmetic: equal d and c
+    # at random uniform and log-spaced times, at every step time (which
+    # belongs to the step on its left), at 0, t_end and beyond; lambda =
+    # 0.3 also checks the order of products with lambda, which 0 and 0.5
+    # (a power of two) leave exact
+    path = solve_correction(derive_constants(n, lam, 2.0, 1.0), 1e6)
+    rng = np.random.default_rng(22)
+    times = np.concatenate([rng.uniform(0.0, 1e6, 5000), 10.0 ** rng.uniform(-6.0, 6.0, 5000),
+                            path.step_times, [0.0, 1e6, 2e6]])
+    for t in times.tolist():
+        assert path._dense(t) == reference._evaluate(path.step_times, path.segments, t)
+        assert path.coefficients(t) == reference.coefficients(path, t), t
+
