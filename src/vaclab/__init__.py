@@ -15,7 +15,7 @@ from .config import ConfigError, RunConfig, load_config, parse_config
 from .correction import (CorrectionPath, HEnvelopeFit, ThetaPropertyReport,
                          correction_path, fit_h_envelope,
                          integrating_factor_bound_check, lyapunov_violations,
-                         ode_residual, rk4_reference, solve_correction,
+                         ode_residual, solve_correction,
                          verify_theta_properties)
 from .diagnostics import (BoundednessReport, RateReport, boundedness_report,
                           closed_form_gaps, gap_series, theorem_rate_report)
@@ -28,7 +28,7 @@ from .kinematics import (BoxGrid, DeformationDegenerateError, DeformationField,
                          deformation_on_window, div_eta, grad_eta,
                          radial_vector_field, random_smooth_field)
 from .params import (ParameterError, PhysParams, SelfSimilarProfile,
-                     barenblatt_fields, derive_constants)
+                     derive_constants)
 from .quadrature import sigma_moment, unit_sphere_area
 from .radial import (RadialInvariantError, RadialOperator, RadialState,
                      RadialTrajectory, Reconstruction, evolve, output_schedule,

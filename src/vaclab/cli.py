@@ -14,8 +14,8 @@ import numpy as np
 from . import suite
 from .config import (ConfigError, OdeConfig, ParamsConfig, RunConfig, load_config,
                      validated)
-from .correction import (fit_h_envelope, lyapunov_violations, ode_residual,
-                         solve_correction, verify_theta_properties)
+from .correction import (H_ENVELOPE_TOL, RESIDUAL_BOUND, fit_h_envelope, lyapunov_violations,
+                         ode_residual, solve_correction, verify_theta_properties)
 from .params import SelfSimilarProfile, derive_constants
 from .runio import refit, resume, run
 from .sweep import sweep
@@ -101,12 +101,12 @@ def cmd_ode(args) -> int:
             err = abs(env.best_exponent() - env.expected_exponent)
             print(f"h tail exponent {env.best_exponent():+.4f} "
                   f"(envelope {env.expected_exponent:+.4f}, error {err:.3f})")
-            ok &= err <= 0.05
+            ok &= err <= H_ENVELOPE_TOL
     resid = ode_residual(path)
     violations = lyapunov_violations(path)
     print(f"dense-output residual (step-scaled): {resid:.3g}   "
           f"lyapunov violations: {violations}")
-    ok &= resid <= 10.0 and violations == 0
+    ok &= resid <= RESIDUAL_BOUND and violations == 0
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -129,12 +129,6 @@ class RadialEnergies:
         return {form: (self._area * (radial_form(*form, n, vals) @ rule.weights)).tolist()
                 for form in forms}
 
-    def spatial_norm(self, w_nodal: np.ndarray, i: int, j: int, exponent: float) -> float:
-        """int_Omega sigma^exponent |d^i dbar^j omega|^2 dy for omega = w y/|y|."""
-        _check_form(i, j)
-        stack = np.asarray(w_nodal, dtype=float)[np.newaxis]
-        return self._norms(self._scalars(stack), exponent, [(i, j)])[i, j][0]
-
     def _stacked_pass(self, time_derivs: Mapping[int, np.ndarray]):
         """Every supported norm of every time derivative, the norms of
         spatial order i against sigma^(iota+i)."""

@@ -252,10 +252,3 @@ class SelfSimilarProfile:
         if not np.any(mask):
             raise ValueError("no interior nodes in the window")
         return float(np.max(np.abs(resid[mask])))
-
-
-def barenblatt_fields(params: PhysParams, t: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Density and velocity of the self-similar background at (t, x)."""
-    profile = SelfSimilarProfile(params)
-    x = np.asarray(x, dtype=float)
-    return profile.density(t, x), profile.velocity(t, x)

@@ -17,6 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import SolverConfig
+
 # Dormand-Prince 5(4) tableau (FSAL); the stage increment of stage s is
 # _A[s, :s] @ k[:s], one matrix product.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
@@ -109,7 +111,8 @@ def _output_times(t0: float, output_times: Sequence[float]) -> list[float]:
 
 def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
                        output_times: Sequence[float],
-                       rel_tol: float = 1e-7, abs_tol: float = 1e-11,
+                       rel_tol: float = SolverConfig.rel_tol,
+                       abs_tol: float = SolverConfig.abs_tol,
                        max_step: Callable[[float], float] | None = None,
                        on_output: Callable | None = None,
                        stats: IntegrationStats | None = None) -> IntegrationResult:

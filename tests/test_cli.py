@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vaclab import correction, radial
+from vaclab import cli, correction, radial, suite, timestepping
 from vaclab.cli import main
 from vaclab.config import (ConfigError, OdeConfig, RunConfig, SolverConfig, load_config,
                            parse_config)
@@ -96,6 +96,8 @@ def test_readme_config_block_shows_the_defaults():
     (correction.solve_correction, "abs_tol", OdeConfig, "abs_tol"),
     (correction.correction_path, "rel_tol", OdeConfig, "rel_tol"),
     (correction.correction_path, "abs_tol", OdeConfig, "abs_tol"),
+    (timestepping.integrate_adaptive, "rel_tol", SolverConfig, "rel_tol"),
+    (timestepping.integrate_adaptive, "abs_tol", SolverConfig, "abs_tol"),
 ])
 def test_function_defaults_are_their_config_defaults(function, parameter, section, setting):
     # a direct call and a run with a default config use the same value
@@ -535,6 +537,23 @@ def test_cli_ode_smoke(capsys):
     out = capsys.readouterr().out
     assert "theta_t > 0: True" in out
     assert "PASS" in out
+
+
+def test_ode_and_suite_refuse_a_steep_third_derivative(monkeypatch, capsys):
+    # one acceptance rule: a theta''' tail slope 0.2 above its envelope
+    # fails `vaclab ode` and the suite's ode-properties check alike
+    def steep(path):
+        report = correction.verify_theta_properties(path)
+        slopes = {**report.derivative_slopes, 3: report.derivative_slope_targets[3] + 0.2}
+        return dataclasses.replace(report, derivative_slopes=slopes)
+
+    monkeypatch.setattr(cli, "verify_theta_properties", steep)
+    monkeypatch.setattr(suite, "verify_theta_properties", steep)
+    assert main(["ode", "--t-end", "1e4"]) == 1
+    assert "ode: FAIL" in capsys.readouterr().out
+    report = verify(only="ode-properties")
+    assert [r.name for r in report.results] == ["ode-properties"]
+    assert not report.ok
 
 
 def test_cli_entrypoint_subprocess():

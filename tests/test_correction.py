@@ -13,7 +13,7 @@ from vaclab.correction import (CorrectionPath, CorrectionSolveError,
                                boundary_layer_integral, correction_path,
                                fit_h_envelope,
                                integrating_factor_bound_check,
-                               lyapunov_violations, ode_residual, rk4_reference,
+                               lyapunov_violations, ode_residual,
                                solve_correction, verify_theta_properties)
 from vaclab.fitting import decay_fit
 from vaclab.params import derive_constants
@@ -40,6 +40,22 @@ def test_initial_values(path3, params3):
     assert path3.h_t[0] == 0.0
     assert path3.theta[0] == pytest.approx(1.0, abs=0)
     assert path3.theta_t[0] == pytest.approx(params3.kappa, abs=0)
+
+
+def rk4_reference(params, t_end, dt):
+    """(h, h_t) at t_end by classical fixed-step RK4 on the (h, h') system,
+    an integrator apart from the adaptive path's."""
+    rhs = correction._correction_rhs(params)
+    h = z = t = 0.0
+    for _ in range(int(round(t_end / dt))):
+        k1 = rhs(t, (h, z))
+        k2 = rhs(t + 0.5 * dt, (h + 0.5 * dt * k1[0], z + 0.5 * dt * k1[1]))
+        k3 = rhs(t + 0.5 * dt, (h + 0.5 * dt * k2[0], z + 0.5 * dt * k2[1]))
+        k4 = rhs(t + dt, (h + dt * k3[0], z + dt * k3[1]))
+        h = h + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        z = z + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        t += dt
+    return h, z
 
 
 def test_rk4_oracle_agreement(params3, path3):
@@ -481,16 +497,21 @@ def test_radau_equals_its_loop_reference_on_scripted_rhs(params3, name):
 
 @pytest.mark.parametrize("n,lam", [(3, 0.0), (3, 0.5), (2, 0.3)])
 def test_time_coefficients_equal_their_reference(n, lam):
-    # the inline lookup keeps theta_derivatives' arithmetic: equal d and c
-    # at random uniform and log-spaced times, at every step time (which
-    # belongs to the step on its left), at 0, t_end and beyond; lambda =
-    # 0.3 also checks the order of products with lambda, which 0 and 0.5
-    # (a power of two) leave exact
+    # the inline lookup and theta_derivatives keep the reference's
+    # arithmetic: equal theta derivatives, d and c at random uniform and
+    # log-spaced times, at every step time (which belongs to the step on
+    # its left), at 0, t_end and beyond, as floats and as one array;
+    # lambda = 0.3 also checks the order of products with lambda, which 0
+    # and 0.5 (a power of two) leave exact
     path = solve_correction(derive_constants(n, lam, 2.0, 1.0), 1e6)
     rng = np.random.default_rng(22)
     times = np.concatenate([rng.uniform(0.0, 1e6, 5000), 10.0 ** rng.uniform(-6.0, 6.0, 5000),
                             path.step_times, [0.0, 1e6, 2e6]])
     for t in times.tolist():
         assert path._dense(t) == reference._evaluate(path.step_times, path.segments, t)
+        assert path.theta_derivatives(t) == reference.theta_derivatives(path, t), t
         assert path.coefficients(t) == reference.coefficients(path, t), t
+    for ours, theirs in zip(path.theta_derivatives(times),
+                            reference.theta_derivatives(path, times)):
+        assert np.array_equal(ours, theirs)
 

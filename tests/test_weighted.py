@@ -154,9 +154,9 @@ def test_energy_unsupported_orders(setup3):
     with pytest.raises(UnsupportedOrderError):
         en.component({0: zeros}, 0, 0, 0, 1.0)          # missing m+1
     with pytest.raises(UnsupportedOrderError):
-        en.spatial_norm(zeros, 4, 0, 1.0)               # derivative too high
+        en.component({0: zeros, 1: zeros}, 0, 4, 0, 1.0)    # derivative too high
     with pytest.raises(UnsupportedOrderError):
-        en.spatial_norm(zeros, 0, 3, 1.0)
+        en.component({0: zeros, 1: zeros}, 0, 0, 3, 1.0)
 
 
 def _reference_norm(g, w, i, j, exponent):
@@ -191,10 +191,8 @@ def test_stacked_norms_match_single_field_norms(n, nodes):
     assert set(norms) == set(SUPPORTED_FORMS)
     for (i, j), column in norms.items():
         for k, w in derivs.items():
-            alone = en.spatial_norm(w, i, j, p.iota + i)
-            assert column[rows[k]] == pytest.approx(alone, rel=1e-13)
-            assert alone == pytest.approx(_reference_norm(g, w, i, j, p.iota + i),
-                                          rel=1e-12)
+            assert column[rows[k]] == pytest.approx(
+                _reference_norm(g, w, i, j, p.iota + i), rel=1e-12)
 
 
 class _CountingMatrix(np.ndarray):
