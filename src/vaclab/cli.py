@@ -14,8 +14,9 @@ import numpy as np
 from . import suite
 from .config import (ConfigError, OdeConfig, ParamsConfig, RunConfig, load_config,
                      validated)
-from .correction import (H_ENVELOPE_TOL, RESIDUAL_BOUND, fit_h_envelope, lyapunov_violations,
-                         ode_residual, solve_correction, verify_theta_properties)
+from .correction import (H_ENVELOPE_TOL, MIN_SLOPE_HORIZON, RESIDUAL_BOUND, fit_h_envelope,
+                         lyapunov_violations, ode_residual, solve_correction,
+                         verify_theta_properties)
 from .params import SelfSimilarProfile, derive_constants
 from .runio import refit, resume, run
 from .sweep import sweep
@@ -85,6 +86,9 @@ def cmd_ode(args) -> int:
     """Solve the correction ODE and verify its envelopes."""
     params = _params_from_args(args)
     t_end = validated(OdeConfig(t_end=args.t_end), "ode").t_end
+    if t_end < MIN_SLOPE_HORIZON:
+        raise ConfigError(f"ode.t_end: must be >= {MIN_SLOPE_HORIZON:.6g}, for the "
+                          "derivative-slope fits to have their samples")
     path = solve_correction(params, t_end)
     rep = verify_theta_properties(path)
     print(f"theta_t > 0: {rep.theta_t_positive}   theta > 1: {rep.theta_above_one}")
@@ -116,6 +120,30 @@ def cmd_ode(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _print_report(command: str, directory, report: dict) -> int:
+    """Print a run report: its checks, the anchor's preservation, the
+    energy ratio and the rate fits; exit by the report's verdict."""
+    print(f"run directory: {directory}")
+    for name, passed in report["checks"].items():
+        print(f"  [{'PASS' if passed else 'FAIL'}] {name}")
+    if report.get("preservation_sup") is not None:
+        print(f"  preservation sup|w| = {report['preservation_sup']:.3e}")
+    bounded = report["boundedness"]
+    if bounded and bounded["applicable"]:
+        print(f"  energy ratio sup E/E(0) = {bounded['total_ratio']:.3f} "
+              f"(threshold {bounded['threshold']:g})")
+    rates = report["rates"]
+    if rates:
+        print(f"  anchor run: {rates['anchor']}")
+        for name, exp in rates["exponents"].items():
+            print(f"  {name} gap exponent {exp:+.4f} "
+                  f"(envelope {rates['envelopes'][name]:+.4f})")
+        if rates["identity_max_rel_err"] is not None:
+            print(f"  closed-form identity max rel err {rates['identity_max_rel_err']:.2e}")
+    print(f"{command}: {'PASS' if report['ok'] else 'FAIL'}")
+    return EXIT_OK if report["ok"] else EXIT_FAIL
+
+
 def cmd_evolve(args) -> int:
     """One configured run (or checkpoint resume) of the radial solver."""
     if args.resume:
@@ -130,23 +158,7 @@ def cmd_evolve(args) -> int:
         if args.seed is not None:
             cfg.rng_seed = args.seed
         result = run(cfg)
-    report = result.report
-    print(f"run directory: {result.directory}")
-    for name, passed in report.get("checks", {}).items():
-        print(f"  [{'PASS' if passed else 'FAIL'}] {name}")
-    if report.get("preservation_sup") is not None:
-        print(f"  preservation sup|w| = {report['preservation_sup']:.3e}")
-    bounded = report.get("boundedness")
-    if bounded and bounded.get("applicable"):
-        print(f"  energy ratio sup E/E(0) = {bounded['total_ratio']:.3f} "
-              f"(threshold {bounded['threshold']:g})")
-    rates = report.get("rates")
-    if rates:
-        for name, exp in rates["exponents"].items():
-            print(f"  {name} gap exponent {exp:+.4f} "
-                  f"(envelope {rates['envelopes'][name]:+.4f})")
-    print(f"evolve: {'PASS' if result.ok else 'FAIL'}")
-    return EXIT_OK if result.ok else EXIT_FAIL
+    return _print_report("evolve", result.directory, result.report)
 
 
 def cmd_sweep(args) -> int:
@@ -179,24 +191,7 @@ def cmd_verify(args) -> int:
 
 def cmd_fit(args) -> int:
     """Re-run decay-rate diagnostics on an existing run directory."""
-    out = refit(args.run)
-    rates = out["rates"]
-    if rates is None:
-        print(f"no rate report: run {out['status']}, or its series covers "
-              "less than two decades\nfit: FAIL")
-        return EXIT_FAIL
-    print(f"anchor run: {rates['anchor']}")
-    for name, exp in rates["exponents"].items():
-        print(f"  {name} gap exponent {exp:+.4f} "
-              f"(envelope {rates['envelopes'][name]:+.4f})")
-    if rates.get("identity_max_rel_err") is not None:
-        print(f"  closed-form identity max rel err {rates['identity_max_rel_err']:.2e}")
-    bounded = out.get("boundedness")
-    if bounded and bounded.get("applicable"):
-        print(f"  energy ratio {bounded['total_ratio']:.3f}")
-    ok = rates["ok"] and (not bounded or not bounded.get("applicable") or bounded["ok"])
-    print(f"fit: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_FAIL
+    return _print_report("fit", args.run, refit(args.run))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -64,6 +64,11 @@ logger = logging.getLogger(__name__)
 
 SAMPLES_PER_DECADE = 200
 FIRST_SAMPLE_TIME = 1e-2
+SLOPE_WINDOW_START = 1e2  # derivative slopes are fitted from here (or t_end/1e4) on
+SLOPE_MIN_SAMPLES = 4     # samples a slope fit needs in its window
+# t_end from which the slope window keeps SLOPE_MIN_SAMPLES samples: one spacing more
+# than they span, as sample_grid's is a little over 1/SAMPLES_PER_DECADE decade
+MIN_SLOPE_HORIZON = SLOPE_WINDOW_START * 10.0 ** (SLOPE_MIN_SAMPLES / SAMPLES_PER_DECADE)
 SLOPE_SLACK = 0.12       # a |theta^(m)| tail slope may exceed kappa - m by this
 RESIDUAL_BOUND = 10.0    # largest accepted step-scaled residual of ode_residual
 H_ENVELOPE_TOL = 0.05    # largest accepted error of the fitted h tail exponent
@@ -595,14 +600,15 @@ def verify_theta_properties(path: CorrectionPath) -> ThetaPropertyReport:
         i = int(np.argmax(bad))
         first_violation = (float(t[i]), float(theta[i]), float(theta_t[i]))
     ratio = theta / path.params.nu(t)
-    fit_window = (max(1e2, path.t_end / 1e4), path.t_end)
+    fit_window = (max(SLOPE_WINDOW_START, path.t_end / 1e4), path.t_end)
     # no-trend check on theta/nu over the last two decades
     drift = decay_fit(t, ratio, window=(path.t_end / 100.0, path.t_end)).exponent
     derivatives = path.theta_derivatives(t)
     slopes = {}
     targets = {}
     for m in (1, 2, 3):
-        fit = decay_fit(t, np.abs(derivatives[m]), window=fit_window)
+        fit = decay_fit(t, np.abs(derivatives[m]), window=fit_window,
+                        min_samples=SLOPE_MIN_SAMPLES)
         slopes[m] = fit.exponent
         targets[m] = path.params.kappa - m
     return ThetaPropertyReport(

@@ -17,21 +17,29 @@ import numpy as np
 from .correction import CorrectionPath
 from .fitting import DecayFit, decay_fit
 from .params import PhysParams
-from .radial import RadialTrajectory, deformation
+from .radial import RadialTrajectory, deformation, reconstructed_mass
 
 GAP_NAMES = ("position", "density", "velocity")
 
-# a run whose sup |w| stays below this is the zero anchor
-ANCHOR_TOL = 1e-12
+# sup |w| a run whose initial state is zero may reach
+PRESERVATION_TOL = 1e-8
 # relative tolerance of the anchor's gaps against their closed forms
 IDENTITY_TOL = 1e-10
 
 
+def is_anchor(series: dict[str, np.ndarray]) -> bool:
+    """Whether a run is the anchor: its initial state is zero (sup |w| of
+    the first row of ``series`` is exactly 0), which the ansatz keeps zero."""
+    return len(series["sup_w"]) > 0 and float(series["sup_w"][0]) == 0.0
+
+
 def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
                params: PhysParams) -> dict[str, np.ndarray]:
-    """The gap columns of series.csv, per output: t, sup |w| and the
-    sup-over-node gaps |x - xbar|, |rho o x - rhobar o xbar| / rho0 and
-    |u o x - ubar o xbar|, named position_gap, density_gap, velocity_gap.
+    """Every column of series.csv, per output: t, sup |w|, the sup-over-node
+    gaps |x - xbar|, |rho o x - rhobar o xbar| / rho0 and
+    |u o x - ubar o xbar| (position_gap, density_gap, velocity_gap), the
+    boundary radius and the relative mass error of the reconstruction,
+    both NaN for a state without one.
 
     In Lagrangian radial variables:
         position gap  = |h r + theta w|,
@@ -39,24 +47,31 @@ def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
         velocity gap  = |h_t r + theta_t w + theta w_t|.
     """
     n = params.n
-    r = trajectory.grid.r
+    grid = trajectory.grid
+    r = grid.r
+    recons = trajectory.reconstructions
     rows = []
-    for state in trajectory.states:
+    for k, state in enumerate(trajectory.states):
         t = state.t
         h = float(path.h_at(t))
         h_t = float(path.h_t_at(t))
         nu = params.nu(t)
         theta, theta_t = nu + h, params.nu_t(t) + h_t
-        _, _, _, _, log_x, log_y = deformation(trajectory.grid, state.w, check=False)
+        _, _, _, _, log_x, log_y = deformation(grid, state.w, check=False)
         log_j = log_x + (n - 1.0) * log_y
+        recon = recons[k] if k < len(recons) else None
         rows.append((
             t,
             float(np.max(np.abs(state.w))),
             float(np.max(np.abs(h * r + theta * state.w))),
             float(np.max(np.abs(nu ** (-n) * np.expm1(-n * np.log1p(h / nu) - log_j)))),
             float(np.max(np.abs(h_t * r + theta_t * state.w + theta * state.w_t))),
+            recon.boundary_radius if recon else float("nan"),
+            abs(reconstructed_mass(grid, path, recon) - params.mass) / params.mass
+            if recon else float("nan"),
         ))
-    names = ("t", "sup_w") + tuple(f"{name}_gap" for name in GAP_NAMES)
+    names = (("t", "sup_w") + tuple(f"{name}_gap" for name in GAP_NAMES)
+             + ("boundary_radius", "mass_rel_err"))
     return dict(zip(names, np.array(rows).reshape(-1, len(names)).T))
 
 
@@ -93,19 +108,7 @@ class RateReport:
         return all(self.passes.values())
 
     def to_dict(self) -> dict:
-        out = {
-            "anchor": self.anchor,
-            "window": list(self.window),
-            "exponents": self.exponents,
-            "envelopes": self.envelopes,
-            "slack": self.slack,
-            "log_corrected": self.log_corrected,
-            "passes": self.passes,
-            "identity_max_rel_err": self.identity_max_rel_err,
-            "fits": {k: asdict(v) for k, v in self.fits.items()},
-            "ok": self.ok,
-        }
-        return out
+        return {**asdict(self), "ok": self.ok}
 
 
 def theorem_rate_report(series: dict[str, np.ndarray], path: CorrectionPath,
@@ -114,8 +117,8 @@ def theorem_rate_report(series: dict[str, np.ndarray], path: CorrectionPath,
     """Fit the three gap columns of ``series`` (named as in
     :func:`gap_series`) and compare with the decay envelopes.
 
-    Anchor runs (perturbation numerically zero): the gaps must match the
-    h-driven closed forms to ``IDENTITY_TOL`` relative, and the fitted
+    Anchor runs (zero initial state, :func:`is_anchor`): the gaps must match
+    the h-driven closed forms to ``IDENTITY_TOL`` relative, and the fitted
     exponents must equal the h-envelope exponents within ``slack``.
     Perturbed runs: fitted exponents must not exceed the theorem envelopes
     (position kappa, relative density -n kappa, velocity kappa-1, each
@@ -127,33 +130,20 @@ def theorem_rate_report(series: dict[str, np.ndarray], path: CorrectionPath,
         window = (t_end / 100.0, t_end)
     if window[1] < 99.0 * window[0]:
         raise ValueError("rate-fit window must cover at least two decades")
-    anchor = bool(np.max(series["sup_w"]) <= ANCHOR_TOL)
+    anchor = is_anchor(series)
     lam, kappa, n = params.lam, params.kappa, params.n
     log_corrected = lam == 0.0
 
-    if anchor:
-        envelopes = {
-            "position": kappa + lam - 1.0,
-            "density": -n * kappa + lam - 1.0,
-            "velocity": kappa + lam - 2.0,
-        }
-    else:
-        envelopes = {
-            "position": kappa,
-            "density": -n * kappa,
-            "velocity": kappa - 1.0,
-        }
-
     identity_err = None
     if anchor:
+        envelopes = {"position": kappa + lam - 1.0, "density": -n * kappa + lam - 1.0,
+                     "velocity": kappa + lam - 2.0}
         closed = closed_form_gaps(path, params, times, r_max)
-        identity_err = 0.0
-        for name in GAP_NAMES:
-            measured = series[f"{name}_gap"]
-            expected = closed[name]
-            scale = np.max(np.abs(expected)) + 1e-300
-            identity_err = max(identity_err, float(
-                np.max(np.abs(measured - expected)) / scale))
+        identity_err = max(float(np.max(np.abs(series[f"{name}_gap"] - closed[name]))
+                                 / (np.max(np.abs(closed[name])) + 1e-300))
+                           for name in GAP_NAMES)
+    else:
+        envelopes = {"position": kappa, "density": -n * kappa, "velocity": kappa - 1.0}
 
     exponents, passes, fits = {}, {}, {}
     for name in GAP_NAMES:
@@ -188,14 +178,7 @@ class BoundednessReport:
                                          and not self.flagged)
 
     def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "threshold": self.threshold,
-            "total_ratio": self.total_ratio,
-            "component_ratios": self.component_ratios,
-            "flagged": self.flagged,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def boundedness_report(energies: dict[str, np.ndarray],

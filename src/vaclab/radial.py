@@ -33,7 +33,6 @@ from .weighted import WeightedGrid
 
 logger = logging.getLogger(__name__)
 
-MAX_TIME_DERIVATIVE = 4
 CFL_SAFETY = 0.5   # share of the wave part's stability limit a step may take
 
 
@@ -185,32 +184,24 @@ class RadialOperator:
     def acceleration(self, t: float, w: np.ndarray, w_t: np.ndarray) -> np.ndarray:
         return -self.damping(t)[0] * w_t - self.wave_coefficient(t)[0] * self.stiffness(w, t)
 
-    def time_derivatives(self, t: float, w: np.ndarray, w_t: np.ndarray,
-                         order: int = MAX_TIME_DERIVATIVE) -> dict[int, np.ndarray]:
-        """Nodal arrays of partial_t^m w for m <= order, obtained by
+    def time_derivatives(self, t: float, w: np.ndarray,
+                         w_t: np.ndarray) -> dict[int, np.ndarray]:
+        """Nodal arrays of partial_t^m w for m <= 4, obtained by
         differentiating the equation rather than differencing the
         trajectory (avoids amplifying time-discretization noise)."""
-        derivs = {0: w, 1: w_t}
-        if order < 2:
-            return derivs
         d0, d1, d2 = self.damping(t)
         c0, c1, c2 = self.wave_coefficient(t)
         k0 = self.stiffness(w, t)
         acc = -d0 * w_t - c0 * k0
-        derivs[2] = acc
-        if order >= 3:
-            at = self._prologue(w)          # shared by the three directions
-            along_wt = self._variation(at, w_t)
-            k1_wt = self._first(w_t, along_wt)
-            derivs[3] = -d1 * w_t - d0 * acc - c1 * k0 - c0 * k1_wt
-        if order >= 4:
-            k2 = self._second(along_wt)
-            k1_acc = self._first(acc, self._variation(at, acc))
-            derivs[4] = (
-                -d2 * w_t - 2.0 * d1 * acc - d0 * derivs[3]
-                - c2 * k0 - 2.0 * c1 * k1_wt - c0 * (k2 + k1_acc)
-            )
-        return derivs
+        at = self._prologue(w)          # shared by the three directions
+        along_wt = self._variation(at, w_t)
+        k1_wt = self._first(w_t, along_wt)
+        jerk = -d1 * w_t - d0 * acc - c1 * k0 - c0 * k1_wt
+        k2 = self._second(along_wt)
+        k1_acc = self._first(acc, self._variation(at, acc))
+        snap = (-d2 * w_t - 2.0 * d1 * acc - d0 * jerk
+                - c2 * k0 - 2.0 * c1 * k1_wt - c0 * (k2 + k1_acc))
+        return {0: w, 1: w_t, 2: acc, 3: jerk, 4: snap}
 
     def spectral_radius(self) -> float:
         """Largest eigenvalue of the linearized stiffness K'(0), exactly.
@@ -307,16 +298,17 @@ def reconstruct_physical(operator: RadialOperator, state: RadialState) -> Recons
     )
 
 
-def reconstructed_mass(operator: RadialOperator, recon: Reconstruction) -> float:
+def reconstructed_mass(grid: WeightedGrid, path: CorrectionPath,
+                       recon: Reconstruction) -> float:
     """Physical mass from the reconstructed density and volume element."""
-    g, p = operator.grid, operator.params
-    th = float(operator.path.theta_at(recon.t))
-    state_w = recon.radii / th - g.r
-    _, _, x_fac, y_fac, _, _ = deformation(g, state_w)
+    p = grid.params
+    th = float(path.theta_at(recon.t))
+    state_w = recon.radii / th - grid.r
+    _, _, x_fac, y_fac, _, _ = deformation(grid, state_w)
     jac = x_fac * y_fac ** (p.n - 1.0)
-    smooth = recon.density * th ** p.n * jac / p.sigma(g.r) ** p.iota
-    rule = g.rule(p.iota)
-    return g.integrate_ball(p.iota, g.to_rule(rule, smooth))
+    smooth = recon.density * th ** p.n * jac / p.sigma(grid.r) ** p.iota
+    rule = grid.rule(p.iota)
+    return grid.integrate_ball(p.iota, grid.to_rule(rule, smooth))
 
 
 def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,

@@ -27,10 +27,12 @@ rewrites the three reports, which cover the whole run.  ``refit``
 recomputes the three reports by the same function.
 
 The columns of series.csv and energies.csv, keyed by their header names,
-are the only in-memory form of the two tables: ``gap_series`` and
-``evolve`` produce them, ``_persist`` writes them, and the reports read
-them, the columns just written in ``run`` and ``resume`` and the columns
-read back in ``refit``.
+are the only in-memory form of the two tables: ``gap_series`` produces
+every column of series.csv and ``evolve`` those of energies.csv,
+``_persist`` writes them, and the reports read them, the columns just
+written in ``run`` and ``resume`` and the columns read back in ``refit``.
+Whether a run is the anchor is read from its series by
+``diagnostics.is_anchor``.
 
 Numbers are written with repr-faithful formatting, so identical configs
 and seeds reproduce bit-identical CSV files.
@@ -52,10 +54,10 @@ import numpy as np
 from . import correction
 from .config import RunConfig, load_config
 from .correction import CorrectionPath
-from .diagnostics import boundedness_report, gap_series, theorem_rate_report
+from .diagnostics import (PRESERVATION_TOL, boundedness_report, gap_series, is_anchor,
+                          theorem_rate_report)
 from .params import PhysParams, derive_constants
-from .radial import (RadialOperator, RadialState, RadialTrajectory, evolve,
-                     output_schedule, reconstructed_mass, seed_profile)
+from .radial import RadialState, RadialTrajectory, evolve, output_schedule, seed_profile
 from .tables import read_csv, write_csv
 from .weighted import WeightedGrid
 
@@ -92,26 +94,7 @@ def _read_state(path: Path) -> tuple[RadialState, int]:
                        w_t=np.array(data["w_t"])), int(data["output_index"])
 
 
-def _series_columns(trajectory: RadialTrajectory, series: dict[str, np.ndarray],
-                    setup: _Setup) -> dict[str, np.ndarray]:
-    """series.csv columns of a trajectory: its gap series, then the boundary
-    radius and mass error, which are NaN for a state without a
-    reconstruction."""
-    params, path, grid = setup
-    op = RadialOperator(grid, path)
-    boundary, mass_err = [], []
-    for k in range(len(trajectory.states)):
-        recon = (trajectory.reconstructions[k]
-                 if k < len(trajectory.reconstructions) else None)
-        boundary.append(recon.boundary_radius if recon else float("nan"))
-        mass_err.append(abs(reconstructed_mass(op, recon) - params.mass) / params.mass
-                        if recon else float("nan"))
-    return {**series, "boundary_radius": np.array(boundary),
-            "mass_rel_err": np.array(mass_err)}
-
-
 RATE_GATE_HORIZON = 5e3   # below this, tail fits are pre-asymptotic
-PRESERVATION_TOL = 1e-8   # sup |w| an anchor (zero-amplitude) run may reach
 
 
 def _evaluate_assertions(cfg: RunConfig, setup: _Setup, status: str, failure: dict | None,
@@ -125,8 +108,8 @@ def _evaluate_assertions(cfg: RunConfig, setup: _Setup, status: str, failure: di
     if failure:
         report["failure"] = failure
 
-    anchor = cfg.solver.seed.amplitude == 0.0
-    if anchor and len(series["t"]):
+    anchor = is_anchor(series)
+    if anchor:
         sup = float(np.max(series["sup_w"]))
         report["preservation_sup"] = sup
         checks["preservation"] = sup <= PRESERVATION_TOL
@@ -190,7 +173,7 @@ def _persist(run_dir: Path, cfg: RunConfig, setup: _Setup, trajectory: RadialTra
               if k < len(trajectory.reconstructions)]
     grid = setup.grid
     tables = {
-        "series.csv": _series_columns(trajectory, series, setup),
+        "series.csv": series,
         "energies.csv": trajectory.energies,
         "reconstructions.csv": dict(zip(
             ("t", "y", "x", "density", "velocity"),

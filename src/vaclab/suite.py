@@ -22,6 +22,7 @@ from .angular import curl_decay_fit, default_planar_state, evolve_mode
 from .correction import (H_ENVELOPE_TOL, RESIDUAL_BOUND, correction_path, fit_h_envelope,
                          integrating_factor_bound_check, lyapunov_violations, ode_residual,
                          verify_theta_properties)
+from .diagnostics import PRESERVATION_TOL
 from .fitting import decay_fit
 from .kinematics import (adjugate_residual, box_grid, build_deformation, check_identities,
                          deformation_on_window, random_smooth_field)
@@ -283,7 +284,7 @@ def _check_zero_run_preservation(seed, fault):
     traj = evolve(g, path, RadialState(0.0, np.zeros(48), np.zeros(48)), 1e3,
                   collect_energies=False, collect_reconstructions=False)
     sup = float(traj.sup_norms().max()) if traj.states else float("inf")
-    return (traj.status == "completed" and sup <= 1e-8), {"sup_w": sup}
+    return (traj.status == "completed" and sup <= PRESERVATION_TOL), {"sup_w": sup}
 
 
 def _check_curl_envelope(seed, fault):

@@ -15,6 +15,7 @@ from vaclab import cli, correction, radial, suite, timestepping
 from vaclab.cli import main
 from vaclab.config import (ConfigError, OdeConfig, RunConfig, SolverConfig, load_config,
                            parse_config)
+from vaclab.diagnostics import gap_series
 from vaclab.params import derive_constants
 from vaclab.runio import _read_state, refit, resume, run
 from vaclab.suite import verify
@@ -153,6 +154,17 @@ def test_rates_gate_a_run_from_the_horizon_on(anchor_result, tmp_path, monkeypat
         assert report["ok"] == (not gated)
 
 
+def test_fit_judges_a_run_as_evolve_does(anchor_result, tmp_path, capsys):
+    # fit prints and exits by the report refit rewrites, which is the
+    # report the run wrote: the anchor's pre-asymptotic fits do not gate it
+    run_dir = tmp_path / "anchor"
+    shutil.copytree(anchor_result.directory, run_dir)
+    assert main(["fit", "--run", str(run_dir)]) == 0
+    printed = capsys.readouterr().out
+    assert "anchor run: True" in printed and "closed-form identity" in printed
+    assert printed.endswith("fit: PASS\n")
+
+
 def _short_run(tmp_path, name, **overrides):
     return run(parse_config(base_config(
         tmp_path / name, **{"solver.t_end": 20.0, "ode.t_end": 40.0,
@@ -160,6 +172,16 @@ def _short_run(tmp_path, name, **overrides):
 
 
 QUARTIC = {"shape": "quartic", "amplitude": 1e-3}
+
+
+def test_a_zero_initial_state_is_the_anchor_whatever_its_amplitude(tmp_path):
+    # the zero shape runs the zero seed, so the run is the anchor: it gets
+    # the preservation check and the anchor's rate report
+    result = _short_run(tmp_path, "zero", **{"solver.seed": {"shape": "zero",
+                                                             "amplitude": 1e-3}})
+    assert result.ok
+    assert result.report["checks"]["preservation"]
+    assert result.report["rates"]["anchor"]
 
 
 @pytest.mark.parametrize("base,setting,counter", [
@@ -212,6 +234,10 @@ def test_perturbed_run_writes_reports(tmp_path):
                for name in ("series.csv", "energies.csv")}
     assert headers["series.csv"] == (
         "t,sup_w,position_gap,density_gap,velocity_gap,boundary_radius,mass_rel_err")
+    # gap_series produces every column of series.csv
+    params = derive_constants(3, 0.0, 2.0, 1.0)
+    series = gap_series(result.trajectory, correction.correction_path(params, 2000.0), params)
+    assert list(series) == headers["series.csv"].split(",")
     assert headers["energies.csv"] == (
         "t,E_0_0_0,E_0_0_1,E_0_1_0,E_1_0_0,E_0_0_2,E_0_1_1,E_0_2_0,E_1_0_1,E_1_1_0,"
         "E_2_0_0,E_1_0_2,E_1_1_1,E_1_2_0,E_2_0_1,E_2_1_0,E_3_0_0,E_total")
@@ -615,6 +641,8 @@ def test_evolve_of_a_deterministic_seed_loads_no_numpy_random(tmp_path):
     (["ode", "--mass", "0"], "params.mass"),
     (["ode", "--t-end", "1e9"], "ode.t_end"),
     (["ode", "--t-end", "0.5"], "ode.t_end"),
+    # below the horizon whose derivative-slope window keeps its samples
+    (["ode", "--t-end", "50"], "ode.t_end"),
 ])
 def test_cli_parameter_flags_are_validated_as_config(capsys, argv, needle):
     # README: exit 2 on a usage or configuration error, naming the field
