@@ -20,18 +20,19 @@ plays the same role (it feels no linearized force at all).
 The collocation basis closes under the linearized operator (polynomial
 degree is preserved), so the semi-discrete mode system is spatially exact
 for polynomial potentials and the envelope deviation isolates the time
-stepper.
+stepper.  The planar energies read partial_t^k of the potentials from the
+damped-wave chain the radial solver shares,
+:meth:`vaclab.correction.TimeCoefficients.derivatives`.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .correction import CorrectionPath
 from .energy import ModeEnergies, energy_columns, energy_indices
-from .tables import write_csv
 from .timestepping import IntegrationStats, integrate_fixed_rk4
 from .weighted import WeightedGrid
 
@@ -116,38 +117,19 @@ class PlanarModeOperator:
         integrand = (rule.r ** self.mode * q_c) ** 2
         return float(np.sqrt(np.pi * g.integrate(p.iota + 1.0, integrand)))
 
-    def time_derivatives(self, t: float, state: PlanarModeState,
-                         order: int = 4) -> dict[int, tuple]:
-        """Potential pairs (pf, pg) differentiated in time via the linear
-        system and the solved theta coefficients."""
-        p0 = (state.pf, state.pg)
-        p1 = (state.pf_t, state.pg_t)
-        derivs: dict[int, tuple] = {0: p0, 1: p1}
-        if order < 2:
-            return derivs
+    def _force(self, u: np.ndarray) -> np.ndarray:
+        """The linear force on stacked potentials [pf, pg]: g feels none."""
+        q = self.force_potential(u[0], u[1])
+        return np.array([q, np.zeros_like(q)])
 
-        def q_of(pair):
-            return (self.force_potential(*pair), np.zeros_like(pair[1]))
-
-        coeffs = self.path.coefficients(t)
-        d0, d_p, d_pp = coeffs.d
-        c0, c_p, c_pp = coeffs.c
-
-        def axpy(*terms):
-            out_f = sum(a * v[0] for a, v in terms)
-            out_g = sum(a * v[1] for a, v in terms)
-            return (out_f, out_g)
-
-        q0, q1 = q_of(p0), q_of(p1)
-        p2 = axpy((-d0, p1), (-c0, q0))
-        derivs[2] = p2
-        if order >= 3:
-            derivs[3] = axpy((-d_p, p1), (-d0, p2), (-c_p, q0), (-c0, q1))
-        if order >= 4:
-            q2 = q_of(p2)
-            derivs[4] = axpy((-d_pp, p1), (-2.0 * d_p, p2), (-d0, derivs[3]),
-                             (-c_pp, q0), (-2.0 * c_p, q1), (-c0, q2))
-        return derivs
+    def time_derivatives(self, t: float, state: PlanarModeState) -> dict[int, np.ndarray]:
+        """(2, m) stacks [pf, pg] of partial_t^k, k <= 4, from the chain of
+        :meth:`TimeCoefficients.derivatives` with the linear force
+        (K' = K, K'' = 0)."""
+        u = np.array([state.pf, state.pg])
+        u_t = np.array([state.pf_t, state.pg_t])
+        return self.path.coefficients(t).derivatives(
+            u, u_t, self._force(u), self._force(u_t), 0.0, self._force)
 
     def stable_step(self) -> float:
         """RK4 step from the exact spectral radius of the force on pf.
@@ -202,7 +184,6 @@ class ToroidalModeOperator:
 @dataclass
 class ModeTrajectory:
     mode: int
-    dimension: int
     times: np.ndarray
     curl_norms: np.ndarray
     envelope: np.ndarray
@@ -210,19 +191,12 @@ class ModeTrajectory:
     energies: dict[str, np.ndarray] | None   # t, E_m_i_j, E_total
     stats: IntegrationStats
     dt: float
-    status: str = "completed"
 
     def relative_deviation(self) -> np.ndarray:
         base = self.curl_norms[0]
         if base == 0.0:
             raise ZeroInitialCurlError("initial curl of partial_t omega vanishes")
         return np.abs(self.curl_norms / (base * self.envelope) - 1.0)
-
-    def write_csv(self, path) -> None:
-        dev = (self.relative_deviation() if self.curl_norms[0] != 0.0
-               else np.full_like(self.times, np.nan))
-        write_csv(path, ("t", "curl_norm", "envelope", "rel_deviation"),
-                  zip(self.times, self.curl_norms, self.envelope, dev))
 
 
 class ZeroInitialCurlError(ValueError):
@@ -232,7 +206,6 @@ class ZeroInitialCurlError(ValueError):
 @dataclass(frozen=True)
 class CurlEnvelopeReport:
     max_relative_deviation: float
-    final_ratio: float
     degenerate: bool
 
 
@@ -260,41 +233,29 @@ def evolve_mode(grid: WeightedGrid, path: CorrectionPath, state,
     """
     if path.t_end < t_end:
         raise ValueError("correction path does not cover the requested horizon")
+    kind = type(state)
     planar = isinstance(state, PlanarModeState)
-    op = (PlanarModeOperator if planar else ToroidalModeOperator)(
-        grid, path, state.mode)
+    op = (PlanarModeOperator if planar else ToroidalModeOperator)(grid, path, state.mode)
+    evaluator = ModeEnergies(grid, state.mode) if (collect_energies and planar) else None
     if dt is None:
         dt = op.stable_step()
     times = np.linspace(state.t, t_end, num_outputs + 1)
 
-    if planar:
-        pg_t = state.pg_t.copy()
-        if normalize_curl and np.max(np.abs(pg_t)) > 0.0:
-            pg_t = pg_t / op.curl_norm(pg_t)
-        y0 = np.concatenate([state.pf, state.pg, state.pf_t, pg_t])
-    else:
-        p_t = state.p_t.copy()
-        if normalize_curl and np.max(np.abs(p_t)) > 0.0:
-            p_t = p_t / op.curl_norm(p_t)
-        y0 = np.concatenate([state.p, p_t])
+    # the profiles are packed in field order; the last is the velocity
+    # whose curl is tracked
+    profiles = [getattr(state, f.name) for f in fields(kind)[2:]]
+    if normalize_curl and np.max(np.abs(profiles[-1])) > 0.0:
+        profiles[-1] = profiles[-1] / op.curl_norm(profiles[-1])
+    y0 = np.concatenate(profiles)
 
-    m = grid.num_nodes
     states: list = []
     curls: list[float] = []
-    indices = [idx for idx in energy_indices() if idx[1] == 0]
-    evaluator = ModeEnergies(grid, state.mode) if (collect_energies and planar) else None
-    comp: dict[tuple, list] = {idx: [] for idx in indices}
+    comp: dict[tuple, list] = {idx: [] for idx in energy_indices() if idx[1] == 0}
 
     def on_output(t, y):
-        if planar:
-            snap = PlanarModeState(t=t, mode=state.mode, pf=y[:m].copy(),
-                                   pg=y[m:2 * m].copy(), pf_t=y[2 * m:3 * m].copy(),
-                                   pg_t=y[3 * m:].copy())
-            curls.append(op.curl_norm(snap.pg_t))
-        else:
-            snap = ToroidalModeState(t=t, mode=state.mode, p=y[:m].copy(),
-                                     p_t=y[m:].copy())
-            curls.append(op.curl_norm(snap.p_t))
+        parts = [part.copy() for part in np.split(y, len(profiles))]
+        curls.append(op.curl_norm(parts[-1]))
+        snap = kind(t, state.mode, *parts)
         states.append(snap)
         if evaluator is not None:
             derivs = op.time_derivatives(t, snap)
@@ -302,11 +263,11 @@ def evolve_mode(grid: WeightedGrid, path: CorrectionPath, state,
                 comp[idx].append(evaluator.component(derivs, *idx, t))
 
     result = integrate_fixed_rk4(op.rhs, state.t, y0, times, dt, on_output=on_output)
-    energies = energy_columns(times, comp) if evaluator is not None else None
     return ModeTrajectory(
-        mode=state.mode, dimension=grid.params.n, times=np.array(times),
-        curl_norms=np.array(curls), envelope=curl_envelope(path, times),
-        states=states, energies=energies, stats=result.stats, dt=float(dt),
+        mode=state.mode, times=np.array(times), curl_norms=np.array(curls),
+        envelope=curl_envelope(path, times), states=states,
+        energies=energy_columns(times, comp) if evaluator is not None else None,
+        stats=result.stats, dt=float(dt),
     )
 
 
@@ -315,9 +276,6 @@ def curl_decay_fit(trajectory: ModeTrajectory) -> CurlEnvelopeReport:
     integrating-factor envelope; degenerate when the initial curl is zero."""
     base = trajectory.curl_norms[0]
     if base == 0.0:
-        return CurlEnvelopeReport(max_relative_deviation=float("nan"),
-                                  final_ratio=float("nan"), degenerate=True)
-    dev = trajectory.relative_deviation()
-    ratio = trajectory.curl_norms[-1] / (base * trajectory.envelope[-1])
-    return CurlEnvelopeReport(max_relative_deviation=float(np.max(dev)),
-                              final_ratio=float(ratio), degenerate=False)
+        return CurlEnvelopeReport(max_relative_deviation=float("nan"), degenerate=True)
+    return CurlEnvelopeReport(max_relative_deviation=float(np.max(trajectory.relative_deviation())),
+                              degenerate=False)

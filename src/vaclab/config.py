@@ -202,6 +202,9 @@ def parse_config(data: dict) -> RunConfig:
     if cfg.solver.stepper == "rk4":
         _require(cfg.solver.fixed_dt is not None, "solver.fixed_dt",
                  "required when solver.stepper is 'rk4'")
+    if cfg.solver.seed.shape == "zero":
+        _require(cfg.solver.seed.amplitude == 0.0, "solver.seed.amplitude",
+                 "must be 0 when solver.seed.shape is 'zero'")
     return cfg
 
 

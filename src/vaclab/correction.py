@@ -64,7 +64,7 @@ logger = logging.getLogger(__name__)
 
 SAMPLES_PER_DECADE = 200
 FIRST_SAMPLE_TIME = 1e-2
-SLOPE_WINDOW_START = 1e2  # derivative slopes are fitted from here (or t_end/1e4) on
+SLOPE_WINDOW_START = 1e2  # tail fits start here or at t_end/1e4 (see tail_window)
 SLOPE_MIN_SAMPLES = 4     # samples a slope fit needs in its window
 # t_end from which the slope window keeps SLOPE_MIN_SAMPLES samples: one spacing more
 # than they span, as sample_grid's is a little over 1/SAMPLES_PER_DECADE decade
@@ -367,6 +367,19 @@ class TimeCoefficients:
     d: tuple[float, float, float]
     c: tuple[float, float, float]
 
+    def derivatives(self, u, u_t, k0, k1_ut, k2_ut, k1_of) -> dict:
+        """partial_t^k u, k = 0..4, of u_tt = -d u_t - c K(u), obtained by
+        differentiating the equation rather than differencing a trajectory.
+        It reads K(u), K'(u)[u_t], K''(u)[u_t, u_t] and the map
+        v -> K'(u)[v], elementwise on arrays of any shape."""
+        d0, d1, d2 = self.d
+        c0, c1, c2 = self.c
+        acc = -d0 * u_t - c0 * k0
+        jerk = -d1 * u_t - d0 * acc - c1 * k0 - c0 * k1_ut
+        snap = (-d2 * u_t - 2.0 * d1 * acc - d0 * jerk
+                - c2 * k0 - 2.0 * c1 * k1_ut - c0 * (k2_ut + k1_of(acc)))
+        return {0: u, 1: u_t, 2: acc, 3: jerk, 4: snap}
+
 
 def _as_time(t):
     """A scalar time as a Python float, any other time as a float array."""
@@ -585,10 +598,16 @@ class ThetaPropertyReport:
             for m, slope in self.derivative_slopes.items())
 
 
+def tail_window(t_end: float) -> tuple[float, float]:
+    """The window of the path's tail fits: the derivative slopes and the
+    h envelope, over the last four decades (from t = 100 at least)."""
+    return (max(SLOPE_WINDOW_START, t_end / 1e4), t_end)
+
+
 def verify_theta_properties(path: CorrectionPath) -> ThetaPropertyReport:
     """Check theta_t > 0 and theta > 1 on interior samples and estimate the
     derivative envelopes |theta^(m)| <= C (1+t)^(kappa-m), m = 1..3, over
-    the last four decades (from t = 100 at least)."""
+    :func:`tail_window`."""
     t = path.t_grid[1:]
     theta = path.theta[1:]
     theta_t = path.theta_t[1:]
@@ -600,7 +619,7 @@ def verify_theta_properties(path: CorrectionPath) -> ThetaPropertyReport:
         i = int(np.argmax(bad))
         first_violation = (float(t[i]), float(theta[i]), float(theta_t[i]))
     ratio = theta / path.params.nu(t)
-    fit_window = (max(SLOPE_WINDOW_START, path.t_end / 1e4), path.t_end)
+    fit_window = tail_window(path.t_end)
     # no-trend check on theta/nu over the last two decades
     drift = decay_fit(t, ratio, window=(path.t_end / 100.0, path.t_end)).exponent
     derivatives = path.theta_derivatives(t)
@@ -641,12 +660,14 @@ class HEnvelopeFit:
 
 def fit_h_envelope(path: CorrectionPath,
                    window: tuple[float, float] | None = None) -> HEnvelopeFit:
-    """Fit the tail of |h(t)|; at lambda=0 a (1+ln(1+t)) factor is included
-    since the envelope carries a logarithm there."""
+    """Fit the tail of |h(t)| over ``window``, by default the
+    :func:`tail_window` of the derivative slopes; at lambda=0 a
+    (1+ln(1+t)) factor is included since the envelope carries a logarithm
+    there."""
     if path.t_end < 1e4:
         raise ValueError("h-envelope fitting needs t_end >= 1e4")
     if window is None:
-        window = (path.t_end / 100.0, path.t_end)
+        window = tail_window(path.t_end)
     p = path.params
     expected = p.kappa + p.lam - 1.0
     habs = np.abs(path.h)

@@ -62,8 +62,15 @@ def energy_columns(times, components: Mapping[tuple[int, int, int], list[float]]
             "E_total": np.sum(list(columns.values()), axis=0)}
 
 
-def time_weight(m: int, t: float, kappa: float) -> float:
-    return (1.0 + t) ** (2 * m + (0 if m == 0 else 1) * kappa)
+def _component(time_derivs: Mapping, m: int, t: float, params, norm) -> float:
+    """E^{m,i,j}(t), where ``norm(k, di)`` is N_{i+di,j} of partial_t^k:
+    the time weight times [(1+t)^(1+lam) N_{i,j}(partial_t^(m+1))
+    + N_{i,j}(partial_t^m) + N_{i+1,j}(partial_t^m)]."""
+    if m + 1 not in time_derivs or m not in time_derivs:
+        raise UnsupportedOrderError(f"time derivative order {m + 1} not available")
+    weight = (1.0 + t) ** (2 * m + (0 if m == 0 else 1) * params.kappa)
+    top = (1.0 + t) ** (1.0 + params.lam) * norm(m + 1, 0)
+    return weight * (top + norm(m, 0) + norm(m, 1))
 
 
 # radial scalar of derivnorms -> (nodal scalar it samples, times r at the rule nodes)
@@ -145,21 +152,14 @@ class RadialEnergies:
 
         The norms of the last (time_derivs, t) are kept, so the arrays of a
         mapping must not change between calls at the same t."""
-        if m + 1 not in time_derivs or m not in time_derivs:
-            raise UnsupportedOrderError(
-                f"time derivative order {m + 1} not available in the trajectory"
-            )
         _check_form(i, j)
         _check_form(i + 1, j)
         last = self._last
         if last is None or last[0] is not time_derivs or last[1] != t:
             last = self._last = (time_derivs, t, *self._stacked_pass(time_derivs))
         rows, norms = last[2], last[3]
-        p = self.params
-        t1 = (1.0 + t) ** (1.0 + p.lam) * norms[i, j][rows[m + 1]]
-        t2 = norms[i, j][rows[m]]
-        t3 = norms[i + 1, j][rows[m]]
-        return time_weight(m, t, p.kappa) * (t1 + t2 + t3)
+        return _component(time_derivs, m, t, self.params,
+                          lambda k, di: norms[i + di, j][rows[k]])
 
 
 class ModeEnergies:
@@ -223,13 +223,5 @@ class ModeEnergies:
                   t: float) -> float:
         if i != 0:
             raise UnsupportedOrderError("mode energy components are restricted to i = 0")
-        if m + 1 not in time_derivs or m not in time_derivs:
-            raise UnsupportedOrderError(
-                f"time derivative order {m + 1} not available in the mode trajectory"
-            )
-        p = self.params
-        a = p.iota
-        t1 = (1.0 + t) ** (1.0 + p.lam) * self.spatial_norm(time_derivs[m + 1], 0, j, a)
-        t2 = self.spatial_norm(time_derivs[m], 0, j, a)
-        t3 = self.spatial_norm(time_derivs[m], 1, j, a + 1.0)
-        return time_weight(m, t, p.kappa) * (t1 + t2 + t3)
+        return _component(time_derivs, m, t, self.params, lambda k, di: self.spatial_norm(
+            time_derivs[k], di, j, self.params.iota + di))

@@ -18,7 +18,7 @@ identically on it, so the anchor run is preserved to round-off.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,22 +186,14 @@ class RadialOperator:
 
     def time_derivatives(self, t: float, w: np.ndarray,
                          w_t: np.ndarray) -> dict[int, np.ndarray]:
-        """Nodal arrays of partial_t^m w for m <= 4, obtained by
-        differentiating the equation rather than differencing the
-        trajectory (avoids amplifying time-discretization noise)."""
-        d0, d1, d2 = self.damping(t)
-        c0, c1, c2 = self.wave_coefficient(t)
+        """Nodal arrays of partial_t^m w for m <= 4 from the chain of
+        :meth:`TimeCoefficients.derivatives`, with K' and K'' at w."""
         k0 = self.stiffness(w, t)
-        acc = -d0 * w_t - c0 * k0
-        at = self._prologue(w)          # shared by the three directions
+        at = self._prologue(w)          # shared by K' and K'' in every direction
         along_wt = self._variation(at, w_t)
-        k1_wt = self._first(w_t, along_wt)
-        jerk = -d1 * w_t - d0 * acc - c1 * k0 - c0 * k1_wt
-        k2 = self._second(along_wt)
-        k1_acc = self._first(acc, self._variation(at, acc))
-        snap = (-d2 * w_t - 2.0 * d1 * acc - d0 * jerk
-                - c2 * k0 - 2.0 * c1 * k1_wt - c0 * (k2 + k1_acc))
-        return {0: w, 1: w_t, 2: acc, 3: jerk, 4: snap}
+        return self.path.coefficients(t).derivatives(
+            w, w_t, k0, self._first(w_t, along_wt), self._second(along_wt),
+            lambda v: self._first(v, self._variation(at, v)))
 
     def spectral_radius(self) -> float:
         """Largest eigenvalue of the linearized stiffness K'(0), exactly.

@@ -235,7 +235,7 @@ def _check_h_envelope(seed, fault):
     ok = True
     for lam in ODE_LAMBDAS:
         path = _long_path(lam)
-        env = fit_h_envelope(path, window=(1e2, 1e6))
+        env = fit_h_envelope(path)
         err = abs(env.best_exponent() - env.expected_exponent)
         ok &= err <= H_ENVELOPE_TOL
         details[f"lam{lam:g}"] = {"fitted": env.best_exponent(),

@@ -234,17 +234,6 @@ def test_toroidal_curl_norm_against_tensor_grid_oracle():
     assert oracle == pytest.approx(closed, rel=2e-3)
 
 
-def test_mode_trajectory_csv(tmp_path, setup2):
-    _, path, g = setup2
-    traj = evolve_mode(g, path, default_planar_state(g, 2), 5.0,
-                       num_outputs=10, collect_energies=False)
-    out = tmp_path / "mode.csv"
-    traj.write_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,curl_norm,envelope,rel_deviation"
-    assert len(lines) == 12
-
-
 def test_envelope_formula_shape(setup2):
     _, path, _ = setup2
     t = np.array([0.0, 1.0, 5.0])
@@ -268,7 +257,7 @@ def test_mode_time_derivative_chain_matches_trajectory_differences(setup2):
     before, mid, after = traj.states[-3:]
     assert [s.t for s in (before, mid, after)] == pytest.approx(
         [t_probe - dt, t_probe, t_probe + dt], rel=1e-12)
-    accs = [op.time_derivatives(s.t, s, order=2)[2] for s in (before, mid, after)]
+    accs = [op.time_derivatives(s.t, s)[2] for s in (before, mid, after)]
     derivs = op.time_derivatives(mid.t, mid)
     for k in range(2):       # potentials f and g
         fd3 = (accs[2][k] - accs[0][k]) / (2.0 * dt)

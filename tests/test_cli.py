@@ -59,6 +59,8 @@ def base_config(tmp_path, **overrides) -> dict:
     ({"solver": {"seed": {"amplitud": 0.1}}},
      "solver.seed.amplitud: unknown configuration key"),
     ({"solver": {"cfl_safety": 0.5}}, "solver.cfl_safety: unknown configuration key"),
+    # a zero shape with a positive amplitude would silently run the anchor
+    ({"solver": {"seed": {"amplitude": 1e-3}}}, "solver.seed.amplitude: must be 0"),
 ])
 def test_config_validation_names_field(patch, needle):
     data = {"params": {}, "ode": {}, "solver": {}, "outputs": {}}
@@ -175,10 +177,10 @@ QUARTIC = {"shape": "quartic", "amplitude": 1e-3}
 
 
 def test_a_zero_initial_state_is_the_anchor_whatever_its_amplitude(tmp_path):
-    # the zero shape runs the zero seed, so the run is the anchor: it gets
-    # the preservation check and the anchor's rate report
-    result = _short_run(tmp_path, "zero", **{"solver.seed": {"shape": "zero",
-                                                             "amplitude": 1e-3}})
+    # a zero amplitude runs the zero seed whatever the shape, so the run is
+    # the anchor: it gets the preservation check and the anchor's rate report
+    result = _short_run(tmp_path, "zero", **{"solver.seed": {"shape": "parabolic",
+                                                             "amplitude": 0.0}})
     assert result.ok
     assert result.report["checks"]["preservation"]
     assert result.report["rates"]["anchor"]

@@ -103,6 +103,12 @@ def test_h_envelope_exponents(lam, expected):
     assert (env.log_corrected is not None) == (lam == 0.0)
 
 
+def test_h_envelope_default_window_is_the_suite_window(path3):
+    # `vaclab ode` fits with the default window, the suite's h-envelope
+    # check and the acceptance test over [1e2, 1e6]: one rule, one window
+    assert fit_h_envelope(path3) == fit_h_envelope(path3, window=(1e2, 1e6))
+
+
 def test_h_envelope_degenerate_for_zero_fixture(params3, path3):
     zeros = np.zeros_like(path3.t_grid)
     fake = CorrectionPath(
