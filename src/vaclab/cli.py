@@ -13,7 +13,7 @@ import numpy as np
 from . import suite
 from .config import (ConfigError, OdeConfig, ParamsConfig, RunConfig, load_config,
                      validated)
-from .correction import (H_ENVELOPE_TOL, MIN_SLOPE_HORIZON, RESIDUAL_BOUND, fit_h_envelope,
+from .correction import (MIN_SLOPE_HORIZON, RESIDUAL_BOUND, fit_h_envelope,
                          lyapunov_violations, ode_residual, solve_correction,
                          verify_theta_properties)
 from .params import SelfSimilarProfile, derive_constants
@@ -101,10 +101,9 @@ def cmd_ode(args) -> int:
         if env.degenerate:
             print("h envelope: degenerate (h numerically zero)")
         else:
-            err = abs(env.best_exponent() - env.expected_exponent)
             print(f"h tail exponent {env.best_exponent():+.4f} "
-                  f"(envelope {env.expected_exponent:+.4f}, error {err:.3f})")
-            ok &= err <= H_ENVELOPE_TOL
+                  f"(envelope {env.expected_exponent:+.4f}, error {env.error:.3f})")
+        ok &= env.ok
     resid = ode_residual(path)
     violations = lyapunov_violations(path)
     print(f"dense-output residual (step-scaled): {resid:.3g}   "

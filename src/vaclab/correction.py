@@ -40,8 +40,8 @@ test reference keeps the version that called ``theta_derivatives``.
 One rule accepts a solved path, in the suite and the CLI alike:
 ``ThetaPropertyReport.ok`` (theta_t > 0, theta > 1, each derivative slope
 at most ``SLOPE_SLACK`` above its envelope), an ODE residual of at most
-``RESIDUAL_BOUND`` and, where it is fitted, an h tail exponent within
-``H_ENVELOPE_TOL`` of its envelope.
+``RESIDUAL_BOUND`` and, where it is fitted, ``HEnvelopeFit.ok`` (an h tail
+exponent within ``H_ENVELOPE_TOL`` of its envelope).
 """
 from __future__ import annotations
 
@@ -656,6 +656,17 @@ class HEnvelopeFit:
         if fit is None:
             raise ValueError("degenerate fit has no exponent")
         return fit.exponent
+
+    @property
+    def error(self) -> float:
+        """Distance of the fitted exponent from the envelope's; a degenerate
+        fit has none."""
+        return abs(self.best_exponent() - self.expected_exponent)
+
+    @property
+    def ok(self) -> bool:
+        """Not degenerate, and an error of at most ``H_ENVELOPE_TOL``."""
+        return not self.degenerate and self.error <= H_ENVELOPE_TOL
 
 
 def fit_h_envelope(path: CorrectionPath,

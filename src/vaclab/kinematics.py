@@ -85,23 +85,17 @@ class BoxGrid:
             window.append(slice(int(lo), int(hi)))
         return tuple(window)
 
-    def interior_mask(self, margin: float) -> np.ndarray:
-        """Nodes at least ``margin`` * width away from every box face."""
-        mask = np.zeros(self.shape, dtype=bool)
-        mask[self.interior_window(margin)] = True
-        return mask
-
     def crop(self, window: tuple[slice, ...], halo: int
              ) -> tuple[BoxGrid, tuple[slice, ...], tuple[slice, ...]]:
         """Sub-grid of the nodes in ``window`` (one unit-step slice per
         axis) widened by ``halo`` nodes on each side, clamped at the box.
 
         The sub-grid keeps this grid's faces, so its ``interior_window``
-        and ``interior_mask`` name the same nodes as this grid's, wherever
-        they lie inside it.  The halo a caller needs is the number of
-        nodes its stencils read beyond the window: 2 for one derivative
-        of a field given on the box (:func:`check_identities`), 4 for a
-        field whose own derivative is taken on the crop first
+        names the same nodes as this grid's, wherever they lie inside it.
+        The halo a caller needs is the number of nodes its stencils read
+        beyond the window: 2 for one derivative of a field given on the
+        box (:func:`check_identities`), 4 for a field whose own
+        derivative is taken on the crop first
         (:func:`deformation_on_window`).
 
         Returns the sub-grid, the slices that cut it from this grid's

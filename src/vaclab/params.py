@@ -7,7 +7,9 @@ solution of the time-weighted porous-media equation
 
 with support expanding like nu(t) = (1+t)^kappa.  Everything downstream
 (degenerate weights, correction ODE, perturbation solvers) is parametrised
-by the constants derived here.
+by the constants derived here.  A_bar comes from the mass constraint in
+closed form; the module's one Gauss-Jacobi rule is read only by
+SelfSimilarProfile.mass_error, which checks that mass by quadrature.
 """
 from __future__ import annotations
 
@@ -16,15 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import jacobi_rule_01, unit_sphere_area
+from .quadrature import jacobi_rule_01, sigma_moment, unit_sphere_area
 
-# Gauss-Jacobi nodes of the mass integral.  The rule is matched to the
-# fractional endpoint power, so the integrand is the pure quadrature weight
-# and the mass is exact to rounding.
+# Gauss-Jacobi nodes of SelfSimilarProfile.mass_error, the rule's only
+# reader.  The rule is matched to the fractional endpoint power, so the
+# integrand is the pure quadrature weight and the mass is exact to rounding.
 MASS_RULE_NODES = 96
-# A_bar bisection: relative bracket width and iteration cap
-_BISECTION_REL_TOL = 1e-12
-_BISECTION_MAX_ITER = 200
 
 
 class ParameterError(ValueError):
@@ -80,21 +79,13 @@ class PhysParams:
         return np.maximum(self.sigma(r), 0.0) ** self.iota
 
 
-def _mass_from_weights(n: int, iota: float, a_bar: float, b_bar: float,
-                       weight_sum: float) -> float:
-    """Total mass of (a_bar - b_bar r^2)^iota over its support ball, for the
-    Gauss-Jacobi weight sum, which does not depend on a_bar or b_bar."""
-    r0_sq = a_bar / b_bar
-    return float(
-        unit_sphere_area(n) * 0.5 * r0_sq ** (n / 2.0) * a_bar ** iota * weight_sum
-    )
-
-
 def derive_constants(n: int, lam: float, gamma: float, mass: float) -> PhysParams:
     """Derive all profile constants from (n, lambda, gamma, M).
 
-    A_bar is fixed by the total-mass constraint, found by bisection on the
-    mass integral (strictly increasing in A_bar).
+    A_bar is fixed by the total-mass constraint in closed form: the mass
+    of (A_bar - B_bar |y|^2)^iota is a Beta integral,
+    M = sigma_moment(n, 1, B_bar, iota) A_bar^(iota + n/2).  No rule is
+    built here: the mass rule's only reader is SelfSimilarProfile.mass_error.
     """
     if n not in (2, 3):
         raise ParameterError(f"spatial dimension must be 2 or 3, got {n}")
@@ -108,39 +99,7 @@ def derive_constants(n: int, lam: float, gamma: float, mass: float) -> PhysParam
     kappa = (1.0 + lam) / (n * gamma - n + 2.0)
     iota = 1.0 / (gamma - 1.0)
     b_bar = (gamma - 1.0) / (2.0 * gamma) * kappa
-
-    weight_sum = jacobi_rule_01(MASS_RULE_NODES, iota, n / 2.0 - 1.0)[1].sum()
-
-    def mass_of(a_bar: float) -> float:
-        return _mass_from_weights(n, iota, a_bar, b_bar, weight_sum)
-
-    # Bracket the root of mass_of(A) = mass; the integral scales like
-    # A^(iota + n/2), so geometric expansion finds a bracket quickly.
-    lo, hi = 1.0, 1.0
-    if mass_of(1.0) < mass:
-        while mass_of(hi) < mass:
-            hi *= 4.0
-            if hi > 1e40:
-                raise ParameterError("A_bar bracketing failed (mass too large)")
-    else:
-        while mass_of(lo) > mass:
-            lo /= 4.0
-            if lo < 1e-40:
-                raise ParameterError("A_bar bracketing failed (mass too small)")
-
-    for _ in range(_BISECTION_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if mass_of(mid) < mass:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _BISECTION_REL_TOL * mid:
-            break
-    else:
-        raise ParameterError(
-            f"A_bar bisection did not reach relative tolerance {_BISECTION_REL_TOL}"
-        )
-    a_bar = 0.5 * (lo + hi)
+    a_bar = (mass / sigma_moment(n, 1.0, b_bar, iota)) ** (1.0 / (iota + n / 2.0))
 
     return PhysParams(
         n=n, lam=float(lam), gamma=float(gamma), mass=float(mass),

@@ -172,8 +172,9 @@ def sigma_moment(n: int, a_bar: float, b_bar: float, a: float, k: int = 0) -> fl
     """Closed form of int_Omega sigma^a |y|^(2k) dy via the Beta function.
 
     Omega is the ball of radius R0 = sqrt(a_bar/b_bar) and
-    sigma = a_bar - b_bar |y|^2.  Used as the independent oracle for
-    quadrature exactness checks.
+    sigma = a_bar - b_bar |y|^2.  It has two readers: the mass constraint
+    of :func:`vaclab.params.derive_constants`, which fixes A_bar from it,
+    and the quadrature-exactness checks, as their independent oracle.
     """
     r0_sq = a_bar / b_bar
     log_beta = (math.lgamma(n / 2.0 + k) + math.lgamma(a + 1.0)

@@ -158,14 +158,6 @@ class RadialOperator:
         return self._pressure_variation(
             dd_alpha, dd_beta * slope + 2.0 * d_beta * d_slope + one_plus_beta * dd_slope)
 
-    def stiffness_linearized(self, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Directional derivative K'(w)[delta]."""
-        return self._first(delta, self._variation(self._prologue(w), delta))
-
-    def stiffness_second(self, w: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Second directional derivative K''(w)[delta, delta]."""
-        return self._second(self._variation(self._prologue(w), delta))
-
     # -- time-dependent coefficients ---------------------------------------
     def damping(self, t: float) -> tuple[float, float, float]:
         """(d, d', d'') at t."""

@@ -584,6 +584,23 @@ def test_ode_and_suite_refuse_a_steep_third_derivative(monkeypatch, capsys):
     assert not report.ok
 
 
+def test_ode_and_suite_refuse_a_degenerate_h_fit(monkeypatch, capsys):
+    # a degenerate fit has no exponent: `vaclab ode` fails on it, and the
+    # suite's h-envelope check fails without crashing
+    def degenerate(path):
+        fit = correction.fit_h_envelope(path)
+        return dataclasses.replace(fit, plain=None, log_corrected=None, degenerate=True)
+
+    monkeypatch.setattr(cli, "fit_h_envelope", degenerate)
+    monkeypatch.setattr(suite, "fit_h_envelope", degenerate)
+    assert main(["ode", "--t-end", "1e4"]) == 1
+    out = capsys.readouterr().out
+    assert "h envelope: degenerate (h numerically zero)" in out and "ode: FAIL" in out
+    report = verify(only="h-envelope")
+    assert not report.ok
+    assert all(d == {"degenerate": True} for d in report.results[0].details.values())
+
+
 def test_cli_entrypoint_subprocess():
     proc = subprocess.run([sys.executable, "-m", "vaclab.cli", "verify",
                            "--only", "mass-conservation"],

@@ -1,4 +1,5 @@
 """Correction ODE: initial data, long-time envelopes, and bound checks."""
+import dataclasses
 import inspect
 import math
 import sys
@@ -9,7 +10,7 @@ import radau_reference as reference
 from scipy.integrate import solve_ivp
 
 from vaclab import correction
-from vaclab.correction import (CorrectionPath, CorrectionSolveError,
+from vaclab.correction import (H_ENVELOPE_TOL, CorrectionPath, CorrectionSolveError,
                                boundary_layer_integral, correction_path,
                                fit_h_envelope,
                                integrating_factor_bound_check,
@@ -122,6 +123,14 @@ def test_h_envelope_degenerate_for_zero_fixture(params3, path3):
     assert env.degenerate
     with pytest.raises(ValueError):
         env.best_exponent()
+    assert not env.ok
+
+
+def test_h_envelope_fit_is_ok_within_its_bound(path3):
+    env = fit_h_envelope(path3)
+    assert env.ok and env.error == abs(env.best_exponent() - env.expected_exponent)
+    for off in (1.01 * H_ENVELOPE_TOL, -1.01 * H_ENVELOPE_TOL):
+        assert not dataclasses.replace(env, expected_exponent=env.best_exponent() + off).ok
 
 
 def test_pure_power_fixture_slope(params3):

@@ -11,28 +11,23 @@ from vaclab.suite import verify
 
 
 def closed_form_a_bar(n, gamma, b_bar, mass):
-    # Beta-function reduction of the mass integral, evaluated independently
-    # of the package's quadrature/bisection path.
+    # Beta-function reduction of the mass integral, M = C A^(iota+n/2)
+    # B^(-n/2) with C = pi^(n/2) Gamma(iota+1) / Gamma(iota+n/2+1),
+    # written independently of the package's sigma_moment
     iota = 1.0 / (gamma - 1.0)
-    if (n, gamma) == (3, 2.0):
-        return (15.0 * b_bar ** 1.5 * mass / (8.0 * math.pi)) ** 0.4
-    if (n, gamma) == (2, 2.0):
-        return math.sqrt(2.0 * b_bar * mass / math.pi)
-    raise NotImplementedError
+    log_c = (0.5 * n * math.log(math.pi) + math.lgamma(iota + 1.0)
+             - math.lgamma(iota + 0.5 * n + 1.0))
+    return math.exp((math.log(mass) + 0.5 * n * math.log(b_bar) - log_c) / (iota + 0.5 * n))
 
 
-# A_bar and R0 of the bisection that built the Gauss-Jacobi rule at every step
-BISECTION_RESULTS = {
-    (3, 0.0, 2.0, 1.0): ("0x1.141756cfe8180p-3", "0x1.a45ae2f9b7e57p+0"),
-    (2, 0.5, 2.0, 1.0): ("0x1.f454378578100p-3", "0x1.9d410d11747f5p+0"),
-    (3, 0.7, 1.5, 1.0): ("0x1.61044be79ac00p-2", "0x1.0825311107586p+1"),
-    (2, 0.3, 5.0 / 3.0, 2.5): ("0x1.e5fe29a22bc00p-2", "0x1.3bbd11f9791c6p+1"),
-    (3, 0.3, 2.0, 0.01): ("0x1.99bd79e8fc520p-6", "0x1.3d954ef31ef2bp-1"),
-}
-
-
-@pytest.mark.parametrize("args", list(BISECTION_RESULTS))
-def test_derive_constants_builds_one_rule(args, monkeypatch):
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    lam=st.floats(0.0, 0.95),
+    gamma=st.floats(1.05, 3.0),
+    mass=st.floats(1e-3, 1e3),
+)
+def test_derive_constants_is_the_closed_form(n, lam, gamma, mass):
     import vaclab.params as params_module
 
     rules = []
@@ -42,10 +37,14 @@ def test_derive_constants_builds_one_rule(args, monkeypatch):
         rules.append(a)
         return rule(*a)
 
-    monkeypatch.setattr(params_module, "jacobi_rule_01", counting)
-    p = derive_constants(*args)
-    assert len(rules) == 1
-    assert (p.A_bar.hex(), p.R0.hex()) == BISECTION_RESULTS[args]
+    params_module.jacobi_rule_01 = counting
+    try:
+        p = derive_constants(n, lam, gamma, mass)
+    finally:
+        params_module.jacobi_rule_01 = rule
+    assert rules == []
+    expected = closed_form_a_bar(n, gamma, p.B_bar, mass)
+    assert abs(p.A_bar - expected) <= 1e-14 * expected
 
 
 def test_profile_builds_its_mass_rule_once(monkeypatch):
@@ -64,8 +63,15 @@ def test_profile_builds_its_mass_rule_once(monkeypatch):
     errors = [prof.mass_error(t).hex() for t in (0.0, 1.0, 10.0, 1e3)]
     assert len(rules) == 1
     # the values of a rule built at every call
-    assert errors == ["0x1.0880000000000p-43", "0x1.0780000000000p-43",
-                      "0x1.0800000000000p-43", "0x1.0880000000000p-43"]
+    assert errors == ["0x1.0000000000000p-50", "0x1.6000000000000p-50",
+                      "0x1.8000000000000p-51", "0x1.0000000000000p-51"]
+
+
+def test_mass_conservation_check_reads_rounding():
+    # A_bar is the Beta closed form, so the check's quadrature of the exact
+    # profile is off by rounding alone
+    report = verify(only="mass-conservation")
+    assert report.ok and report.results[0].details["max_rel_err"] <= 1e-14
 
 
 def test_mass_conservation_check_sees_a_faulty_density(monkeypatch):
