@@ -47,6 +47,50 @@ def test_derive_constants_is_the_closed_form(n, lam, gamma, mass):
     assert abs(p.A_bar - expected) <= 1e-14 * expected
 
 
+# A_bar and R0 of the closed form, and of the earlier bisection that built a
+# Gauss-Jacobi rule at every step and stopped at relative tolerance 1e-12
+CLOSED_FORM_RESULTS = {
+    (3, 0.0, 2.0, 1.0): ("0x1.141756cfe809bp-3", "0x1.a45ae2f9b7da8p+0"),
+    (2, 0.5, 2.0, 1.0): ("0x1.f454378577498p-3", "0x1.9d410d11742d5p+0"),
+    (3, 0.7, 1.5, 1.0): ("0x1.61044be79aed4p-2", "0x1.0825311107695p+1"),
+    (2, 0.3, 5.0 / 3.0, 2.5): ("0x1.e5fe29a22c15cp-2", "0x1.3bbd11f979384p+1"),
+    (3, 0.3, 2.0, 0.01): ("0x1.99bd79e8fc953p-6", "0x1.3d954ef31f0cbp-1"),
+}
+BISECTION_RESULTS = {
+    (3, 0.0, 2.0, 1.0): ("0x1.141756cfe8180p-3", "0x1.a45ae2f9b7e57p+0"),
+    (2, 0.5, 2.0, 1.0): ("0x1.f454378578100p-3", "0x1.9d410d11747f5p+0"),
+    (3, 0.7, 1.5, 1.0): ("0x1.61044be79ac00p-2", "0x1.0825311107586p+1"),
+    (2, 0.3, 5.0 / 3.0, 2.5): ("0x1.e5fe29a22bc00p-2", "0x1.3bbd11f9791c6p+1"),
+    (3, 0.3, 2.0, 0.01): ("0x1.99bd79e8fc520p-6", "0x1.3d954ef31ef2bp-1"),
+}
+
+
+@pytest.mark.parametrize("args", list(CLOSED_FORM_RESULTS))
+def test_derive_constants_builds_one_rule(args, monkeypatch):
+    # the constants and their profile's mass check build one rule between
+    # them, the mass check's; derive_constants builds none
+    import vaclab.params as params_module
+
+    rules = []
+    rule = params_module.jacobi_rule_01
+
+    def counting(*a):
+        rules.append(a)
+        return rule(*a)
+
+    monkeypatch.setattr(params_module, "jacobi_rule_01", counting)
+    p = derive_constants(*args)
+    assert rules == []
+    prof = SelfSimilarProfile(p)
+    assert prof.mass_error(0.0) <= 1e-14
+    assert prof.mass_error(1.0) <= 1e-14
+    assert len(rules) == 1
+    assert (p.A_bar.hex(), p.R0.hex()) == CLOSED_FORM_RESULTS[args]
+    a_bis, r0_bis = (float.fromhex(h) for h in BISECTION_RESULTS[args])
+    assert abs(p.A_bar - a_bis) <= 1e-12 * a_bis
+    assert abs(p.R0 - r0_bis) <= 1e-12 * r0_bis
+
+
 def test_profile_builds_its_mass_rule_once(monkeypatch):
     # the rule of mass_error depends only on (iota, n)
     import vaclab.params as params_module
