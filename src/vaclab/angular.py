@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .correction import CorrectionPath
-from .energy import ModeEnergies, energy_columns, energy_indices
+from .energy import ModeEnergies, energy_columns, energy_row
 from .timestepping import IntegrationStats, integrate_fixed_rk4
 from .weighted import WeightedGrid
 
@@ -192,16 +192,6 @@ class ModeTrajectory:
     stats: IntegrationStats
     dt: float
 
-    def relative_deviation(self) -> np.ndarray:
-        base = self.curl_norms[0]
-        if base == 0.0:
-            raise ZeroInitialCurlError("initial curl of partial_t omega vanishes")
-        return np.abs(self.curl_norms / (base * self.envelope) - 1.0)
-
-
-class ZeroInitialCurlError(ValueError):
-    """Envelope fit is undefined without initial curl."""
-
 
 @dataclass(frozen=True)
 class CurlEnvelopeReport:
@@ -250,7 +240,7 @@ def evolve_mode(grid: WeightedGrid, path: CorrectionPath, state,
 
     states: list = []
     curls: list[float] = []
-    comp: dict[tuple, list] = {idx: [] for idx in energy_indices() if idx[1] == 0}
+    rows: list[dict] = []    # one energy row per output
 
     def on_output(t, y):
         parts = [part.copy() for part in np.split(y, len(profiles))]
@@ -258,15 +248,13 @@ def evolve_mode(grid: WeightedGrid, path: CorrectionPath, state,
         snap = kind(t, state.mode, *parts)
         states.append(snap)
         if evaluator is not None:
-            derivs = op.time_derivatives(t, snap)
-            for idx in comp:
-                comp[idx].append(evaluator.component(derivs, *idx, t))
+            rows.append(energy_row(evaluator, op.time_derivatives(t, snap), t))
 
     result = integrate_fixed_rk4(op.rhs, state.t, y0, times, dt, on_output=on_output)
     return ModeTrajectory(
         mode=state.mode, times=np.array(times), curl_norms=np.array(curls),
         envelope=curl_envelope(path, times), states=states,
-        energies=energy_columns(times, comp) if evaluator is not None else None,
+        energies=energy_columns(times, rows) if rows else None,
         stats=result.stats, dt=float(dt),
     )
 
@@ -274,8 +262,8 @@ def evolve_mode(grid: WeightedGrid, path: CorrectionPath, state,
 def curl_decay_fit(trajectory: ModeTrajectory) -> CurlEnvelopeReport:
     """Max relative deviation of the measured curl norm from the exact
     integrating-factor envelope; degenerate when the initial curl is zero."""
-    base = trajectory.curl_norms[0]
-    if base == 0.0:
+    curls = trajectory.curl_norms
+    if curls[0] == 0.0:
         return CurlEnvelopeReport(max_relative_deviation=float("nan"), degenerate=True)
-    return CurlEnvelopeReport(max_relative_deviation=float(np.max(trajectory.relative_deviation())),
-                              degenerate=False)
+    deviation = np.abs(curls / (curls[0] * trajectory.envelope) - 1.0)
+    return CurlEnvelopeReport(max_relative_deviation=float(np.max(deviation)), degenerate=False)

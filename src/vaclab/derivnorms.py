@@ -7,7 +7,9 @@ scalars.  The forms below were derived by contracting the tensor structures
 in y/|y| and delta; each is cross-checked against finite differences on a
 tensor grid in the test suite.
 
-Scalar names: w; v = w/r; u = w'; e = (u - v)/r; p suffix = d/dr.
+Scalar names: w; v = w/r; u = w'; p suffix = d/dr.  The derivation also
+names e = (u - v)/r and e'; for a radial field these are vp and vpp, and
+the forms read them so.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ def radial_form(a: int, b: int, n: int, vals: dict) -> np.ndarray:
         if a == 1:
             return vals["u"] ** 2 + (n - 1) * vals["v"] ** 2
         if a == 2:
-            return vals["up"] ** 2 + (n - 1) * (vals["vp"] ** 2 + 2.0 * vals["e"] ** 2)
+            return vals["up"] ** 2 + (n - 1) * (3.0 * vals["vp"] ** 2)   # vp^2 + 2 e^2
         return _third_gradient_sq(n, vals)
     # dbar of a radial field rotates components; the resulting tensors
     # contract to the closed forms below (angular factors 2(n-1) etc.).
@@ -64,14 +66,12 @@ def _third_gradient_sq(n: int, vals: dict) -> np.ndarray:
     r = vals["r"]
     vp, vpp = vals["vp"], vals["vpp"]
     up, upp = vals["up"], vals["upp"]
-    e, ep = vals["e"], vals["ep"]
     a1 = vpp
     a2 = vp / r
     a3 = upp - vpp
-    a46 = (up - vp - e) / r      # two structures share this coefficient
-    a6 = (up - vp - 2.0 * e) / r
-    a78 = ep
-    a9 = e / r
+    a46 = (up - vp - vp) / r     # two structures share this coefficient
+    a6 = (up - vp - 2.0 * vp) / r
+    a78, a9 = a1, a2             # e' and e/r
     m = n - 1.0
     return (
         n * a1 ** 2
@@ -84,19 +84,3 @@ def _third_gradient_sq(n: int, vals: dict) -> np.ndarray:
         + 4.0 * m * a2 * a9
         + 2.0 * m * a9 ** 2
     )
-
-
-def required_scalars(a: int, b: int) -> tuple[str, ...]:
-    """Radial scalars needed by ``radial_form`` for the (a, b) combination."""
-    table = {
-        (0, 0): ("w",),
-        (1, 0): ("u", "v"),
-        (2, 0): ("up", "vp", "e"),
-        (3, 0): ("vp", "vpp", "up", "upp", "e", "ep"),
-        (0, 1): ("w",),
-        (0, 2): ("w",),
-        (1, 1): ("v", "vp"),
-        (1, 2): ("v", "vp"),
-        (2, 1): ("v", "vp", "vpp"),
-    }
-    return table[(a, b)]

@@ -13,13 +13,14 @@ m+i+j <= 2 plus the once-more-time-differentiated components (m+1, i, j)
 at m+i+j = 2; the full high-order family is out of numerical reach with
 grid differentiation.
 
-Radial energies are evaluated once per output for all 16 components:
-the time derivatives k = 0..4 are stacked as rows of one (K, m) array, the
-radial scalars of all rows come from one product against d_s per
-derivative level, each sigma exponent iota+i (i = 0..3) resamples them
-with one product, and each closed form is integrated with one product
-against the rule weights.  The component calls of that output read the
-kept result.
+Energies are evaluated once per output: :func:`energy_row` asks the
+evaluator's ``component`` for each index of its ``INDICES``.  For radial
+fields the time derivatives k = 0..4 are stacked as rows of one (K, m)
+array, the nodal scalars v, u, vp, up, vpp, upp of all rows come from one
+product against d_s per derivative level, each sigma exponent iota+i
+(i = 0..3) resamples the scalars its forms read with one product, and each
+closed form is integrated with one product against the rule weights.  The
+component calls of that output read the kept result.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .derivnorms import SUPPORTED_FORMS, radial_form, required_scalars
+from .derivnorms import SUPPORTED_FORMS, radial_form
 from .quadrature import unit_sphere_area
 from .weighted import WeightedGrid
 
@@ -52,12 +53,17 @@ def energy_indices() -> list[tuple[int, int, int]]:
     return base + top
 
 
-def energy_columns(times, components: Mapping[tuple[int, int, int], list[float]]
+def energy_row(evaluator, time_derivs: Mapping, t: float) -> dict[tuple[int, int, int], float]:
+    """E^{m,i,j}(t) of one output for each (m, i, j) of ``evaluator.INDICES``."""
+    return {idx: evaluator.component(time_derivs, *idx, t) for idx in evaluator.INDICES}
+
+
+def energy_columns(times, rows: list[Mapping[tuple[int, int, int], float]]
                    ) -> dict[str, np.ndarray]:
-    """The columns of energies.csv: t, each component E_m_i_j in the order
-    of ``components``, and E_total, their sum."""
-    columns = {"E_{}_{}_{}".format(*idx): np.array(values)
-               for idx, values in components.items()}
+    """The columns of energies.csv from one row per output: t, each
+    component E_m_i_j in the order of the rows, and E_total, their sum."""
+    columns = {"E_{}_{}_{}".format(*idx): np.array([row[idx] for row in rows])
+               for idx in rows[0]}
     return {"t": np.array(times), **columns,
             "E_total": np.sum(list(columns.values()), axis=0)}
 
@@ -73,19 +79,13 @@ def _component(time_derivs: Mapping, m: int, t: float, params, norm) -> float:
     return weight * (top + norm(m, 0) + norm(m, 1))
 
 
-# radial scalar of derivnorms -> (nodal scalar it samples, times r at the rule nodes)
-_SAMPLES = {"w": ("p", True), "v": ("p", False), "u": ("u", False),
-            "vp": ("vp", True), "e": ("vp", True), "up": ("up", True),
-            "vpp": ("vpp", False), "ep": ("vpp", False), "upp": ("upp", False)}
-# the forms of each spatial order i, all integrated against sigma^(iota+i)
-_FORMS_BY_ORDER = {i: tuple(form for form in SUPPORTED_FORMS if form[0] == i)
-                   for i in range(4)}
-
-
-def _check_form(i: int, j: int) -> None:
-    if (i, j) not in SUPPORTED_FORMS:
-        raise UnsupportedOrderError(
-            f"spatial/angular derivative order (d^{i}, dbar^{j}) not implemented")
+# the nodal scalars of RadialEnergies._scalars that the forms of spatial
+# order i read, all integrated against sigma^(iota+i)
+_SCALARS_BY_ORDER = (("v",), ("v", "u", "vp"), ("v", "up", "vp", "vpp"),
+                     ("up", "upp", "vp", "vpp"))
+# the scalar at the rule nodes that r times a nodal scalar gives: w = r v,
+# and vp, up are kept divided by r at the nodes
+_TIMES_R = {"v": "w", "vp": "vp", "up": "up"}
 
 
 class RadialEnergies:
@@ -98,6 +98,8 @@ class RadialEnergies:
     in one pass and keeps it for the next call with the same mapping and t.
     """
 
+    INDICES = tuple(energy_indices())
+
     def __init__(self, grid: WeightedGrid):
         self.grid = grid
         self.params = grid.params
@@ -109,41 +111,30 @@ class RadialEnergies:
         with one product against d_s per derivative level."""
         g = self.grid
         scale = 2.0 / self.params.R0 ** 2
-        p, p1, su = g.radial_strain(stack)      # su = w' (even in r)
-        g_vp = scale * p1                       # vp and e coincide for radial fields
+        v, p1, su = g.radial_strain(stack)      # su = w' (even in r)
+        g_vp = scale * p1
         g_up = scale * (su @ g.d_s.T)
         slopes = np.concatenate([g_vp, g_up]) @ g.d_s.T
         k = len(stack)
-        return {"p": p, "u": su, "vp": g_vp, "up": g_up,
+        return {"v": v, "u": su, "vp": g_vp, "up": g_up,
                 "vpp": g_vp + g._two_s * slopes[:k], "upp": g_up + g._two_s * slopes[k:]}
 
-    def _norms(self, scalars: dict[str, np.ndarray], exponent: float,
-               forms) -> dict[tuple[int, int], list[float]]:
-        """int_Omega sigma^exponent |d^i dbar^j omega|^2 dy of each stacked
-        field for each (i, j) in ``forms``, with one resampling product."""
-        rule = self.grid.rule(exponent)
-        names = {name for form in forms for name in required_scalars(*form)}
-        bases = sorted({_SAMPLES[name][0] for name in names})
-        k = len(scalars["p"])
-        sampled = (np.concatenate([scalars[b] for b in bases]) @ rule.resample.T
-                   ).reshape(len(bases), k, -1)
-        vals = {"r": rule.r}
-        for name in names:
-            base, odd = _SAMPLES[name]
-            at_rule = sampled[bases.index(base)]
-            vals[name] = at_rule * rule.r if odd else at_rule
-        n = self.params.n
-        return {form: (self._area * (radial_form(*form, n, vals) @ rule.weights)).tolist()
-                for form in forms}
-
     def _stacked_pass(self, time_derivs: Mapping[int, np.ndarray]):
-        """Every supported norm of every time derivative, the norms of
-        spatial order i against sigma^(iota+i)."""
+        """Every supported norm of every time derivative: for each spatial
+        order i one product resamples the scalars its forms read, and each
+        form is integrated against sigma^(iota+i)."""
         orders = sorted(time_derivs)
         scalars = self._scalars(np.array([time_derivs[k] for k in orders], dtype=float))
-        norms = {}
-        for i, forms in _FORMS_BY_ORDER.items():
-            norms.update(self._norms(scalars, self.params.iota + i, forms))
+        n, norms = self.params.n, {}
+        for i, names in enumerate(_SCALARS_BY_ORDER):
+            rule = self.grid.rule(self.params.iota + i)
+            sampled = (np.concatenate([scalars[name] for name in names]) @ rule.resample.T
+                       ).reshape(len(names), len(orders), -1)
+            vals = dict(zip(names, sampled), r=rule.r)
+            vals.update({_TIMES_R[name]: vals[name] * rule.r
+                         for name in names if name in _TIMES_R})
+            for form in (form for form in SUPPORTED_FORMS if form[0] == i):
+                norms[form] = (self._area * (radial_form(*form, n, vals) @ rule.weights)).tolist()
         return {k: row for row, k in enumerate(orders)}, norms
 
     def component(self, time_derivs: Mapping[int, np.ndarray],
@@ -152,8 +143,9 @@ class RadialEnergies:
 
         The norms of the last (time_derivs, t) are kept, so the arrays of a
         mapping must not change between calls at the same t."""
-        _check_form(i, j)
-        _check_form(i + 1, j)
+        if (i, j) not in SUPPORTED_FORMS or (i + 1, j) not in SUPPORTED_FORMS:
+            raise UnsupportedOrderError(
+                f"spatial/angular derivative order (d^{i + 1}, dbar^{j}) not implemented")
         last = self._last
         if last is None or last[0] is not time_derivs or last[1] != t:
             last = self._last = (time_derivs, t, *self._stacked_pass(time_derivs))
@@ -171,6 +163,8 @@ class ModeEnergies:
     closed factors on the two amplitude profiles (harmonics l -+ 1).
     Implemented orders: i = 0, j <= 2.
     """
+
+    INDICES = tuple(idx for idx in energy_indices() if idx[1] == 0)
 
     def __init__(self, grid: WeightedGrid, mode: int):
         if grid.params.n != 2:

@@ -118,17 +118,6 @@ class SelfSimilarProfile:
     def support_radius(self, t) -> float:
         return self.params.nu(t) * self.params.R0
 
-    def density(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Background density at time t and positions x (shape (..., n)).
-
-        Positions outside the closed support ball are an error; callers
-        must clamp or test membership first.
-        """
-        radius = np.linalg.norm(np.atleast_2d(np.asarray(x, dtype=float)), axis=-1)
-        if np.any(radius > self.support_radius(t) * (1.0 + 1e-12)):
-            raise ValueError("position outside the support of the profile")
-        return self.density_radial(t, radius)
-
     def velocity(self, t: float, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self.params.kappa * x / (1.0 + t)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import SEED_SHAPES, STEPPERS, SolverConfig
 from .correction import CorrectionPath
-from .energy import RadialEnergies, energy_columns, energy_indices
+from .energy import RadialEnergies, energy_columns, energy_row
 from .kinematics import apply_d, box_grid, build_deformation, radial_vector_field
 from .quadrature import resample_matrix
 from .timestepping import (IntegrationStats, StepSizeUnderflow,
@@ -319,9 +319,8 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
 
     states: list[RadialState] = []
     recons: list[Reconstruction] = []
-    indices = energy_indices()
     evaluator = RadialEnergies(grid) if collect_energies else None
-    comp: dict[tuple, list] = {idx: [] for idx in indices}
+    rows: list[dict] = []    # one energy row per output
 
     def on_output(t, y):
         state = RadialState(t=t, w=y[:n].copy(), w_t=y[n:].copy())
@@ -329,9 +328,7 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
         if collect_reconstructions:
             recons.append(reconstruct_physical(op, state))
         if evaluator is not None:
-            derivs = op.time_derivatives(t, state.w, state.w_t)
-            for idx in indices:
-                comp[idx].append(evaluator.component(derivs, *idx, t))
+            rows.append(energy_row(evaluator, op.time_derivatives(t, state.w, state.w_t), t))
 
     status, failure = "completed", None
     stats = IntegrationStats()   # filled in place, kept when a step fails
@@ -356,10 +353,7 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
 
     times = np.array([s.t for s in states])
     # the state at which a run failed is kept without energies or reconstruction
-    evaluated = len(comp[indices[0]])
-    energies = None
-    if evaluator is not None and evaluated:
-        energies = energy_columns(times[:evaluated], comp)
+    energies = energy_columns(times[:len(rows)], rows) if rows else None
     return RadialTrajectory(
         grid=grid, times=times, states=states, energies=energies,
         reconstructions=recons, stats=stats, status=status, failure=failure,

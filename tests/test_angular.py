@@ -43,7 +43,7 @@ def test_initial_envelope_ratio_is_one(setup2):
     traj = evolve_mode(g, path, st, 5.0, collect_energies=False)
     assert traj.envelope[0] == pytest.approx(1.0, abs=0)
     assert traj.curl_norms[0] == pytest.approx(1.0, rel=1e-12)  # normalized
-    assert traj.relative_deviation()[0] <= 1e-12
+    assert traj.curl_norms[0] / traj.envelope[0] == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 import radau_reference as reference
 from scipy.integrate import solve_ivp
 
@@ -150,6 +151,24 @@ def test_lyapunov_functional_monotone_in_decay_phase(lam):
 
 def test_dense_output_residual_below_10x_tolerance(path3):
     assert ode_residual(path3) <= 10.0
+
+
+def test_ode_residual_differentiates_the_collocation_polynomial(path3):
+    # each sample time's step polynomial y_old + Q (x, x^2, x^3), rebuilt
+    # and differentiated by numpy.polynomial, against the ODE
+    rhs = correction._correction_rhs(path3.params)
+    worst = 0.0
+    for t in path3.t_grid[2:-2:5]:
+        i = min(max(np.searchsorted(path3.step_times, t) - 1, 0), len(path3.segments) - 1)
+        t_old, step, q00, q01, q02, q10, q11, q12, h0, z0 = path3.segments[i]
+        x = (t - t_old) / step
+        polys = (Polynomial([h0, q00, q01, q02]), Polynomial([z0, q10, q11, q12]))
+        h, z = (poly(x) for poly in polys)
+        dh, dz = (poly.deriv()(x) / step for poly in polys)
+        defect = np.abs([dh - z, dz - rhs(t, (h, z))[1]])
+        tol = path3.abs_tol + path3.rel_tol * np.abs([h, z])
+        worst = max(worst, float(np.max(defect * step / tol)))
+    assert ode_residual(path3) == pytest.approx(worst, rel=1e-12)
 
 
 def test_solver_input_validation(params3):

@@ -174,16 +174,13 @@ def test_mass_conserved_for_random_parameters(n, lam, gamma, mass):
 def test_density_center_value_and_boundary_zero():
     p = derive_constants(3, 0.0, 2.0, 1.0)
     prof = SelfSimilarProfile(p)
-    centre = np.zeros((1, 3))
-    dens, vel = prof.density(0.0, centre), prof.velocity(0.0, centre)
-    assert dens[0] == pytest.approx(closed_form_a_bar(3, 2.0, p.B_bar, 1.0), rel=1e-10)
+    dens, vel = prof.density_radial(0.0, 0.0), prof.velocity(0.0, np.zeros((1, 3)))
+    assert dens == pytest.approx(closed_form_a_bar(3, 2.0, p.B_bar, 1.0), rel=1e-10)
     assert np.allclose(vel, 0.0)
     for t in (0.0, 3.7, 120.0):
         edge = prof.support_radius(t)
-        x = np.array([[edge, 0.0, 0.0]])
-        assert prof.density(t, x)[0] == 0.0
-        inside = np.linspace(0.05, 0.95, 10)[:, None] * x
-        assert np.all(prof.density(t, inside) > 0.0)
+        assert prof.density_radial(t, edge) == 0.0
+        assert np.all(prof.density_radial(t, np.linspace(0.05, 0.95, 10) * edge) > 0.0)
 
 
 def test_velocity_is_kappa_x_over_time():
@@ -193,13 +190,6 @@ def test_velocity_is_kappa_x_over_time():
     vel = prof.velocity(1.0, x)
     assert vel[0, 0] == pytest.approx(0.1 * x[0, 0], rel=1e-15)
     assert vel[0, 1] == vel[0, 2] == 0.0
-
-
-def test_position_outside_support_rejected():
-    p = derive_constants(3, 0.0, 2.0, 1.0)
-    prof = SelfSimilarProfile(p)
-    with pytest.raises(ValueError, match="outside the support"):
-        prof.density(0.0, np.array([[1.001 * p.R0, 0.0, 0.0]]))
 
 
 def test_vacuum_gradient_value():
