@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .correction import CorrectionPath
-from .energy import ModeEnergies, energy_columns, energy_row
+from .energy import ModeEnergies, energy_columns, energy_row, output_blocks
 from .timestepping import IntegrationStats, integrate_fixed_rk4
 from .weighted import WeightedGrid
 
@@ -87,8 +87,8 @@ class PlanarModeOperator:
     def force_potential(self, pf: np.ndarray, pg: np.ndarray) -> np.ndarray:
         """q_Phi with force = grad(r^l q_Phi cos(l phi)) on the mode."""
         g, p, ell = self.grid, self.params, self.mode
-        pf1 = g.d_s @ pf
-        pf2 = g.d_s @ pf1
+        pf1 = pf @ g.d_s_t
+        pf2 = pf1 @ g.d_s_t
         radial_stretch = ell * pf + 2.0 * g.s * pf1 - ell * pg      # (r a)/r^l
         laplace_f = (4.0 / p.R0 ** 2) * ((ell + 1.0) * pf1 + g.s * pf2)
         return p.kappa * radial_stretch - p.gamma * p.A_bar * (1.0 - g.s) * laplace_f
@@ -118,16 +118,18 @@ class PlanarModeOperator:
         return float(np.sqrt(np.pi * g.integrate(p.iota + 1.0, integrand)))
 
     def _force(self, u: np.ndarray) -> np.ndarray:
-        """The linear force on stacked potentials [pf, pg]: g feels none."""
-        q = self.force_potential(u[0], u[1])
-        return np.array([q, np.zeros_like(q)])
+        """The linear force on a (..., 2, m) stack of potentials [pf, pg]:
+        g feels none."""
+        q = self.force_potential(u[..., 0:1, :], u[..., 1:2, :])
+        return np.concatenate([q, np.zeros_like(q)], axis=-2)
 
-    def time_derivatives(self, t: float, state: PlanarModeState) -> dict[int, np.ndarray]:
+    def time_derivatives(self, t, state: PlanarModeState) -> dict[int, np.ndarray]:
         """(2, m) stacks [pf, pg] of partial_t^k, k <= 4, from the chain of
         :meth:`TimeCoefficients.derivatives` with the linear force
-        (K' = K, K'' = 0)."""
-        u = np.array([state.pf, state.pg])
-        u_t = np.array([state.pf_t, state.pg_t])
+        (K' = K, K'' = 0); (T, 2, m) for a stack of outputs, t of shape
+        (T, 1, 1) and each profile (T, m)."""
+        u = np.stack([state.pf, state.pg], axis=-2)
+        u_t = np.stack([state.pf_t, state.pg_t], axis=-2)
         return self.path.coefficients(t).derivatives(
             u, u_t, self._force(u), self._force(u_t), 0.0, self._force)
 
@@ -233,28 +235,32 @@ def evolve_mode(grid: WeightedGrid, path: CorrectionPath, state,
 
     # the profiles are packed in field order; the last is the velocity
     # whose curl is tracked
-    profiles = [getattr(state, f.name) for f in fields(kind)[2:]]
+    names = [f.name for f in fields(kind)[2:]]
+    profiles = [getattr(state, name) for name in names]
     if normalize_curl and np.max(np.abs(profiles[-1])) > 0.0:
         profiles[-1] = profiles[-1] / op.curl_norm(profiles[-1])
     y0 = np.concatenate(profiles)
 
     states: list = []
     curls: list[float] = []
-    rows: list[dict] = []    # one energy row per output
 
     def on_output(t, y):
         parts = [part.copy() for part in np.split(y, len(profiles))]
         curls.append(op.curl_norm(parts[-1]))
-        snap = kind(t, state.mode, *parts)
-        states.append(snap)
-        if evaluator is not None:
-            rows.append(energy_row(evaluator, op.time_derivatives(t, snap), t))
+        states.append(kind(t, state.mode, *parts))
 
     result = integrate_fixed_rk4(op.rhs, state.t, y0, times, dt, on_output=on_output)
+    blocks: list[dict] = []    # one energy row per block of outputs
+    if evaluator is not None:
+        for block in output_blocks(len(states), grid.num_nodes):
+            at = np.array([s.t for s in states[block]])
+            stack = kind(at[:, None, None], state.mode,
+                         *(np.array([getattr(s, name) for s in states[block]]) for name in names))
+            blocks.append(energy_row(evaluator, op.time_derivatives(stack.t, stack), at))
     return ModeTrajectory(
         mode=state.mode, times=np.array(times), curl_norms=np.array(curls),
         envelope=curl_envelope(path, times), states=states,
-        energies=energy_columns(times, rows) if rows else None,
+        energies=energy_columns(times, blocks) if blocks else None,
         stats=result.stats, dt=float(dt),
     )
 

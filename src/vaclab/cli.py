@@ -120,10 +120,16 @@ def cmd_ode(args) -> int:
 
 def _print_report(command: str, directory, report: dict) -> int:
     """Print a run report: its checks, the anchor's preservation, the
-    energy ratio and the rate fits; exit by the report's verdict."""
+    energy ratio, the rate fits and, when the stability cap set more than
+    half the accepted steps, that solver.rel_tol did not bound the run's
+    error; exit by the report's verdict."""
     print(f"run directory: {directory}")
     for name, passed in report["checks"].items():
         print(f"  [{'PASS' if passed else 'FAIL'}] {name}")
+    stats = report.get("telemetry", {}).get("integration")
+    if stats and 2 * stats["cap_limited"] > stats["steps"]:
+        print(f"  step cap set {stats['cap_limited']} of {stats['steps']} accepted steps; "
+              "solver.rel_tol does not bound this run's error")
     if report.get("preservation_sup") is not None:
         print(f"  preservation sup|w| = {report['preservation_sup']:.3e}")
     bounded = report["boundedness"]

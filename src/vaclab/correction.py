@@ -360,7 +360,8 @@ class TimeCoefficients:
 
         d(t) = (1+t)^(-lam) + 2 theta_t/theta,   c(t) = theta^-(n*gamma-n+2),
 
-    each as (value, first, second) time derivative.
+    each as (value, first, second) time derivative: floats at one time,
+    or arrays over a stack of output times (:meth:`CorrectionPath.coefficients`).
     """
 
     t: float
@@ -379,6 +380,17 @@ class TimeCoefficients:
         snap = (-d2 * u_t - 2.0 * d1 * acc - d0 * jerk
                 - c2 * k0 - 2.0 * c1 * k1_ut - c0 * (k2_ut + k1_of(acc)))
         return {0: u, 1: u_t, 2: acc, 3: jerk, 4: snap}
+
+
+def per_output(t, f) -> tuple:
+    """The tuple of Python floats f(t) at a scalar time t.  At an array of
+    output times, one array shaped like ``t`` per entry of f, holding f at
+    each time: every value is formed in Python floats as at a scalar time,
+    since NumPy's array ``**`` does not round as Python's float ``**``."""
+    if np.ndim(t) == 0:
+        return f(t)
+    return tuple(np.reshape(column, np.shape(t))
+                 for column in zip(*map(f, np.ravel(t).tolist())))
 
 
 def _as_time(t):
@@ -485,12 +497,17 @@ class CorrectionPath:
         th, th1 = self.theta_at(t), self.theta_t_at(t)
         return (th, th1) + self._theta_ode(1.0 + t, th, th1)[2:]
 
-    def coefficients(self, t: float) -> TimeCoefficients:
+    def coefficients(self, t) -> TimeCoefficients:
         """d, c and their first two derivatives at a scalar t.  The last
         result is kept, so the coefficients of one time cost one dense
         evaluation however many callers read them.  Theta and its
         derivatives are those of :meth:`theta_derivatives`, same arithmetic,
-        with nu and nu_t of PhysParams written out."""
+        with nu and nu_t of PhysParams written out.  At an array of output
+        times each entry is an array shaped like t, formed time by time
+        (:func:`per_output`)."""
+        if isinstance(t, np.ndarray):
+            values = per_output(t, lambda s: self.coefficients(s).d + self.coefficients(s).c)
+            return TimeCoefficients(t, values[:3], values[3:])
         last = self._last_coefficients
         if last is not None and last.t == t:
             return last

@@ -14,10 +14,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .correction import CorrectionPath
+from .correction import CorrectionPath, per_output
+from .energy import output_blocks
 from .fitting import DecayFit, decay_fit
 from .params import PhysParams
-from .radial import RadialTrajectory, deformation, reconstructed_mass
+from .radial import (RadialTrajectory, Reconstruction, deformation, reconstructed_mass,
+                     stack_states)
 
 GAP_NAMES = ("position", "density", "velocity")
 
@@ -45,34 +47,53 @@ def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
         position gap  = |h r + theta w|,
         density gap   = nu^-n |expm1(-n log1p(h/nu) - log J)|   (rho0-relative),
         velocity gap  = |h_t r + theta_t w + theta w_t|.
+
+    The outputs are evaluated as stacks, one per block of outputs
+    (:func:`vaclab.energy.output_blocks`); h, theta and the other
+    per-output scalars are formed output by output (:func:`per_output`).
     """
+    names = (("t", "sup_w") + tuple(f"{name}_gap" for name in GAP_NAMES)
+             + ("boundary_radius", "mass_rel_err"))
+    states, recons = trajectory.states, trajectory.reconstructions
+    if not states:
+        return {name: np.array([]) for name in names}
     n = params.n
     grid = trajectory.grid
     r = grid.r
-    recons = trajectory.reconstructions
-    rows = []
-    for k, state in enumerate(trajectory.states):
-        t = state.t
-        h = float(path.h_at(t))
-        h_t = float(path.h_t_at(t))
+
+    def scalars(t):
+        h, h_t = float(path.h_at(t)), float(path.h_t_at(t))
         nu = params.nu(t)
-        theta, theta_t = nu + h, params.nu_t(t) + h_t
-        _, _, _, _, log_x, log_y = deformation(grid, state.w, check=False)
+        return h, h_t, nu + h, params.nu_t(t) + h_t, nu ** (-n), -n * np.log1p(h / nu)
+
+    def sup(values):
+        return np.max(np.abs(values), axis=(1, 2))
+
+    def columns(block):
+        """The columns of one block of outputs, evaluated as one stack:
+        (T, 1, m) fields and (T, 1, 1) columns of per-output scalars."""
+        stack = stack_states(states[block])
+        t, w, w_t = stack.t, stack.w, stack.w_t
+        h, h_t, theta, theta_t, nu_n, log_ratio = per_output(t, scalars)
+        _, _, _, _, log_x, log_y = deformation(grid, w, check=False)
         log_j = log_x + (n - 1.0) * log_y
-        recon = recons[k] if k < len(recons) else None
-        rows.append((
-            t,
-            float(np.max(np.abs(state.w))),
-            float(np.max(np.abs(h * r + theta * state.w))),
-            float(np.max(np.abs(nu ** (-n) * np.expm1(-n * np.log1p(h / nu) - log_j)))),
-            float(np.max(np.abs(h_t * r + theta_t * state.w + theta * state.w_t))),
-            recon.boundary_radius if recon else float("nan"),
-            abs(reconstructed_mass(grid, path, recon) - params.mass) / params.mass
-            if recon else float("nan"),
-        ))
-    names = (("t", "sup_w") + tuple(f"{name}_gap" for name in GAP_NAMES)
-             + ("boundary_radius", "mass_rel_err"))
-    return dict(zip(names, np.array(rows).reshape(-1, len(names)).T))
+        boundary = np.full(len(t), np.nan)
+        mass_err = np.full(len(t), np.nan)
+        done = recons[block]
+        if done:
+            stacked = Reconstruction(
+                t=t[:len(done)], radii=np.array([rec.radii for rec in done])[:, None],
+                density=np.array([rec.density for rec in done])[:, None],
+                velocity=None, boundary_radius=None)
+            boundary[:len(done)] = [rec.boundary_radius for rec in done]
+            mass_err[:len(done)] = np.abs(reconstructed_mass(grid, path, stacked)[:, 0]
+                                          - params.mass) / params.mass
+        return (t.ravel(), sup(w), sup(h * r + theta * w),
+                sup(nu_n * np.expm1(log_ratio - log_j)),
+                sup(h_t * r + theta_t * w + theta * w_t), boundary, mass_err)
+
+    blocks = [columns(block) for block in output_blocks(len(states), grid.num_nodes)]
+    return dict(zip(names, map(np.concatenate, zip(*blocks))))
 
 
 def closed_form_gaps(path: CorrectionPath, params: PhysParams, times,

@@ -13,14 +13,21 @@ m+i+j <= 2 plus the once-more-time-differentiated components (m+1, i, j)
 at m+i+j = 2; the full high-order family is out of numerical reach with
 grid differentiation.
 
-Energies are evaluated once per output: :func:`energy_row` asks the
-evaluator's ``component`` for each index of its ``INDICES``.  For radial
-fields the time derivatives k = 0..4 are stacked as rows of one (K, m)
-array, the nodal scalars v, u, vp, up, vpp, upp of all rows come from one
-product against d_s per derivative level, each sigma exponent iota+i
-(i = 0..3) resamples the scalars its forms read with one product, and each
-closed form is integrated with one product against the rule weights.  The
-component calls of that output read the kept result.
+Energies are evaluated for a block of outputs at once: :func:`energy_row`
+asks the evaluator's ``component`` for each index of its ``INDICES``, and
+the first call runs one stacked pass over every time derivative of every
+output of the block, which later calls read.  Each array of the pass
+carries the outputs on its leading axis and keeps the shape it has for one
+output behind it, so each product repeats one output's product per output,
+bit for bit.  For radial fields the time derivatives k = 0..4 of an output
+are the rows of a (5, m) array, the nodal scalars v, u, vp, up, vpp, upp of
+all rows come from one product against d_s per derivative level, each
+sigma exponent iota+i (i = 0..3) resamples the scalars its forms read with
+one product, and each closed form is integrated with one product against
+the rule weights.  The time weights are Python floats formed per output
+(:func:`vaclab.correction.per_output`).  :func:`output_blocks` bounds a
+block by ``BLOCK_VALUES`` outputs x nodes, which bounds the pass's
+temporaries.
 """
 from __future__ import annotations
 
@@ -28,11 +35,15 @@ from typing import Mapping
 
 import numpy as np
 
+from .correction import per_output
 from .derivnorms import SUPPORTED_FORMS, radial_form
 from .quadrature import unit_sphere_area
 from .weighted import WeightedGrid
 
 ENERGY_LEVEL = 2
+# outputs x nodes of one block of the stacked pass, which bounds its
+# temporaries: 8 outputs at 256 nodes, 64 at 32
+BLOCK_VALUES = 2048
 
 
 class UnsupportedOrderError(ValueError):
@@ -53,30 +64,60 @@ def energy_indices() -> list[tuple[int, int, int]]:
     return base + top
 
 
-def energy_row(evaluator, time_derivs: Mapping, t: float) -> dict[tuple[int, int, int], float]:
-    """E^{m,i,j}(t) of one output for each (m, i, j) of ``evaluator.INDICES``."""
+def output_blocks(outputs: int, nodes: int) -> list[slice]:
+    """Consecutive blocks of ``outputs`` outputs for the stacked pass, each
+    of at most ``BLOCK_VALUES // nodes`` outputs (at least one)."""
+    size = max(1, BLOCK_VALUES // nodes)
+    return [slice(start, min(start + size, outputs)) for start in range(0, outputs, size)]
+
+
+def energy_row(evaluator, time_derivs: Mapping, t) -> dict[tuple[int, int, int], object]:
+    """E^{m,i,j}(t) for each (m, i, j) of ``evaluator.INDICES``: of one
+    output, or, when t is an array of output times and each array of
+    ``time_derivs`` carries them on its leading axis, an array over them."""
     return {idx: evaluator.component(time_derivs, *idx, t) for idx in evaluator.INDICES}
 
 
-def energy_columns(times, rows: list[Mapping[tuple[int, int, int], float]]
+def energy_columns(times, blocks: list[Mapping[tuple[int, int, int], object]]
                    ) -> dict[str, np.ndarray]:
-    """The columns of energies.csv from one row per output: t, each
-    component E_m_i_j in the order of the rows, and E_total, their sum."""
-    columns = {"E_{}_{}_{}".format(*idx): np.array([row[idx] for row in rows])
-               for idx in rows[0]}
+    """The columns of energies.csv from the rows of consecutive blocks of
+    outputs (:func:`energy_row`): t, each component E_m_i_j in the order of
+    the rows, and E_total, their sum."""
+    columns = {"E_{}_{}_{}".format(*idx): np.concatenate([row[idx] for row in blocks])
+               for idx in blocks[0]}
     return {"t": np.array(times), **columns,
             "E_total": np.sum(list(columns.values()), axis=0)}
 
 
-def _component(time_derivs: Mapping, m: int, t: float, params, norm) -> float:
+def _component(time_derivs: Mapping, m: int, t, params, norm):
     """E^{m,i,j}(t), where ``norm(k, di)`` is N_{i+di,j} of partial_t^k:
     the time weight times [(1+t)^(1+lam) N_{i,j}(partial_t^(m+1))
     + N_{i,j}(partial_t^m) + N_{i+1,j}(partial_t^m)]."""
     if m + 1 not in time_derivs or m not in time_derivs:
         raise UnsupportedOrderError(f"time derivative order {m + 1} not available")
-    weight = (1.0 + t) ** (2 * m + (0 if m == 0 else 1) * params.kappa)
-    top = (1.0 + t) ** (1.0 + params.lam) * norm(m + 1, 0)
-    return weight * (top + norm(m, 0) + norm(m, 1))
+    weight, growth = per_output(t, lambda s: (
+        (1.0 + s) ** (2 * m + (0 if m == 0 else 1) * params.kappa),
+        (1.0 + s) ** (1.0 + params.lam)))
+    return weight * (growth * norm(m + 1, 0) + norm(m, 0) + norm(m, 1))
+
+
+class _StackedEvaluator:
+    """An energy evaluator whose components read one stacked pass over
+    every time derivative of an output or a block of outputs.  The norms
+    of the last (time_derivs, t) are kept, so the arrays of a mapping must
+    not change between calls at the same t."""
+
+    def __init__(self, grid: WeightedGrid):
+        self.grid = grid
+        self.params = grid.params
+        self._last = None   # (time_derivs, t, row of each order, norms)
+
+    def _norms(self, time_derivs: Mapping, t):
+        """(row of each order, norms) of the stacked pass over time_derivs."""
+        last = self._last
+        if last is None or last[0] is not time_derivs or not np.array_equal(last[1], t):
+            last = self._last = (time_derivs, t, *self._stacked_pass(time_derivs))
+        return last[2:]
 
 
 # the nodal scalars of RadialEnergies._scalars that the forms of spatial
@@ -88,80 +129,77 @@ _SCALARS_BY_ORDER = (("v",), ("v", "u", "vp"), ("v", "up", "vp", "vpp"),
 _TIMES_R = {"v": "w", "vp": "vp", "up": "up"}
 
 
-class RadialEnergies:
+class RadialEnergies(_StackedEvaluator):
     """Energy components for radially symmetric perturbations w(r) y/|y|.
 
     Angular derivatives of radial fields are evaluated through the closed
     forms of :mod:`vaclab.derivnorms` rather than grid differentiation.
     Norms are computed for a stack of fields at once: :meth:`component`
-    evaluates every supported norm of every time derivative of one output
-    in one pass and keeps it for the next call with the same mapping and t.
+    evaluates every supported norm of every time derivative of an output,
+    or of each output of a block, in one pass.
     """
 
     INDICES = tuple(energy_indices())
 
     def __init__(self, grid: WeightedGrid):
-        self.grid = grid
-        self.params = grid.params
+        super().__init__(grid)
         self._area = unit_sphere_area(self.params.n)
-        self._last = None   # (time_derivs, t, row of each order, norms)
 
     def _scalars(self, stack: np.ndarray) -> dict[str, np.ndarray]:
-        """Nodal radial scalars of each row of a (K, m) stack of fields,
-        with one product against d_s per derivative level."""
+        """Nodal radial scalars of each row of a (..., K, m) stack of
+        fields, with one product against d_s per derivative level."""
         g = self.grid
         scale = 2.0 / self.params.R0 ** 2
         v, p1, su = g.radial_strain(stack)      # su = w' (even in r)
         g_vp = scale * p1
-        g_up = scale * (su @ g.d_s.T)
-        slopes = np.concatenate([g_vp, g_up]) @ g.d_s.T
-        k = len(stack)
+        g_up = scale * (su @ g.d_s_t)
+        slopes = np.concatenate([g_vp, g_up], axis=-2) @ g.d_s_t
+        k = stack.shape[-2]
         return {"v": v, "u": su, "vp": g_vp, "up": g_up,
-                "vpp": g_vp + g._two_s * slopes[:k], "upp": g_up + g._two_s * slopes[k:]}
+                "vpp": g_vp + g._two_s * slopes[..., :k, :],
+                "upp": g_up + g._two_s * slopes[..., k:, :]}
 
     def _stacked_pass(self, time_derivs: Mapping[int, np.ndarray]):
         """Every supported norm of every time derivative: for each spatial
         order i one product resamples the scalars its forms read, and each
-        form is integrated against sigma^(iota+i)."""
+        form is integrated against sigma^(iota+i).  An output's time
+        derivatives are one field (m,) each, or (T, 1, m) over a block."""
         orders = sorted(time_derivs)
-        scalars = self._scalars(np.array([time_derivs[k] for k in orders], dtype=float))
+        scalars = self._scalars(np.concatenate(
+            [np.atleast_2d(time_derivs[k]) for k in orders], axis=-2))
         n, norms = self.params.n, {}
         for i, names in enumerate(_SCALARS_BY_ORDER):
             rule = self.grid.rule(self.params.iota + i)
-            sampled = (np.concatenate([scalars[name] for name in names]) @ rule.resample.T
-                       ).reshape(len(names), len(orders), -1)
-            vals = dict(zip(names, sampled), r=rule.r)
+            sampled = self.grid.to_rule(
+                rule, np.concatenate([scalars[name] for name in names], axis=-2))
+            sampled = sampled.reshape(sampled.shape[:-2] + (len(names), len(orders), -1))
+            vals = dict(zip(names, np.moveaxis(sampled, -3, 0)), r=rule.r)
             vals.update({_TIMES_R[name]: vals[name] * rule.r
                          for name in names if name in _TIMES_R})
             for form in (form for form in SUPPORTED_FORMS if form[0] == i):
-                norms[form] = (self._area * (radial_form(*form, n, vals) @ rule.weights)).tolist()
+                norms[form] = self._area * (radial_form(*form, n, vals) @ rule.weights)
         return {k: row for row, k in enumerate(orders)}, norms
 
     def component(self, time_derivs: Mapping[int, np.ndarray],
-                  m: int, i: int, j: int, t: float) -> float:
-        """E^{m,i,j}(t) from nodal arrays of partial_t^k w, k = m, m+1.
-
-        The norms of the last (time_derivs, t) are kept, so the arrays of a
-        mapping must not change between calls at the same t."""
+                  m: int, i: int, j: int, t):
+        """E^{m,i,j}(t) from nodal arrays of partial_t^k w, k = m, m+1."""
         if (i, j) not in SUPPORTED_FORMS or (i + 1, j) not in SUPPORTED_FORMS:
             raise UnsupportedOrderError(
                 f"spatial/angular derivative order (d^{i + 1}, dbar^{j}) not implemented")
-        last = self._last
-        if last is None or last[0] is not time_derivs or last[1] != t:
-            last = self._last = (time_derivs, t, *self._stacked_pass(time_derivs))
-        rows, norms = last[2], last[3]
+        rows, norms = self._norms(time_derivs, t)
         return _component(time_derivs, m, t, self.params,
-                          lambda k, di: norms[i + di, j][rows[k]])
+                          lambda k, di: norms[i + di, j][..., rows[k]])
 
 
-class ModeEnergies:
+class ModeEnergies(_StackedEvaluator):
     """Energy components for a single planar angular mode (n = 2).
 
     Fields are carried by harmonic potentials f, g with
     omega = grad(f cos(l phi)) + perp-grad(g sin(l phi)), f, g = r^l p(s);
     dbar = d/dphi acts harmonic-by-harmonic, so the phi integrals reduce to
     closed factors on the two amplitude profiles (harmonics l -+ 1).
-    Implemented orders: i = 0, j <= 2.
+    Implemented orders: i = 0, j <= 2.  The stacked pass builds the
+    amplitudes of every time derivative once per sigma exponent.
     """
 
     INDICES = tuple(idx for idx in energy_indices() if idx[1] == 0)
@@ -171,39 +209,33 @@ class ModeEnergies:
             raise UnsupportedOrderError("mode energies are implemented for n = 2")
         if mode < 1:
             raise ValueError("angular wavenumber must be >= 1")
-        self.grid = grid
-        self.params = grid.params
+        super().__init__(grid)
         self.mode = int(mode)
 
-    def _amplitudes(self, pf: np.ndarray, pg: np.ndarray, rule):
+    def _amplitudes(self, potentials: np.ndarray, rule):
+        """(amp, damp) at the rule nodes for the harmonics l -+ 1 of a
+        (..., 2, m) stack of potential pairs [pf, pg], each (..., 1, M)."""
         # polar profiles: omega_r = a cos(l phi), omega_phi = -b sin(l phi),
         # a = f' - l g / r, b = l f / r - g'; harmonics l -+ 1 carry (a+-b)/2
         g, ell = self.grid, self.mode
-        pf1 = g.d_s @ pf
-        pg1 = g.d_s @ pg
+        pf, pg = potentials[..., 0:1, :], potentials[..., 1:2, :]
+        pf1 = pf @ g.d_s_t
+        pg1 = pg @ g.d_s_t
         q_minus = ell * (pf - pg) + g.s * (pf1 - pg1)
         q_plus = g.s * (pf1 + pg1)
         out = []
         for q in (q_minus, q_plus):
-            q1 = g.d_s @ q
+            q1 = q @ g.d_s_t
             amp = g.to_rule(rule, q) * rule.r ** (ell - 1)
             # amp' = r^(l-2) [(l-1) q + 2 s q']
             damp = g.to_rule(rule, (ell - 1.0) * q + 2.0 * g.s * q1) * rule.r ** (ell - 2)
             out.append((amp, damp))
         return out
 
-    def spatial_norm(self, potentials: tuple[np.ndarray, np.ndarray],
-                     i: int, j: int, exponent: float) -> float:
-        if i not in (0, 1) or j not in (0, 1, 2):
-            raise UnsupportedOrderError(
-                f"mode energies support i <= 1 and j <= 2, got (i={i}, j={j})"
-            )
-        rule = self.grid.rule(exponent)
-        pf, pg = potentials
-        amps = self._amplitudes(np.asarray(pf, float), np.asarray(pg, float), rule)
-        harmonics = (self.mode - 1, self.mode + 1)
-        total = np.zeros_like(rule.r)
-        for (amp, damp), m_h in zip(amps, harmonics):
+    def _norm(self, amplitudes, i: int, j: int, rule):
+        """N_{i,j} against sigma^(rule exponent) from :meth:`_amplitudes`."""
+        total = np.zeros_like(amplitudes[0][0])
+        for (amp, damp), m_h in zip(amplitudes, (self.mode - 1, self.mode + 1)):
             angular = float(m_h) ** (2 * j) if (m_h or j == 0) else 0.0
             if angular == 0.0:
                 continue
@@ -211,11 +243,28 @@ class ModeEnergies:
                 total += angular * amp ** 2
             else:
                 total += angular * (damp ** 2 + m_h ** 2 * amp ** 2 / rule.r ** 2)
-        return 2.0 * np.pi * self.grid.integrate(exponent, total)
+        return 2.0 * np.pi * self.grid.integrate(rule.exponent, total)[..., 0]
+
+    def _stacked_pass(self, time_derivs: Mapping):
+        """N_{i,j}, j <= 2, of every time derivative against sigma^(iota+i),
+        i = 0, 1, from one build of the amplitudes per exponent.  An
+        output's time derivatives are potential pairs (2, m) each, or
+        (T, 2, m) over a block."""
+        orders = sorted(time_derivs)
+        stack = np.stack([np.asarray(time_derivs[k], float) for k in orders], axis=-3)
+        norms = {}
+        for i in (0, 1):
+            rule = self.grid.rule(self.params.iota + i)
+            amplitudes = self._amplitudes(stack, rule)
+            for j in (0, 1, 2):
+                norms[i, j] = self._norm(amplitudes, i, j, rule)
+        return {k: row for row, k in enumerate(orders)}, norms
 
     def component(self, time_derivs: Mapping[int, tuple], m: int, i: int, j: int,
-                  t: float) -> float:
-        if i != 0:
-            raise UnsupportedOrderError("mode energy components are restricted to i = 0")
-        return _component(time_derivs, m, t, self.params, lambda k, di: self.spatial_norm(
-            time_derivs[k], di, j, self.params.iota + di))
+                  t):
+        if i != 0 or j not in (0, 1, 2):
+            raise UnsupportedOrderError(
+                f"mode energy components support i = 0 and j <= 2, got (i={i}, j={j})")
+        rows, norms = self._norms(time_derivs, t)
+        return _component(time_derivs, m, t, self.params,
+                          lambda k, di: norms[di, j][..., rows[k]])

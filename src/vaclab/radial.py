@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SEED_SHAPES, STEPPERS, SolverConfig
-from .correction import CorrectionPath
-from .energy import RadialEnergies, energy_columns, energy_row
+from .correction import CorrectionPath, per_output
+from .energy import RadialEnergies, energy_columns, energy_row, output_blocks
 from .kinematics import apply_d, box_grid, build_deformation, radial_vector_field
 from .quadrature import resample_matrix
 from .timestepping import (IntegrationStats, StepSizeUnderflow,
@@ -61,8 +61,9 @@ def deformation(grid: WeightedGrid, w: np.ndarray, t: float | None = None,
                 check: bool = True):
     """(p, p_s, X, Y, log X, log Y) of a radial field w = r p(s): its strain
     p = w/r and p_s, the deformation factors X = 1 + w_r and Y = 1 + w/r
-    (J = X Y^(n-1)) and their logarithms.  ``check`` raises at the first node
-    where X, else Y, is not positive; without it the logarithms read NaN there."""
+    (J = X Y^(n-1)) and their logarithms, of one field (m,) or of a stack
+    (T, 1, m) of them.  ``check`` raises at the first node where X, else Y,
+    is not positive; without it the logarithms read NaN there."""
     p, p_s, u = grid.radial_strain(w)
     x = 1.0 + u
     # 1 + p <= 0 exactly when p <= -1 (1 + p is exact for p near -1)
@@ -107,7 +108,7 @@ class RadialOperator:
         alpha = np.expm1(self._p1 * la + self._q1 * lb)
         one_plus_beta = np.exp(self._p2 * la + self._q2 * lb)
         # (alpha - beta)/r = -(1+beta) * (2r/R0^2) p'(s) / X, exactly
-        return (self._alpha_coef * alpha + self._alpha_slope_coef * (self.grid.d_s @ alpha)
+        return (self._alpha_coef * alpha + self._alpha_slope_coef * (alpha @ self.grid.d_s_t)
                 + self._tangential_coef * one_plus_beta * dp / x)
 
     def stiffness(self, w: np.ndarray, t: float | None = None) -> np.ndarray:
@@ -138,7 +139,7 @@ class RadialOperator:
         """The pressure's node vectors applied to a variation of alpha and
         of the tangential factor (1 + beta) p'(s) / X."""
         return (self._alpha_coef * d_alpha
-                + self._alpha_slope_coef * (self.grid.d_s @ d_alpha)
+                + self._alpha_slope_coef * (d_alpha @ self.grid.d_s_t)
                 + self._tangential_coef * d_tangential)
 
     def _first(self, delta, variation):
@@ -176,10 +177,11 @@ class RadialOperator:
     def acceleration(self, t: float, w: np.ndarray, w_t: np.ndarray) -> np.ndarray:
         return -self.damping(t)[0] * w_t - self.wave_coefficient(t)[0] * self.stiffness(w, t)
 
-    def time_derivatives(self, t: float, w: np.ndarray,
-                         w_t: np.ndarray) -> dict[int, np.ndarray]:
+    def time_derivatives(self, t, w: np.ndarray, w_t: np.ndarray) -> dict[int, np.ndarray]:
         """Nodal arrays of partial_t^m w for m <= 4 from the chain of
-        :meth:`TimeCoefficients.derivatives`, with K' and K'' at w."""
+        :meth:`TimeCoefficients.derivatives`, with K' and K'' at w: of one
+        output, or of a stack of outputs, t of shape (T, 1, 1) and w, w_t of
+        shape (T, 1, m)."""
         k0 = self.stiffness(w, t)
         at = self._prologue(w)          # shared by K' and K'' in every direction
         along_wt = self._variation(at, w_t)
@@ -224,9 +226,19 @@ class RadialOperator:
         return cap
 
 
+def stack_states(states: list[RadialState]) -> RadialState:
+    """Consecutive outputs as one stack: t of shape (T, 1, 1) and w, w_t of
+    shape (T, 1, m), one field per output, so that each product of the
+    stacked pass repeats one output's product per output, bit for bit."""
+    return RadialState(t=np.array([s.t for s in states])[:, None, None],
+                       w=np.array([s.w for s in states])[:, None],
+                       w_t=np.array([s.w_t for s in states])[:, None])
+
+
 @dataclass
 class Reconstruction:
-    """Physical-space fields reconstructed from a radial state."""
+    """Physical-space fields reconstructed from a radial state, or from a
+    stack of them (:func:`stack_states`)."""
 
     t: float
     radii: np.ndarray          # x(t, y) along a ray, per node
@@ -263,34 +275,46 @@ def output_schedule(t_end: float,
 
 def reconstruct_physical(operator: RadialOperator, state: RadialState) -> Reconstruction:
     """x = theta (y + omega), density = rho0 J^-1 theta^-n,
-    velocity = theta_t (y + omega) + theta omega_t, at the grid nodes."""
+    velocity = theta_t (y + omega) + theta omega_t, at the grid nodes, of one
+    output or of a stack of outputs (t of shape (T, 1, 1), w and w_t of
+    shape (T, 1, m)); theta is formed per output (:func:`per_output`)."""
     g = operator.grid
     path = operator.path
     p = operator.params
-    th = float(path.theta_at(state.t))
-    th_t = float(path.theta_t_at(state.t))
+
+    def scalars(t):
+        th = float(path.theta_at(t))
+        return th, float(path.theta_t_at(t)), th ** (-p.n)
+
+    th, th_t, th_n = per_output(state.t, scalars)
     pvals, _, x_fac, y_fac, _, _ = deformation(g, state.w, state.t)
     jac = x_fac * y_fac ** (p.n - 1.0)
-    density = p.rho0(g.r) / jac * th ** (-p.n)
+    density = p.rho0(g.r) / jac * th_n
     radii = th * (g.r + state.w)
     velocity = th_t * (g.r + state.w) + th * state.w_t
     # boundary: extrapolate the s-polynomial w/r to s = 1
-    w_edge = float((operator._edge @ pvals)[0] * p.R0)
+    w_edge = np.reshape(pvals @ operator._edge.T, np.shape(th)) * p.R0
     return Reconstruction(
         t=state.t, radii=radii, density=density, velocity=velocity,
         boundary_radius=th * (p.R0 + w_edge),
     )
 
 
-def reconstructed_mass(grid: WeightedGrid, path: CorrectionPath,
-                       recon: Reconstruction) -> float:
-    """Physical mass from the reconstructed density and volume element."""
+def reconstructed_mass(grid: WeightedGrid, path: CorrectionPath, recon: Reconstruction):
+    """Physical mass from the reconstructed density and volume element: of
+    one reconstruction, or a (T, 1) array for a stack of them (t of shape
+    (T, 1, 1), radii and density of shape (T, 1, m))."""
     p = grid.params
-    th = float(path.theta_at(recon.t))
+
+    def scalars(t):
+        th = float(path.theta_at(t))
+        return th, th ** p.n
+
+    th, th_n = per_output(recon.t, scalars)
     state_w = recon.radii / th - grid.r
     _, _, x_fac, y_fac, _, _ = deformation(grid, state_w)
     jac = x_fac * y_fac ** (p.n - 1.0)
-    smooth = recon.density * th ** p.n * jac / p.sigma(grid.r) ** p.iota
+    smooth = recon.density * th_n * jac / p.sigma(grid.r) ** p.iota
     rule = grid.rule(p.iota)
     return grid.integrate_ball(p.iota, grid.to_rule(rule, smooth))
 
@@ -304,8 +328,14 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
     """Integrate the radial system and record states, energies, and
     physical reconstructions at the output times.
 
+    Each output's state is recorded, and its deformation invariant checked
+    when energies or reconstructions are collected, as the stepper reaches
+    it.  After the stepper, energies and reconstructions of the checked
+    outputs come from one stacked pass per block of outputs
+    (:func:`vaclab.energy.output_blocks`).
     On an invariant violation the trajectory is truncated and returned
-    with ``status='failed'`` and failure metadata, never dropped.
+    with ``status='failed'`` and failure metadata, never dropped; the
+    state at which a run failed is kept without energies or reconstruction.
     """
     if path.t_end < t_end:
         raise ValueError("correction path does not cover the requested horizon")
@@ -318,17 +348,16 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
     y0 = np.concatenate([initial.w, initial.w_t])
 
     states: list[RadialState] = []
-    recons: list[Reconstruction] = []
-    evaluator = RadialEnergies(grid) if collect_energies else None
-    rows: list[dict] = []    # one energy row per output
+    checked = collect_energies or collect_reconstructions
+    passed = 0    # outputs whose invariant check passed
 
     def on_output(t, y):
+        nonlocal passed
         state = RadialState(t=t, w=y[:n].copy(), w_t=y[n:].copy())
         states.append(state)
-        if collect_reconstructions:
-            recons.append(reconstruct_physical(op, state))
-        if evaluator is not None:
-            rows.append(energy_row(evaluator, op.time_derivatives(t, state.w, state.w_t), t))
+        if checked:
+            deformation(grid, state.w, t)
+            passed += 1
 
     status, failure = "completed", None
     stats = IntegrationStats()   # filled in place, kept when a step fails
@@ -352,10 +381,22 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
         logger.warning("radial evolution truncated: %s", exc)
 
     times = np.array([s.t for s in states])
-    # the state at which a run failed is kept without energies or reconstruction
-    energies = energy_columns(times[:len(rows)], rows) if rows else None
+    recons: list[Reconstruction] = []
+    evaluator = RadialEnergies(grid) if collect_energies else None
+    blocks: list[dict] = []    # one energy row per block of outputs
+    for block in output_blocks(passed, n):
+        stack = stack_states(states[block])
+        if collect_reconstructions:
+            rec = reconstruct_physical(op, stack)
+            recons += [Reconstruction(s.t, *fields) for s, *fields in zip(
+                states[block], rec.radii[:, 0], rec.density[:, 0], rec.velocity[:, 0],
+                rec.boundary_radius.ravel().tolist())]
+        if evaluator is not None:
+            blocks.append(energy_row(
+                evaluator, op.time_derivatives(stack.t, stack.w, stack.w_t), times[block]))
     return RadialTrajectory(
-        grid=grid, times=times, states=states, energies=energies,
+        grid=grid, times=times, states=states,
+        energies=energy_columns(times[:passed], blocks) if blocks else None,
         reconstructions=recons, stats=stats, status=status, failure=failure,
     )
 

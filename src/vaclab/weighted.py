@@ -53,14 +53,18 @@ class WeightedGrid:
         self._two_s = 2.0 * self.s
         self._bary = barycentric_weights(self.s)
         self.d_s = differentiation_matrix(self.s, self._bary)
+        # f @ d_s_t applies d_s along the last axis of f: to one nodal field
+        # (m,) as d_s @ f does, bit for bit, and to each output of a stack
+        # (T, K, m) as it does to that output's (K, m) rows
+        self.d_s_t = self.d_s.T
         self._rules: dict[float, RadialRule] = {}
 
     def radial_strain(self, w: np.ndarray):
         """(p, p_s, w_r) of a radial field w = r p(s): p = w/r, its
         s-derivative d_s p, and w_r = p + 2 s p_s.  ``w`` is one nodal
-        field (m,) or a stack of them (K, m), one field per row."""
+        field (m,), or a stack of fields (..., K, m), one field per row."""
         p = w / self.r
-        p_s = self.d_s @ p if p.ndim == 1 else p @ self.d_s.T
+        p_s = p @ self.d_s_t
         return p, p_s, p + self._two_s * p_s
 
     def rule(self, exponent: float) -> RadialRule:
@@ -87,14 +91,16 @@ class WeightedGrid:
         )
 
     def to_rule(self, rule: RadialRule, base_values: np.ndarray) -> np.ndarray:
-        """Interpolate base-node values of an s-polynomial to rule nodes."""
-        return rule.resample @ base_values
+        """Interpolate base-node values of an s-polynomial to rule nodes,
+        along the last axis of ``base_values``."""
+        return base_values @ rule.resample.T
 
-    def integrate(self, exponent: float, rule_values: np.ndarray) -> float:
-        """int_0^R0 sigma^a f r^(n-1) dr for f sampled at rule(a) nodes."""
-        return float(self.rule(exponent).weights @ rule_values)
+    def integrate(self, exponent: float, rule_values: np.ndarray):
+        """int_0^R0 sigma^a f r^(n-1) dr for f sampled at rule(a) nodes,
+        along the last axis of ``rule_values``."""
+        return rule_values @ self.rule(exponent).weights
 
-    def integrate_ball(self, exponent: float, rule_values: np.ndarray) -> float:
+    def integrate_ball(self, exponent: float, rule_values: np.ndarray):
         """Same integral extended over the ball (times the sphere area)."""
         return unit_sphere_area(self.params.n) * self.integrate(exponent, rule_values)
 

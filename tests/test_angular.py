@@ -117,6 +117,27 @@ def test_mode_energy_homogeneity_and_nonnegativity(setup2):
         assert scaled == pytest.approx(4.0 * base, rel=1e-12)
 
 
+def test_mode_energies_build_each_amplitude_pair_once(setup2, monkeypatch):
+    # one build per sigma exponent covers every time derivative and every
+    # output of a block: 2 per block, where one build per norm took 27 per
+    # output
+    _, path, g = setup2
+    from vaclab.energy import BLOCK_VALUES, ModeEnergies
+
+    builds = []
+    amplitudes = ModeEnergies._amplitudes
+
+    def counting(self, potentials, rule):
+        builds.append((potentials.shape, rule.exponent))
+        return amplitudes(self, potentials, rule)
+
+    monkeypatch.setattr(ModeEnergies, "_amplitudes", counting)
+    traj = evolve_mode(g, path, default_planar_state(g, 2), 20.0, num_outputs=100)
+    blocks = -(-len(traj.states) // (BLOCK_VALUES // g.num_nodes))
+    assert len(builds) == 2 * blocks and blocks >= 2
+    assert {exponent for _, exponent in builds} == {g.params.iota, g.params.iota + 1.0}
+
+
 def test_mode_energy_rejects_unsupported_orders(setup2):
     _, path, g = setup2
     from vaclab.energy import ModeEnergies, UnsupportedOrderError
@@ -126,7 +147,7 @@ def test_mode_energy_rejects_unsupported_orders(setup2):
     with pytest.raises(UnsupportedOrderError):
         en.component({0: zeros, 1: zeros}, 0, 1, 0, 1.0)
     with pytest.raises(UnsupportedOrderError):
-        en.spatial_norm(zeros, 0, 3, 1.0)
+        en.component({0: zeros, 1: zeros}, 0, 0, 3, 1.0)
 
 
 def _planar_mode_field_on_grid(grid_2d, params, mode, pf, pg, g_spec):

@@ -167,6 +167,18 @@ def test_fit_judges_a_run_as_evolve_does(anchor_result, tmp_path, capsys):
     assert printed.endswith("fit: PASS\n")
 
 
+@pytest.mark.parametrize("cap_limited,says", [(501, True), (500, False)])
+def test_printer_says_when_the_step_cap_set_most_steps(capsys, cap_limited, says):
+    # the cap, not rel_tol, sets a step when cap_limited counts it
+    report = {"checks": {"integration": True}, "boundedness": None, "rates": None,
+              "ok": True, "telemetry": {"integration": dataclasses.asdict(
+                  timestepping.IntegrationStats(steps=1000, cap_limited=cap_limited))}}
+    assert cli._print_report("evolve", "run", report) == 0
+    line = ("  step cap set 501 of 1000 accepted steps; "
+            "solver.rel_tol does not bound this run's error\n")
+    assert (line in capsys.readouterr().out) == says
+
+
 def _short_run(tmp_path, name, **overrides):
     return run(parse_config(base_config(
         tmp_path / name, **{"solver.t_end": 20.0, "ode.t_end": 40.0,

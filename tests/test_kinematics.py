@@ -413,9 +413,8 @@ def test_piola_richardson_peak_memory():
     assert peak <= 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
-_WORKER_CPU = textwrap.dedent("""
+_WORKER_CPU_OF = textwrap.dedent("""
     import os
-    from vaclab.suite import verify
 
     def worker_cpu():
         tick = os.sysconf("SC_CLK_TCK")
@@ -426,6 +425,10 @@ _WORKER_CPU = textwrap.dedent("""
                     fields = fh.read().rsplit(")", 1)[1].split()
                 cpu += (int(fields[11]) + int(fields[12])) / tick   # utime + stime
         return cpu
+""")
+
+_WORKER_CPU = _WORKER_CPU_OF + textwrap.dedent("""
+    from vaclab.suite import verify
 
     before = worker_cpu()
     for name in ("kinematic-identities", "piola-richardson",
@@ -446,3 +449,37 @@ def test_kinematics_checks_leave_worker_threads_idle():
     assert proc.returncode == 0, proc.stderr
     worker = float(proc.stdout.strip().splitlines()[-1])
     assert worker < 0.05, f"worker threads took {worker:.3f} s of CPU in the checks"
+
+
+_PASS_WORKER_CPU = _WORKER_CPU_OF + textwrap.dedent("""
+    import numpy as np
+    from vaclab.correction import correction_path
+    from vaclab.diagnostics import gap_series
+    from vaclab.params import derive_constants
+    from vaclab.radial import RadialState, evolve, seed_profile
+    from vaclab.weighted import WeightedGrid
+
+    params = derive_constants(3, 0.0, 2.0, 1.0)
+    path = correction_path(params, 1e3)
+    grid = WeightedGrid(params, 32)
+    w0 = seed_profile("parabolic", 1e-3, grid)
+    initial = RadialState(0.0, w0, np.zeros_like(w0))
+    evolve(grid, path, initial, 10.0)
+    before = worker_cpu()
+    gap_series(evolve(grid, path, initial, 1e3), path, params)
+    print(worker_cpu() - before)
+""")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/task")
+def test_output_pass_leaves_worker_threads_idle():
+    # the stacked pass repeats one output's product per output; one 2-D
+    # product over a block's stacked rows would be threaded by OpenBLAS.
+    # The charge is taken over one sweep cell's run and gaps (m = 32,
+    # t <= 1e3, energies and reconstructions on), after a short run has
+    # started the worker
+    proc = subprocess.run([sys.executable, "-c", _PASS_WORKER_CPU], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    worker = float(proc.stdout.strip().splitlines()[-1])
+    assert worker < 0.05, f"worker threads took {worker:.3f} s of CPU in the pass"

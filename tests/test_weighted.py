@@ -208,6 +208,7 @@ class _CountingMatrix(np.ndarray):
 
 
 def test_one_stacked_pass_per_output():
+    # one pass per block of outputs: a (T, 1, m) stack of each time derivative
     p = derive_constants(3, 0.0, 2.0, 1.0)
     g = WeightedGrid(p, 32)
     for i in range(4):
@@ -215,26 +216,33 @@ def test_one_stacked_pass_per_output():
         g._rules[rule.exponent] = dataclasses.replace(
             rule, resample=rule.resample.view(_CountingMatrix))
     en = RadialEnergies(g)
-    derivs = {k: 1e-3 * g.r * (1.0 + 0.1 * k) * (1.0 - 0.4 * g.s) for k in range(5)}
+    scales = np.array([1.0, 0.5, -2.0])[:, None, None]
+    derivs = {k: 1e-3 * g.r * (1.0 + 0.1 * k) * (1.0 - 0.4 * g.s) * scales for k in range(5)}
+    t, later_t = np.array([2.0, 2.5, 3.0]), np.array([3.0, 3.5, 4.0])
     _CountingMatrix.products = 0
 
     def output(mapping, t):
         return [en.component(mapping, *idx, t) for idx in energy_indices()]
 
-    first = output(derivs, 2.0)
+    first = output(derivs, t)
     assert _CountingMatrix.products == 4        # one per sigma exponent
-    assert output(derivs, 2.0) == first         # kept
+    assert all(column.shape == (3,) for column in first)
+    assert np.array_equal(output(derivs, t), first)      # kept
     assert _CountingMatrix.products == 4
-    later = output(derivs, 3.0)                 # a new t recomputes
+    later = output(derivs, later_t)              # new times recompute
     assert _CountingMatrix.products == 8
-    assert later == output(dict(derivs), 3.0)   # so does a new mapping
+    assert np.array_equal(later, output(dict(derivs), later_t))   # so does a new mapping
     assert _CountingMatrix.products == 12
     scaled = {k: 2.0 * v for k, v in derivs.items()}
-    assert output(scaled, 3.0) == pytest.approx([4.0 * e for e in later], rel=1e-13)
+    assert np.allclose(output(scaled, later_t), [4.0 * e for e in later], rtol=1e-13, atol=0)
     assert _CountingMatrix.products == 16
+    # each output of the block, bit for bit, as evaluated alone
+    for k in range(3):
+        alone = output({order: v[k, 0] for order, v in derivs.items()}, float(later_t[k]))
+        assert [column[k] for column in later] == alone
     fresh = RadialEnergies(WeightedGrid(p, 32))
-    assert later == pytest.approx([fresh.component(derivs, *idx, 3.0)
-                                   for idx in energy_indices()], rel=1e-15)
+    assert np.allclose(later, [fresh.component(derivs, *idx, later_t) for idx in energy_indices()],
+                       rtol=1e-15, atol=0)
 
 
 def test_energy_index_set():
