@@ -32,7 +32,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .correction import CorrectionPath
-from .energy import ModeEnergies, energy_columns, energy_row, output_blocks
+from .energy import ModeEnergies, OutputStack, energy_columns
 from .timestepping import IntegrationStats, integrate_fixed_rk4
 from .weighted import WeightedGrid
 
@@ -50,8 +50,9 @@ def curl_envelope(path: CorrectionPath, t) -> np.ndarray:
 
 
 @dataclass
-class PlanarModeState:
-    """Mode-l potentials and their time derivatives (values of p(s))."""
+class PlanarModeState(OutputStack):
+    """Mode-l potentials and their time derivatives (values of p(s)), or a
+    stack of outputs: t of shape (T, 1, 1) and each profile (T, m)."""
 
     t: float
     mode: int
@@ -62,7 +63,7 @@ class PlanarModeState:
 
 
 @dataclass
-class ToroidalModeState:
+class ToroidalModeState(OutputStack):
     """3D toroidal harmonic profile chi = r^l p(s) and its velocity."""
 
     t: float
@@ -126,8 +127,7 @@ class PlanarModeOperator:
     def time_derivatives(self, t, state: PlanarModeState) -> dict[int, np.ndarray]:
         """(2, m) stacks [pf, pg] of partial_t^k, k <= 4, from the chain of
         :meth:`TimeCoefficients.derivatives` with the linear force
-        (K' = K, K'' = 0); (T, 2, m) for a stack of outputs, t of shape
-        (T, 1, 1) and each profile (T, m)."""
+        (K' = K, K'' = 0); (T, 2, m) for a stack of outputs."""
         u = np.stack([state.pf, state.pg], axis=-2)
         u_t = np.stack([state.pf_t, state.pg_t], axis=-2)
         return self.path.coefficients(t).derivatives(
@@ -185,11 +185,10 @@ class ToroidalModeOperator:
 
 @dataclass
 class ModeTrajectory:
-    mode: int
     times: np.ndarray
     curl_norms: np.ndarray
     envelope: np.ndarray
-    states: list
+    states: PlanarModeState | ToroidalModeState   # the stack of the outputs
     energies: dict[str, np.ndarray] | None   # t, E_m_i_j, E_total
     stats: IntegrationStats
     dt: float
@@ -235,32 +234,26 @@ def evolve_mode(grid: WeightedGrid, path: CorrectionPath, state,
 
     # the profiles are packed in field order; the last is the velocity
     # whose curl is tracked
-    names = [f.name for f in fields(kind)[2:]]
-    profiles = [getattr(state, name) for name in names]
+    profiles = [getattr(state, f.name) for f in fields(kind)[2:]]
     if normalize_curl and np.max(np.abs(profiles[-1])) > 0.0:
         profiles[-1] = profiles[-1] / op.curl_norm(profiles[-1])
     y0 = np.concatenate(profiles)
 
-    states: list = []
+    states = kind(np.empty((len(times), 1, 1)), state.mode,
+                  *np.empty((len(profiles), len(times), len(y0) // len(profiles))))
     curls: list[float] = []
 
     def on_output(t, y):
-        parts = [part.copy() for part in np.split(y, len(profiles))]
+        parts = np.split(y, len(profiles))
+        states[len(curls)] = kind(t, state.mode, *parts)
         curls.append(op.curl_norm(parts[-1]))
-        states.append(kind(t, state.mode, *parts))
 
     result = integrate_fixed_rk4(op.rhs, state.t, y0, times, dt, on_output=on_output)
-    blocks: list[dict] = []    # one energy row per block of outputs
-    if evaluator is not None:
-        for block in output_blocks(len(states), grid.num_nodes):
-            at = np.array([s.t for s in states[block]])
-            stack = kind(at[:, None, None], state.mode,
-                         *(np.array([getattr(s, name) for s in states[block]]) for name in names))
-            blocks.append(energy_row(evaluator, op.time_derivatives(stack.t, stack), at))
     return ModeTrajectory(
-        mode=state.mode, times=np.array(times), curl_norms=np.array(curls),
+        times=np.array(times), curl_norms=np.array(curls),
         envelope=curl_envelope(path, times), states=states,
-        energies=energy_columns(times, blocks) if blocks else None,
+        energies=energy_columns(evaluator, states, lambda stack: op.time_derivatives(
+            stack.t, stack)) if evaluator is not None else None,
         stats=result.stats, dt=float(dt),
     )
 

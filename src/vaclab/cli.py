@@ -30,9 +30,18 @@ EXIT_USAGE = 2
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        values = [float(v) for v in text.split(",") if v != ""]
     except ValueError:
+        values = []
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    return values
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
@@ -235,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilons", type=_parse_floats, default=[0.0, 1e-3])
     p.add_argument("--out", required=True, help="sweep output directory")
     p.add_argument("--seed", type=int, help="override the RNG seed")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=_positive_int, default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="one-shot property suite")

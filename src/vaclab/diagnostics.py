@@ -18,8 +18,7 @@ from .correction import CorrectionPath, per_output
 from .energy import output_blocks
 from .fitting import DecayFit, decay_fit
 from .params import PhysParams
-from .radial import (RadialTrajectory, Reconstruction, deformation, reconstructed_mass,
-                     stack_states)
+from .radial import RadialTrajectory, deformation, reconstructed_mass
 
 GAP_NAMES = ("position", "density", "velocity")
 
@@ -48,14 +47,15 @@ def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
         density gap   = nu^-n |expm1(-n log1p(h/nu) - log J)|   (rho0-relative),
         velocity gap  = |h_t r + theta_t w + theta w_t|.
 
-    The outputs are evaluated as stacks, one per block of outputs
-    (:func:`vaclab.energy.output_blocks`); h, theta and the other
-    per-output scalars are formed output by output (:func:`per_output`).
+    The outputs are evaluated one block of outputs at a time
+    (:func:`vaclab.energy.output_blocks`), sliced off the trajectory's
+    stacks; h, theta and the other per-output scalars are formed output by
+    output (:func:`per_output`).
     """
     names = (("t", "sup_w") + tuple(f"{name}_gap" for name in GAP_NAMES)
              + ("boundary_radius", "mass_rel_err"))
     states, recons = trajectory.states, trajectory.reconstructions
-    if not states:
+    if not len(trajectory.times):
         return {name: np.array([]) for name in names}
     n = params.n
     grid = trajectory.grid
@@ -72,27 +72,22 @@ def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
     def columns(block):
         """The columns of one block of outputs, evaluated as one stack:
         (T, 1, m) fields and (T, 1, 1) columns of per-output scalars."""
-        stack = stack_states(states[block])
-        t, w, w_t = stack.t, stack.w, stack.w_t
+        t, w, w_t = states.t[block], states.w[block], states.w_t[block]
         h, h_t, theta, theta_t, nu_n, log_ratio = per_output(t, scalars)
         _, _, _, _, log_x, log_y = deformation(grid, w, check=False)
         log_j = log_x + (n - 1.0) * log_y
         boundary = np.full(len(t), np.nan)
         mass_err = np.full(len(t), np.nan)
-        done = recons[block]
+        done = len(recons.t[block]) if recons is not None else 0   # reconstructed outputs
         if done:
-            stacked = Reconstruction(
-                t=t[:len(done)], radii=np.array([rec.radii for rec in done])[:, None],
-                density=np.array([rec.density for rec in done])[:, None],
-                velocity=None, boundary_radius=None)
-            boundary[:len(done)] = [rec.boundary_radius for rec in done]
-            mass_err[:len(done)] = np.abs(reconstructed_mass(grid, path, stacked)[:, 0]
-                                          - params.mass) / params.mass
+            boundary[:done] = recons.boundary_radius[block].ravel()
+            mass_err[:done] = np.abs(reconstructed_mass(grid, path, recons[block])[:, 0]
+                                     - params.mass) / params.mass
         return (t.ravel(), sup(w), sup(h * r + theta * w),
                 sup(nu_n * np.expm1(log_ratio - log_j)),
                 sup(h_t * r + theta_t * w + theta * w_t), boundary, mass_err)
 
-    blocks = [columns(block) for block in output_blocks(len(states), grid.num_nodes)]
+    blocks = [columns(block) for block in output_blocks(len(trajectory.times), grid.num_nodes)]
     return dict(zip(names, map(np.concatenate, zip(*blocks))))
 
 

@@ -14,20 +14,21 @@ at m+i+j = 2; the full high-order family is out of numerical reach with
 grid differentiation.
 
 Energies are evaluated for a block of outputs at once: :func:`energy_row`
-asks the evaluator's ``component`` for each index of its ``INDICES``, and
-the first call runs one stacked pass over every time derivative of every
-output of the block, which later calls read.  Each array of the pass
-carries the outputs on its leading axis and keeps the shape it has for one
-output behind it, so each product repeats one output's product per output,
-bit for bit.  For radial fields the time derivatives k = 0..4 of an output
-are the rows of a (5, m) array, the nodal scalars v, u, vp, up, vpp, upp of
-all rows come from one product against d_s per derivative level, each
-sigma exponent iota+i (i = 0..3) resamples the scalars its forms read with
-one product, and each closed form is integrated with one product against
-the rule weights.  The time weights are Python floats formed per output
-(:func:`vaclab.correction.per_output`).  :func:`output_blocks` bounds a
-block by ``BLOCK_VALUES`` outputs x nodes, which bounds the pass's
-temporaries.
+runs the evaluator's ``norms``, one stacked pass over every time derivative
+of every output of the block, and hands it to ``component`` for each index
+of the evaluator's ``INDICES``.  Each array of the pass carries the outputs
+on its leading axis and keeps the shape it has for one output behind it, so
+each product repeats one output's product per output, bit for bit.  For
+radial fields the time derivatives k = 0..4 of an output are the rows of a
+(5, m) array, the nodal scalars v, u, vp, up, vpp, upp of all rows come
+from one product against d_s per derivative level, each sigma exponent
+iota+i (i = 0..3) resamples the scalars its forms read with one product,
+and each closed form is integrated with one product against the rule
+weights.  The time weights are Python floats formed per output
+(:func:`vaclab.correction.per_output`).  :func:`energy_columns` runs one
+row per block of a run's :class:`OutputStack`, a slice of it;
+:func:`output_blocks` bounds a block by ``BLOCK_VALUES`` outputs x nodes,
+which bounds the pass's temporaries.
 """
 from __future__ import annotations
 
@@ -71,53 +72,55 @@ def output_blocks(outputs: int, nodes: int) -> list[slice]:
     return [slice(start, min(start + size, outputs)) for start in range(0, outputs, size)]
 
 
+class OutputStack:
+    """A dataclass of outputs stacked on the leading axis of its array fields,
+    sharing its scalar fields: indexing reads, and assigning writes, every array."""
+
+    def __getitem__(self, block):
+        return type(self)(*(v[block] if np.ndim(v) else v for v in vars(self).values()))
+
+    def __setitem__(self, block, outputs):
+        for name, v in vars(self).items():
+            if np.ndim(v):
+                v[block] = getattr(outputs, name)
+
+
 def energy_row(evaluator, time_derivs: Mapping, t) -> dict[tuple[int, int, int], object]:
-    """E^{m,i,j}(t) for each (m, i, j) of ``evaluator.INDICES``: of one
-    output, or, when t is an array of output times and each array of
-    ``time_derivs`` carries them on its leading axis, an array over them."""
-    return {idx: evaluator.component(time_derivs, *idx, t) for idx in evaluator.INDICES}
+    """E^{m,i,j}(t) for each (m, i, j) of ``evaluator.INDICES`` from one
+    pass of ``evaluator.norms``: of one output, or, when t is an array of
+    output times and each array of ``time_derivs`` carries them on its
+    leading axis, an array over them."""
+    norms = evaluator.norms(time_derivs)
+    return {idx: evaluator.component(norms, *idx, t) for idx in evaluator.INDICES}
 
 
-def energy_columns(times, blocks: list[Mapping[tuple[int, int, int], object]]
-                   ) -> dict[str, np.ndarray]:
-    """The columns of energies.csv from the rows of consecutive blocks of
-    outputs (:func:`energy_row`): t, each component E_m_i_j in the order of
-    the rows, and E_total, their sum."""
-    columns = {"E_{}_{}_{}".format(*idx): np.concatenate([row[idx] for row in blocks])
-               for idx in blocks[0]}
-    return {"t": np.array(times), **columns,
-            "E_total": np.sum(list(columns.values()), axis=0)}
+def energy_columns(evaluator, states: OutputStack, derivatives) -> dict[str, np.ndarray] | None:
+    """The columns of energies.csv of a stack of outputs, one
+    :func:`energy_row` per block of outputs: t, each component E_m_i_j of
+    ``evaluator.INDICES`` and E_total, their sum; None without outputs.
+    ``derivatives`` maps a block of ``states`` to its time derivatives."""
+    times = states.t.ravel()
+    rows = [energy_row(evaluator, derivatives(states[block]), times[block])
+            for block in output_blocks(len(times), evaluator.grid.num_nodes)]
+    if not rows:
+        return None
+    columns = {"E_{}_{}_{}".format(*idx): np.concatenate([row[idx] for row in rows])
+               for idx in evaluator.INDICES}
+    return {"t": times, **columns, "E_total": np.sum(list(columns.values()), axis=0)}
 
 
-def _component(time_derivs: Mapping, m: int, t, params, norm):
-    """E^{m,i,j}(t), where ``norm(k, di)`` is N_{i+di,j} of partial_t^k:
-    the time weight times [(1+t)^(1+lam) N_{i,j}(partial_t^(m+1))
-    + N_{i,j}(partial_t^m) + N_{i+1,j}(partial_t^m)]."""
-    if m + 1 not in time_derivs or m not in time_derivs:
+def _component(norms: Mapping, m: int, i: int, j: int, t, params):
+    """E^{m,i,j}(t) from the norms N_{i,j} of a stacked pass, whose last
+    axis is the time order k: the time weight times
+    [(1+t)^(1+lam) N_{i,j}(partial_t^(m+1)) + N_{i,j}(partial_t^m)
+    + N_{i+1,j}(partial_t^m)]."""
+    if m + 1 >= np.shape(norms[i, j])[-1]:
         raise UnsupportedOrderError(f"time derivative order {m + 1} not available")
     weight, growth = per_output(t, lambda s: (
         (1.0 + s) ** (2 * m + (0 if m == 0 else 1) * params.kappa),
         (1.0 + s) ** (1.0 + params.lam)))
-    return weight * (growth * norm(m + 1, 0) + norm(m, 0) + norm(m, 1))
-
-
-class _StackedEvaluator:
-    """An energy evaluator whose components read one stacked pass over
-    every time derivative of an output or a block of outputs.  The norms
-    of the last (time_derivs, t) are kept, so the arrays of a mapping must
-    not change between calls at the same t."""
-
-    def __init__(self, grid: WeightedGrid):
-        self.grid = grid
-        self.params = grid.params
-        self._last = None   # (time_derivs, t, row of each order, norms)
-
-    def _norms(self, time_derivs: Mapping, t):
-        """(row of each order, norms) of the stacked pass over time_derivs."""
-        last = self._last
-        if last is None or last[0] is not time_derivs or not np.array_equal(last[1], t):
-            last = self._last = (time_derivs, t, *self._stacked_pass(time_derivs))
-        return last[2:]
+    return weight * (growth * norms[i, j][..., m + 1] + norms[i, j][..., m]
+                     + norms[i + 1, j][..., m])
 
 
 # the nodal scalars of RadialEnergies._scalars that the forms of spatial
@@ -129,20 +132,22 @@ _SCALARS_BY_ORDER = (("v",), ("v", "u", "vp"), ("v", "up", "vp", "vpp"),
 _TIMES_R = {"v": "w", "vp": "vp", "up": "up"}
 
 
-class RadialEnergies(_StackedEvaluator):
+class RadialEnergies:
     """Energy components for radially symmetric perturbations w(r) y/|y|.
 
     Angular derivatives of radial fields are evaluated through the closed
     forms of :mod:`vaclab.derivnorms` rather than grid differentiation.
-    Norms are computed for a stack of fields at once: :meth:`component`
+    Norms are computed for a stack of fields at once: :meth:`norms`
     evaluates every supported norm of every time derivative of an output,
-    or of each output of a block, in one pass.
+    or of each output of a block, in one pass, which :meth:`component`
+    reads.
     """
 
     INDICES = tuple(energy_indices())
 
     def __init__(self, grid: WeightedGrid):
-        super().__init__(grid)
+        self.grid = grid
+        self.params = grid.params
         self._area = unit_sphere_area(self.params.n)
 
     def _scalars(self, stack: np.ndarray) -> dict[str, np.ndarray]:
@@ -159,12 +164,13 @@ class RadialEnergies(_StackedEvaluator):
                 "vpp": g_vp + g._two_s * slopes[..., :k, :],
                 "upp": g_up + g._two_s * slopes[..., k:, :]}
 
-    def _stacked_pass(self, time_derivs: Mapping[int, np.ndarray]):
-        """Every supported norm of every time derivative: for each spatial
+    def norms(self, time_derivs: Mapping[int, np.ndarray]):
+        """Every supported norm N_{i,j} of every time derivative
+        partial_t^k, k = 0, 1, ..., on the last axis: for each spatial
         order i one product resamples the scalars its forms read, and each
         form is integrated against sigma^(iota+i).  An output's time
         derivatives are one field (m,) each, or (T, 1, m) over a block."""
-        orders = sorted(time_derivs)
+        orders = range(len(time_derivs))
         scalars = self._scalars(np.concatenate(
             [np.atleast_2d(time_derivs[k]) for k in orders], axis=-2))
         n, norms = self.params.n, {}
@@ -178,20 +184,17 @@ class RadialEnergies(_StackedEvaluator):
                          for name in names if name in _TIMES_R})
             for form in (form for form in SUPPORTED_FORMS if form[0] == i):
                 norms[form] = self._area * (radial_form(*form, n, vals) @ rule.weights)
-        return {k: row for row, k in enumerate(orders)}, norms
+        return norms
 
-    def component(self, time_derivs: Mapping[int, np.ndarray],
-                  m: int, i: int, j: int, t):
-        """E^{m,i,j}(t) from nodal arrays of partial_t^k w, k = m, m+1."""
+    def component(self, norms: Mapping, m: int, i: int, j: int, t):
+        """E^{m,i,j}(t) from the :meth:`norms` of partial_t^k w, k = m, m+1."""
         if (i, j) not in SUPPORTED_FORMS or (i + 1, j) not in SUPPORTED_FORMS:
             raise UnsupportedOrderError(
                 f"spatial/angular derivative order (d^{i + 1}, dbar^{j}) not implemented")
-        rows, norms = self._norms(time_derivs, t)
-        return _component(time_derivs, m, t, self.params,
-                          lambda k, di: norms[i + di, j][..., rows[k]])
+        return _component(norms, m, i, j, t, self.params)
 
 
-class ModeEnergies(_StackedEvaluator):
+class ModeEnergies:
     """Energy components for a single planar angular mode (n = 2).
 
     Fields are carried by harmonic potentials f, g with
@@ -209,7 +212,8 @@ class ModeEnergies(_StackedEvaluator):
             raise UnsupportedOrderError("mode energies are implemented for n = 2")
         if mode < 1:
             raise ValueError("angular wavenumber must be >= 1")
-        super().__init__(grid)
+        self.grid = grid
+        self.params = grid.params
         self.mode = int(mode)
 
     def _amplitudes(self, potentials: np.ndarray, rule):
@@ -245,12 +249,13 @@ class ModeEnergies(_StackedEvaluator):
                 total += angular * (damp ** 2 + m_h ** 2 * amp ** 2 / rule.r ** 2)
         return 2.0 * np.pi * self.grid.integrate(rule.exponent, total)[..., 0]
 
-    def _stacked_pass(self, time_derivs: Mapping):
-        """N_{i,j}, j <= 2, of every time derivative against sigma^(iota+i),
-        i = 0, 1, from one build of the amplitudes per exponent.  An
-        output's time derivatives are potential pairs (2, m) each, or
-        (T, 2, m) over a block."""
-        orders = sorted(time_derivs)
+    def norms(self, time_derivs: Mapping):
+        """N_{i,j}, j <= 2, of every time derivative partial_t^k,
+        k = 0, 1, ..., on the last axis, against sigma^(iota+i), i = 0, 1,
+        from one build of the amplitudes per exponent.  An output's time
+        derivatives are potential pairs (2, m) each, or (T, 2, m) over a
+        block."""
+        orders = range(len(time_derivs))
         stack = np.stack([np.asarray(time_derivs[k], float) for k in orders], axis=-3)
         norms = {}
         for i in (0, 1):
@@ -258,13 +263,11 @@ class ModeEnergies(_StackedEvaluator):
             amplitudes = self._amplitudes(stack, rule)
             for j in (0, 1, 2):
                 norms[i, j] = self._norm(amplitudes, i, j, rule)
-        return {k: row for row, k in enumerate(orders)}, norms
+        return norms
 
-    def component(self, time_derivs: Mapping[int, tuple], m: int, i: int, j: int,
-                  t):
+    def component(self, norms: Mapping, m: int, i: int, j: int, t):
+        """E^{m,i,j}(t) from the :meth:`norms` of partial_t^k, k = m, m+1."""
         if i != 0 or j not in (0, 1, 2):
             raise UnsupportedOrderError(
                 f"mode energy components support i = 0 and j <= 2, got (i={i}, j={j})")
-        rows, norms = self._norms(time_derivs, t)
-        return _component(time_derivs, m, t, self.params,
-                          lambda k, di: norms[di, j][..., rows[k]])
+        return _component(norms, m, i, j, t, self.params)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import SEED_SHAPES, STEPPERS, SolverConfig
 from .correction import CorrectionPath, per_output
-from .energy import RadialEnergies, energy_columns, energy_row, output_blocks
+from .energy import OutputStack, RadialEnergies, energy_columns, output_blocks
 from .kinematics import apply_d, box_grid, build_deformation, radial_vector_field
 from .quadrature import resample_matrix
 from .timestepping import (IntegrationStats, StepSizeUnderflow,
@@ -49,8 +49,9 @@ class RadialInvariantError(RuntimeError):
 
 
 @dataclass
-class RadialState:
-    """Nodal radial perturbation (w, w_t) at time t."""
+class RadialState(OutputStack):
+    """Nodal radial perturbation (w, w_t) at time t, or a stack of outputs:
+    t of shape (T, 1, 1) and w, w_t of shape (T, 1, m), one field each."""
 
     t: float
     w: np.ndarray
@@ -226,19 +227,10 @@ class RadialOperator:
         return cap
 
 
-def stack_states(states: list[RadialState]) -> RadialState:
-    """Consecutive outputs as one stack: t of shape (T, 1, 1) and w, w_t of
-    shape (T, 1, m), one field per output, so that each product of the
-    stacked pass repeats one output's product per output, bit for bit."""
-    return RadialState(t=np.array([s.t for s in states])[:, None, None],
-                       w=np.array([s.w for s in states])[:, None],
-                       w_t=np.array([s.w_t for s in states])[:, None])
-
-
 @dataclass
-class Reconstruction:
+class Reconstruction(OutputStack):
     """Physical-space fields reconstructed from a radial state, or from a
-    stack of them (:func:`stack_states`)."""
+    stack of them."""
 
     t: float
     radii: np.ndarray          # x(t, y) along a ray, per node
@@ -251,15 +243,15 @@ class Reconstruction:
 class RadialTrajectory:
     grid: WeightedGrid
     times: np.ndarray
-    states: list[RadialState]
+    states: RadialState                      # the stack of every output
     energies: dict[str, np.ndarray] | None   # the columns of energies.csv
-    reconstructions: list[Reconstruction]
+    reconstructions: Reconstruction | None   # the stack of the checked outputs
     stats: IntegrationStats
     status: str = "completed"
     failure: dict | None = None
 
     def sup_norms(self) -> np.ndarray:
-        return np.array([float(np.max(np.abs(s.w))) for s in self.states])
+        return np.max(np.abs(self.states.w), axis=(1, 2))
 
 
 def output_schedule(t_end: float,
@@ -276,8 +268,8 @@ def output_schedule(t_end: float,
 def reconstruct_physical(operator: RadialOperator, state: RadialState) -> Reconstruction:
     """x = theta (y + omega), density = rho0 J^-1 theta^-n,
     velocity = theta_t (y + omega) + theta omega_t, at the grid nodes, of one
-    output or of a stack of outputs (t of shape (T, 1, 1), w and w_t of
-    shape (T, 1, m)); theta is formed per output (:func:`per_output`)."""
+    output or of a stack of outputs (:class:`RadialState`); theta is formed
+    per output (:func:`per_output`)."""
     g = operator.grid
     path = operator.path
     p = operator.params
@@ -328,11 +320,11 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
     """Integrate the radial system and record states, energies, and
     physical reconstructions at the output times.
 
-    Each output's state is recorded, and its deformation invariant checked
-    when energies or reconstructions are collected, as the stepper reaches
-    it.  After the stepper, energies and reconstructions of the checked
-    outputs come from one stacked pass per block of outputs
-    (:func:`vaclab.energy.output_blocks`).
+    Each output's state is written into the stack of states, and its
+    deformation invariant checked when energies or reconstructions are
+    collected, as the stepper reaches it.  After the stepper, energies and
+    reconstructions of the checked outputs come from one stacked pass per
+    block of outputs (:func:`vaclab.energy.output_blocks`) of the stack.
     On an invariant violation the trajectory is truncated and returned
     with ``status='failed'`` and failure metadata, never dropped; the
     state at which a run failed is kept without energies or reconstruction.
@@ -347,17 +339,18 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
     n = grid.num_nodes
     y0 = np.concatenate([initial.w, initial.w_t])
 
-    states: list[RadialState] = []
+    states = RadialState(np.empty((len(output_times), 1, 1)),
+                         *np.empty((2, len(output_times), 1, n)))
     checked = collect_energies or collect_reconstructions
-    passed = 0    # outputs whose invariant check passed
+    recorded = passed = 0    # outputs recorded, and those whose invariant check passed
 
     def on_output(t, y):
-        nonlocal passed
-        state = RadialState(t=t, w=y[:n].copy(), w_t=y[n:].copy())
-        states.append(state)
+        nonlocal recorded, passed
+        states[recorded] = RadialState(t, y[:n], y[n:])
+        recorded += 1
         if checked:
-            deformation(grid, state.w, t)
-            passed += 1
+            deformation(grid, y[:n], t)
+            passed = recorded
 
     status, failure = "completed", None
     stats = IntegrationStats()   # filled in place, kept when a step fails
@@ -380,23 +373,16 @@ def evolve(grid: WeightedGrid, path: CorrectionPath, initial: RadialState,
         failure = {"time": getattr(exc, "t", float("nan")), "reason": str(exc)}
         logger.warning("radial evolution truncated: %s", exc)
 
-    times = np.array([s.t for s in states])
-    recons: list[Reconstruction] = []
-    evaluator = RadialEnergies(grid) if collect_energies else None
-    blocks: list[dict] = []    # one energy row per block of outputs
-    for block in output_blocks(passed, n):
-        stack = stack_states(states[block])
-        if collect_reconstructions:
-            rec = reconstruct_physical(op, stack)
-            recons += [Reconstruction(s.t, *fields) for s, *fields in zip(
-                states[block], rec.radii[:, 0], rec.density[:, 0], rec.velocity[:, 0],
-                rec.boundary_radius.ravel().tolist())]
-        if evaluator is not None:
-            blocks.append(energy_row(
-                evaluator, op.time_derivatives(stack.t, stack.w, stack.w_t), times[block]))
+    states = states[:recorded]
+    recons = None
+    if collect_reconstructions:
+        recons = Reconstruction(*(np.empty((passed, 1, size)) for size in (1, n, n, n, 1)))
+        for block in output_blocks(passed, n):
+            recons[block] = reconstruct_physical(op, states[block])
+    energies = energy_columns(RadialEnergies(grid), states[:passed], lambda stack: (
+        op.time_derivatives(stack.t, stack.w, stack.w_t))) if collect_energies else None
     return RadialTrajectory(
-        grid=grid, times=times, states=states,
-        energies=energy_columns(times[:passed], blocks) if blocks else None,
+        grid=grid, times=states.t.ravel(), states=states, energies=energies,
         reconstructions=recons, stats=stats, status=status, failure=failure,
     )
 

@@ -81,9 +81,9 @@ def _write_state(path: Path, state: RadialState, index: int) -> None:
     payload = {
         "schema": 1,
         "output_index": index,
-        "t": state.t,
-        "w": [float(v) for v in state.w],
-        "w_t": [float(v) for v in state.w_t],
+        "t": float(np.squeeze(state.t)),
+        "w": np.ravel(state.w).tolist(),
+        "w_t": np.ravel(state.w_t).tolist(),
     }
     path.write_text(json.dumps(payload) + "\n")
 
@@ -165,21 +165,20 @@ def _persist(run_dir: Path, cfg: RunConfig, setup: _Setup, trajectory: RadialTra
     states_dir.mkdir(parents=True, exist_ok=True)
     cfg.dump(run_dir / "config.json")
     setup.path.write_csv(run_dir / "correction.csv")
-    every, last = cfg.outputs.checkpoint_every, len(trajectory.states) - 1
+    every, last = cfg.outputs.checkpoint_every, len(trajectory.times) - 1
     marks = [k for k in range(last + 1) if (offset + k) % every == 0 or k == last]
     for k in marks:
         _write_state(states_dir / f"{offset + k:04d}.json", trajectory.states[k], offset + k)
-    recons = [trajectory.reconstructions[k] for k in marks
-              if k < len(trajectory.reconstructions)]
-    grid = setup.grid
+    recons = trajectory.reconstructions
+    recons = recons[[k for k in marks if k < len(recons.t)]]
     tables = {
         "series.csv": series,
         "energies.csv": trajectory.energies,
         "reconstructions.csv": dict(zip(
             ("t", "y", "x", "density", "velocity"),
-            np.hstack([np.vstack([np.full(grid.num_nodes, rec.t), grid.r, rec.radii,
-                                  rec.density, rec.velocity]) for rec in recons]),
-        )) if recons else None,
+            map(np.ravel, np.broadcast_arrays(recons.t, setup.grid.r, recons.radii,
+                                              recons.density, recons.velocity)),
+        )) if len(recons.t) else None,
     }
     for name, columns in tables.items():
         if offset:

@@ -283,7 +283,7 @@ def _check_zero_run_preservation(seed, fault):
     g = WeightedGrid(path.params, 48)
     traj = evolve(g, path, RadialState(0.0, np.zeros(48), np.zeros(48)), 1e3,
                   collect_energies=False, collect_reconstructions=False)
-    sup = float(traj.sup_norms().max()) if traj.states else float("inf")
+    sup = float(traj.sup_norms().max()) if len(traj.times) else float("inf")
     return (traj.status == "completed" and sup <= PRESERVATION_TOL), {"sup_w": sup}
 
 

@@ -5,12 +5,13 @@ time derivatives and 16 energy components inside the stepper's output
 callback, one output at a time; ``vaclab.diagnostics.gap_series`` looped
 over the outputs the same way, and the planar mode energies rebuilt the
 amplitudes of a potential pair for every norm they returned.  The program
-now evaluates a block of outputs in one stacked pass.  This module keeps
-the per-output functions of that time, products ``d_s @ f`` on one field
-included, so the tests can require the stacked pass to equal them bit for
-bit.  The scalar time coefficients, ``TimeCoefficients.derivatives`` and
-the closed forms of ``derivnorms`` did not change and are read from the
-program.
+now keeps the outputs of a run as one stack and evaluates a block of them
+in one stacked pass.  This module keeps the per-output functions of that
+time, products ``d_s @ f`` on one field included, so the tests can require
+the stacked pass to equal them bit for bit; they walk a trajectory's stack
+one output at a time (:func:`radial_outputs`, :func:`mode_outputs`).  The
+scalar time coefficients, ``TimeCoefficients.derivatives`` and the closed
+forms of ``derivnorms`` did not change and are read from the program.
 """
 import dataclasses
 
@@ -19,7 +20,8 @@ import numpy as np
 from vaclab.derivnorms import SUPPORTED_FORMS, radial_form
 from vaclab.energy import energy_indices
 from vaclab.quadrature import unit_sphere_area
-from vaclab.radial import RadialInvariantError, Reconstruction
+from vaclab.angular import PlanarModeState
+from vaclab.radial import RadialInvariantError, RadialState, Reconstruction
 
 _SCALARS_BY_ORDER = (("v",), ("v", "u", "vp"), ("v", "up", "vp", "vpp"),
                      ("up", "upp", "vp", "vpp"))
@@ -27,6 +29,12 @@ _TIMES_R = {"v": "w", "vp": "vp", "up": "up"}
 
 
 # -- radial fields -------------------------------------------------------------
+
+def radial_outputs(states):
+    """The outputs of a stack of radial states, one state each."""
+    return [RadialState(float(t), w, w_t)
+            for t, w, w_t in zip(states.t.ravel(), states.w[:, 0], states.w_t[:, 0])]
+
 
 def radial_strain(grid, w):
     p = w / grid.r
@@ -165,10 +173,10 @@ def reconstructed_mass(grid, path, recon):
 
 
 def evaluate_outputs(op, states, collect_energies=True, collect_reconstructions=True):
-    """(reconstructions, energy rows) of the outputs of a run in order,
-    each evaluated alone, up to the first whose invariant fails."""
+    """(reconstructions, energy rows) of the outputs of a stack of states in
+    order, each evaluated alone, up to the first whose invariant fails."""
     recons, rows = [], []
-    for state in states:
+    for state in radial_outputs(states):
         try:
             if collect_reconstructions:
                 recons.append(reconstruct_physical(op, state))
@@ -194,7 +202,7 @@ def gap_series(trajectory, path, params):
     r = grid.r
     recons = trajectory.reconstructions
     rows = []
-    for k, state in enumerate(trajectory.states):
+    for k, state in enumerate(radial_outputs(trajectory.states)):
         t = state.t
         h = float(path.h_at(t))
         h_t = float(path.h_t_at(t))
@@ -223,6 +231,12 @@ def with_reconstructions(trajectory, recons):
 
 
 # -- planar modes --------------------------------------------------------------
+
+def mode_outputs(states):
+    """The outputs of a stack of planar mode states, one state each."""
+    return [PlanarModeState(float(t), states.mode, *profiles) for t, *profiles in zip(
+        states.t.ravel(), states.pf, states.pg, states.pf_t, states.pg_t)]
+
 
 def force_potential(op, pf, pg):
     g, p, ell = op.grid, op.params, op.mode
@@ -275,13 +289,14 @@ def spatial_norm(grid, ell, potentials, i, j, exponent):
 
 
 def mode_energy_columns(op, states):
-    """energies.csv of a planar mode run, one output and one norm at a time."""
+    """energies.csv of a stack of planar mode states, one output and one norm
+    at a time."""
     grid, params = op.grid, op.params
     rows = []
-    for state in states:
+    for state in mode_outputs(states):
         derivs = mode_time_derivatives(op, state.t, state)
         rows.append({(m, i, j): _component(
             derivs, m, state.t, params,
             lambda k, di: spatial_norm(grid, op.mode, derivs[k], di, j, params.iota + di))
             for (m, i, j) in energy_indices() if i == 0})
-    return energy_columns([s.t for s in states], rows)
+    return energy_columns(states.t.ravel(), rows)

@@ -24,7 +24,7 @@ def test_zero_mode_stays_zero(setup2):
                          pf_t=np.zeros(32), pg_t=np.zeros(32))
     traj = evolve_mode(g, path, st, 10.0, collect_energies=False,
                        normalize_curl=False)
-    assert all(np.max(np.abs(s.pf)) == 0.0 for s in traj.states)
+    assert np.max(np.abs(traj.states.pf)) == 0.0
     assert np.max(traj.curl_norms) == 0.0
 
 
@@ -110,9 +110,9 @@ def test_mode_energy_homogeneity_and_nonnegativity(setup2):
     derivs = {m: (rng.standard_normal(32) * 0.1, rng.standard_normal(32) * 0.1)
               for m in range(3)}
     for (m, i, j) in [(0, 0, 0), (0, 0, 1), (0, 0, 2), (1, 0, 1)]:
-        base = en.component(derivs, m, i, j, 3.0)
-        scaled = en.component({k: (2.0 * a, 2.0 * b) for k, (a, b) in derivs.items()},
-                              m, i, j, 3.0)
+        base = en.component(en.norms(derivs), m, i, j, 3.0)
+        scaled = en.component(
+            en.norms({k: (2.0 * a, 2.0 * b) for k, (a, b) in derivs.items()}), m, i, j, 3.0)
         assert base >= 0.0
         assert scaled == pytest.approx(4.0 * base, rel=1e-12)
 
@@ -133,7 +133,7 @@ def test_mode_energies_build_each_amplitude_pair_once(setup2, monkeypatch):
 
     monkeypatch.setattr(ModeEnergies, "_amplitudes", counting)
     traj = evolve_mode(g, path, default_planar_state(g, 2), 20.0, num_outputs=100)
-    blocks = -(-len(traj.states) // (BLOCK_VALUES // g.num_nodes))
+    blocks = -(-len(traj.times) // (BLOCK_VALUES // g.num_nodes))
     assert len(builds) == 2 * blocks and blocks >= 2
     assert {exponent for _, exponent in builds} == {g.params.iota, g.params.iota + 1.0}
 
@@ -144,10 +144,11 @@ def test_mode_energy_rejects_unsupported_orders(setup2):
 
     en = ModeEnergies(g, 2)
     zeros = (np.zeros(32), np.zeros(32))
+    norms = en.norms({0: zeros, 1: zeros})
     with pytest.raises(UnsupportedOrderError):
-        en.component({0: zeros, 1: zeros}, 0, 1, 0, 1.0)
+        en.component(norms, 0, 1, 0, 1.0)
     with pytest.raises(UnsupportedOrderError):
-        en.component({0: zeros, 1: zeros}, 0, 0, 3, 1.0)
+        en.component(norms, 0, 0, 3, 1.0)
 
 
 def _planar_mode_field_on_grid(grid_2d, params, mode, pf, pg, g_spec):
@@ -275,11 +276,11 @@ def test_mode_time_derivative_chain_matches_trajectory_differences(setup2):
     traj = evolve_mode(g, path, default_planar_state(g, 2), t_probe + dt,
                        num_outputs=101, dt=op.stable_step() / 8.0,
                        collect_energies=False)
-    before, mid, after = traj.states[-3:]
-    assert [s.t for s in (before, mid, after)] == pytest.approx(
-        [t_probe - dt, t_probe, t_probe + dt], rel=1e-12)
-    accs = [op.time_derivatives(s.t, s)[2] for s in (before, mid, after)]
-    derivs = op.time_derivatives(mid.t, mid)
+    last = traj.states[-3:]
+    assert last.t.ravel() == pytest.approx([t_probe - dt, t_probe, t_probe + dt], rel=1e-12)
+    chain = op.time_derivatives(last.t, last)     # before, at and after t_probe
+    accs = chain[2]
+    derivs = {order: chain[order][1] for order in (3, 4)}
     for k in range(2):       # potentials f and g
         fd3 = (accs[2][k] - accs[0][k]) / (2.0 * dt)
         fd4 = (accs[2][k] - 2.0 * accs[1][k] + accs[0][k]) / dt ** 2

@@ -334,6 +334,29 @@ def test_resume_reports_against_the_full_run(tmp_path):
     assert (part / "run_report.json").read_text() == report_text
 
 
+def test_resuming_a_completed_run_changes_none_of_its_artifacts(tmp_path):
+    # the last checkpoint is the last output: no output is left to evolve
+    run(parse_config(base_config(
+        tmp_path, **{"solver.seed": {"shape": "parabolic", "amplitude": 1e-3}})))
+    run_dir = tmp_path / "run"
+
+    def artifacts():
+        names = ["series.csv", "energies.csv", "reconstructions.csv", "rates.json",
+                 "boundedness.json"] + [f"states/{f.name}" for f in (run_dir / "states").iterdir()]
+        return {name: (run_dir / name).read_bytes() for name in names}
+
+    def report():
+        volatile = ("telemetry", "wall_seconds", "resumed_from")
+        data = json.loads((run_dir / "run_report.json").read_text())
+        return {key: value for key, value in data.items() if key not in volatile}
+
+    before, report_before = artifacts(), report()
+    resumed = resume(run_dir)
+    assert resumed.ok and resumed.trajectory.times.size == 0
+    assert artifacts() == before
+    assert report() == report_before
+
+
 def test_resume_picks_the_checkpoint_with_the_highest_output_index(tmp_path):
     # "10000.json" sorts before "5000.json" as a string; the index decides
     from vaclab.radial import RadialState, output_schedule
@@ -352,7 +375,7 @@ def test_resume_picks_the_checkpoint_with_the_highest_output_index(tmp_path):
                      RadialState(schedule[index], zero, zero), index)
     resumed = resume(run_dir)
     assert resumed.report["resumed_from"] == {"t": schedule[10000], "output_index": 10000}
-    assert [s.t for s in resumed.trajectory.states] == schedule[10001:].tolist()
+    assert resumed.trajectory.times.tolist() == schedule[10001:].tolist()
 
 
 def test_refit_reproduces_reports(tmp_path):
@@ -461,6 +484,26 @@ def test_sweep_records_cell_failure_without_abort(tmp_path):
     assert status[5.0]["status"] == "failed"
 
 
+@pytest.mark.parametrize("flags,needle", [
+    (["--lambdas", ""], "--lambdas: expected comma-separated numbers, got ''"),
+    (["--epsilons", ","], "--epsilons: expected comma-separated numbers, got ','"),
+    (["--gammas", "2,x"], "--gammas: expected comma-separated numbers, got '2,x'"),
+    (["--workers", "0"], "--workers: expected an integer >= 1, got '0'"),
+    (["--workers", "-3"], "--workers: expected an integer >= 1, got '-3'"),
+])
+def test_sweep_rejects_an_empty_axis_or_fewer_than_one_worker(tmp_path, capsys, flags,
+                                                               needle):
+    # a usage error: exit 2 at argument parsing, before anything is written
+    out = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as raised:
+        main(["sweep", "--out", str(out), *flags])
+    assert raised.value.code == 2
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+    args = cli.build_parser().parse_args(["sweep", "--out", str(out), "--workers", "1"])
+    assert args.workers == 1
+
+
 def test_run_whose_seed_breaks_the_invariant_keeps_its_artifacts(tmp_path):
     cfg = parse_config(base_config(
         tmp_path, **{"solver.t_end": 20.0, "ode.t_end": 40.0, "solver.num_nodes": 24,
@@ -468,7 +511,7 @@ def test_run_whose_seed_breaks_the_invariant_keeps_its_artifacts(tmp_path):
     result = run(cfg)
     assert not result.ok
     assert result.report["status"] == "failed"
-    assert result.trajectory.states[0].t == 0.0
+    assert result.trajectory.times[0] == 0.0
     d = result.directory
     report = json.loads((d / "run_report.json").read_text())
     assert report["status"] == "failed" and not report["ok"]

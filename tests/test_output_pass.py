@@ -1,12 +1,14 @@
 """The stacked pass over blocks of outputs equals the per-output evaluation.
 
-``radial.evolve`` evaluates reconstructions, time derivatives and energies
-of a run in one pass per block of outputs, ``gap_series`` and
-``reconstructed_mass`` take the same stacks, and ``evolve_mode`` stacks its
-energies.  ``output_pass_reference`` keeps the per-output functions they
-replaced; every value must be equal, bit for bit, across dimensions, node
-counts (one block and many), damping exponents, seeds, steppers, a failed
-run and a resumed one.
+``radial.evolve`` records the outputs of a run as one stack of states and
+evaluates reconstructions, time derivatives and energies in one pass per
+block of outputs sliced off it, ``gap_series`` and ``reconstructed_mass``
+read blocks of the same stacks, and ``evolve_mode`` records its outputs as
+one stack and evaluates its energies the same way.
+``output_pass_reference`` keeps the per-output functions they replaced and
+walks the stacks one output at a time; every value must be equal, bit for
+bit, across dimensions, node counts (one block and many), damping
+exponents, seeds, steppers, a failed run and a resumed one.
 """
 import numpy as np
 import output_pass_reference as reference
@@ -32,14 +34,15 @@ def _assert_columns_equal(got, want):
 def _assert_matches_reference(traj, path, params, collect_energies=True):
     op = RadialOperator(traj.grid, path)
     recons, rows = reference.evaluate_outputs(op, traj.states, collect_energies)
-    assert len(traj.reconstructions) == len(recons)
-    for got, want in zip(traj.reconstructions, recons):
-        assert got.t == want.t and got.boundary_radius == want.boundary_radius
+    got = traj.reconstructions
+    assert len(got.t) == len(recons)
+    for k, want in enumerate(recons):
+        assert got.t[k, 0, 0] == want.t and got.boundary_radius[k, 0, 0] == want.boundary_radius
         for name in ("radii", "density", "velocity"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(getattr(got, name)[k, 0], getattr(want, name)), name
     if collect_energies:
         _assert_columns_equal(
-            traj.energies, reference.energy_columns([s.t for s in traj.states[:len(rows)]], rows))
+            traj.energies, reference.energy_columns(traj.times[:len(rows)], rows))
     _assert_columns_equal(gap_series(traj, path, params), reference.gap_series(
         reference.with_reconstructions(traj, recons), path, params))
 
@@ -64,8 +67,8 @@ def test_stacked_pass_equals_the_per_output_loop(n, nodes, lam, shape, stepper):
     w0 = seed_profile(shape, 1e-3, grid, np.random.default_rng(3))
     steps = {"stepper": "rk4", "fixed_dt": 0.004} if stepper == "rk4" else {}
     traj = evolve(grid, path, RadialState(0.0, w0, 0.1 * w0), 10.0, **steps)
-    assert traj.status == "completed" and len(traj.states) == 121
-    assert len(traj.states) > BLOCK_VALUES // nodes   # more than one block
+    assert traj.status == "completed" and len(traj.times) == 121
+    assert len(traj.times) > BLOCK_VALUES // nodes   # more than one block
     _assert_matches_reference(traj, path, params)
 
 
@@ -77,7 +80,7 @@ def test_stacked_pass_covers_the_outputs_before_a_failure():
     w0 = seed_profile("parabolic", 1.3, grid)
     traj = evolve(grid, path, RadialState(0.0, w0, np.zeros_like(w0)), 20.0,
                   output_times=np.linspace(0.0, 20.0, 201), stepper="rk4", fixed_dt=0.2)
-    assert traj.status == "failed" and len(traj.states) == 2
+    assert traj.status == "failed" and len(traj.times) == 2
     with np.errstate(invalid="ignore"):
         _assert_matches_reference(traj, path, params)
 
@@ -104,7 +107,7 @@ def test_resumed_run_equals_the_per_output_loop(tmp_path):
     resumed = runio.resume(tmp_path / "run")
     params = derive_constants(3, 0.5, 2.0, 1.0)
     path = correction_path(params, 100.0)
-    assert len(first.trajectory.states) == 90 and resumed.trajectory.states[0].t > 0.0
+    assert len(first.trajectory.times) == 90 and resumed.trajectory.times[0] > 0.0
     for result in (first, resumed):
         _assert_matches_reference(result.trajectory, path, params)
 
@@ -116,6 +119,6 @@ def test_stacked_mode_energies_equal_the_per_output_loop(mode, lam):
     path = correction_path(params, 20.0)
     grid = WeightedGrid(params, 32)
     traj = evolve_mode(grid, path, default_planar_state(grid, mode), 20.0)
-    assert len(traj.states) > BLOCK_VALUES // grid.num_nodes   # more than one block
+    assert len(traj.times) > BLOCK_VALUES // grid.num_nodes   # more than one block
     _assert_columns_equal(traj.energies, reference.mode_energy_columns(
         PlanarModeOperator(grid, path, mode), traj.states))

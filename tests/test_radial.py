@@ -206,15 +206,14 @@ def test_time_derivative_chain_matches_trajectory_differences(setup):
     traj = evolve(g, path, RadialState(0.0, w0, np.zeros_like(w0)), outs[-1],
                   output_times=outs, rel_tol=1e-10, abs_tol=1e-14,
                   collect_energies=False, collect_reconstructions=False)
-    states = {round(s.t, 6): s for s in traj.states}
-    accs = {t: op.acceleration(t, states[round(t, 6)].w, states[round(t, 6)].w_t)
-            for t in outs}
-    mid = states[round(t_probe, 6)]
-    derivs = op.time_derivatives(t_probe, mid.w, mid.w_t)
-    fd3 = (accs[outs[2]] - accs[outs[0]]) / (2.0 * dt)
+    assert traj.times == pytest.approx(outs, rel=1e-12)
+    w, w_t = traj.states.w[:, 0], traj.states.w_t[:, 0]
+    accs = [op.acceleration(t, w[k], w_t[k]) for k, t in enumerate(outs)]
+    derivs = op.time_derivatives(t_probe, w[1], w_t[1])
+    fd3 = (accs[2] - accs[0]) / (2.0 * dt)
     scale = np.max(np.abs(derivs[3]))
     assert np.max(np.abs(fd3 - derivs[3])) <= 2e-3 * scale
-    fd4 = (accs[outs[2]] - 2.0 * accs[outs[1]] + accs[outs[0]]) / dt ** 2
+    fd4 = (accs[2] - 2.0 * accs[1] + accs[0]) / dt ** 2
     scale4 = np.max(np.abs(derivs[4]))
     assert np.max(np.abs(fd4 - derivs[4])) <= 2e-2 * scale4
 
@@ -263,8 +262,8 @@ def test_reconstructed_mass_conserved(setup):
     w0 = seed_profile("parabolic", 1e-3, g)
     traj = evolve(g, path, RadialState(0.0, w0, np.zeros_like(w0)), 200.0,
                   collect_energies=False)
-    for rec in traj.reconstructions[:: max(len(traj.reconstructions) // 8, 1)]:
-        assert abs(reconstructed_mass(g, path, rec) - p.mass) / p.mass <= 1e-8
+    recons = traj.reconstructions[::max(len(traj.times) // 8, 1)]
+    assert np.all(np.abs(reconstructed_mass(g, path, recons) - p.mass) / p.mass <= 1e-8)
 
 
 def test_perturbation_sup_norm_has_no_growth(setup):
@@ -355,9 +354,10 @@ def test_every_reader_of_the_deformation_names_the_same_failure(setup):
 
     eps = 0.05
     good = seed_profile("quartic", eps, g)      # w/r = eps (1 - s)/R0, w_r = eps (1 - 3 s)/R0
-    states = [RadialState(2.5, good, 0.1 * good), RadialState(2.5, bad, zero)]
+    states = RadialState(np.full((2, 1, 1), 2.5), np.array([good, bad])[:, None],
+                         np.array([0.1 * good, zero])[:, None])
     traj = RadialTrajectory(grid=g, times=np.array([2.5, 2.5]), states=states,
-                            energies=None, reconstructions=[], stats=IntegrationStats())
+                            energies=None, reconstructions=None, stats=IntegrationStats())
     with np.errstate(invalid="ignore"):
         gaps = gap_series(traj, path, p)["density_gap"]
     h, nu = float(path.h_at(2.5)), p.nu(2.5)
@@ -411,8 +411,8 @@ def test_state_that_fails_at_an_output_is_kept_and_reported():
     traj = evolve(g, path, RadialState(0.0, w0, np.zeros_like(w0)), 20.0,
                   output_times=np.linspace(0.0, 20.0, 201), stepper="rk4", fixed_dt=0.2)
     assert traj.status == "failed" and traj.failure["time"] == pytest.approx(0.1)
-    assert [s.t for s in traj.states] == pytest.approx([0.0, 0.1])
-    assert len(traj.reconstructions) == 1
+    assert traj.times == pytest.approx([0.0, 0.1])
+    assert len(traj.reconstructions.t) == 1
     assert traj.energies["t"].tolist() == [0.0]
     with np.errstate(invalid="ignore"):
         series = gap_series(traj, path, p)
@@ -460,7 +460,7 @@ def test_time_integration_fourth_order(setup):
         traj = evolve(g, path, RadialState(0.0, w0.copy(), np.zeros_like(w0)),
                       10.0, output_times=[10.0], stepper="rk4", fixed_dt=dt,
                       collect_energies=False, collect_reconstructions=False)
-        return traj.states[-1].w
+        return traj.states.w[-1, 0]
 
     ref = final(0.0025)
     err_coarse = np.max(np.abs(final(0.02) - ref))

@@ -81,5 +81,5 @@ def test_step_sequence_does_not_depend_on_the_outputs():
     assert full.stats.interpolated_outputs == len(full.times) - 2
     assert last.stats.interpolated_outputs == 0
     assert full.times[-1] == last.times[-1] == t_end
-    assert np.array_equal(full.states[-1].w, last.states[-1].w)
-    assert np.array_equal(full.states[-1].w_t, last.states[-1].w_t)
+    assert np.array_equal(full.states.w[-1], last.states.w[-1])
+    assert np.array_equal(full.states.w_t[-1], last.states.w_t[-1])

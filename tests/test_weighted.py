@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from vaclab import suite, weighted
 from vaclab.derivnorms import SUPPORTED_FORMS, radial_form
-from vaclab.energy import RadialEnergies, UnsupportedOrderError, energy_indices
+from vaclab.energy import RadialEnergies, UnsupportedOrderError, energy_indices, energy_row
 from vaclab.params import derive_constants
 from vaclab.quadrature import sigma_moment
 from vaclab.weighted import WeightedGrid, hardy_check, weighted_norm
@@ -119,14 +119,14 @@ def test_energy_zero_field(setup3):
     zeros = np.zeros_like(g.r)
     for idx in energy_indices():
         derivs = {m: zeros for m in range(max(idx[0] + 2, 2))}
-        assert en.component(derivs, *idx, 1.7) == 0.0
+        assert en.component(en.norms(derivs), *idx, 1.7) == 0.0
 
 
 def test_energy_static_dilation_matches_moments(setup3):
     p, g = setup3
     en = RadialEnergies(g)
     eps = 1e-3
-    value = en.component({0: eps * g.r, 1: np.zeros_like(g.r)}, 0, 0, 0, 0.0)
+    value = en.component(en.norms({0: eps * g.r, 1: np.zeros_like(g.r)}), 0, 0, 0, 0.0)
     exact = eps ** 2 * (sigma_moment(3, p.A_bar, p.B_bar, p.iota, k=1)
                         + 3.0 * sigma_moment(3, p.A_bar, p.B_bar, p.iota + 1.0))
     assert value == pytest.approx(exact, rel=1e-12)
@@ -141,8 +141,8 @@ def test_energy_quadratic_homogeneity(scale, m, i, j):
     en = RadialEnergies(g)
     rng = np.random.default_rng(5)
     derivs = {k: 1e-3 * g.r * (1.0 + 0.1 * k) * (1.0 - 0.4 * g.s) for k in range(3)}
-    base = en.component(derivs, m, i, j, 2.0)
-    scaled = en.component({k: scale * v for k, v in derivs.items()}, m, i, j, 2.0)
+    base = en.component(en.norms(derivs), m, i, j, 2.0)
+    scaled = en.component(en.norms({k: scale * v for k, v in derivs.items()}), m, i, j, 2.0)
     assert scaled == pytest.approx(scale ** 2 * base, rel=1e-12)
     assert base >= 0.0
 
@@ -152,11 +152,12 @@ def test_energy_unsupported_orders(setup3):
     en = RadialEnergies(g)
     zeros = np.zeros_like(g.r)
     with pytest.raises(UnsupportedOrderError):
-        en.component({0: zeros}, 0, 0, 0, 1.0)          # missing m+1
+        en.component(en.norms({0: zeros}), 0, 0, 0, 1.0)          # missing m+1
+    norms = en.norms({0: zeros, 1: zeros})
     with pytest.raises(UnsupportedOrderError):
-        en.component({0: zeros, 1: zeros}, 0, 4, 0, 1.0)    # derivative too high
+        en.component(norms, 0, 4, 0, 1.0)    # derivative too high
     with pytest.raises(UnsupportedOrderError):
-        en.component({0: zeros, 1: zeros}, 0, 0, 3, 1.0)
+        en.component(norms, 0, 0, 3, 1.0)
 
 
 def _reference_norm(g, w, i, j, exponent):
@@ -187,11 +188,11 @@ def test_stacked_norms_match_single_field_norms(n, nodes):
     rng = np.random.default_rng(11)
     derivs = {k: g.r * np.polyval(rng.standard_normal(5), g.s) * 10.0 ** -k
               for k in range(5)}
-    rows, norms = en._stacked_pass(derivs)
+    norms = en.norms(derivs)
     assert set(norms) == set(SUPPORTED_FORMS)
     for (i, j), column in norms.items():
         for k, w in derivs.items():
-            assert column[rows[k]] == pytest.approx(
+            assert column[k] == pytest.approx(
                 _reference_norm(g, w, i, j, p.iota + i), rel=1e-12)
 
 
@@ -218,31 +219,23 @@ def test_one_stacked_pass_per_output():
     en = RadialEnergies(g)
     scales = np.array([1.0, 0.5, -2.0])[:, None, None]
     derivs = {k: 1e-3 * g.r * (1.0 + 0.1 * k) * (1.0 - 0.4 * g.s) * scales for k in range(5)}
-    t, later_t = np.array([2.0, 2.5, 3.0]), np.array([3.0, 3.5, 4.0])
+    t = np.array([3.0, 3.5, 4.0])
     _CountingMatrix.products = 0
 
     def output(mapping, t):
-        return [en.component(mapping, *idx, t) for idx in energy_indices()]
+        row = energy_row(en, mapping, t)
+        return [row[idx] for idx in energy_indices()]
 
-    first = output(derivs, t)
+    block = output(derivs, t)
     assert _CountingMatrix.products == 4        # one per sigma exponent
-    assert all(column.shape == (3,) for column in first)
-    assert np.array_equal(output(derivs, t), first)      # kept
-    assert _CountingMatrix.products == 4
-    later = output(derivs, later_t)              # new times recompute
-    assert _CountingMatrix.products == 8
-    assert np.array_equal(later, output(dict(derivs), later_t))   # so does a new mapping
-    assert _CountingMatrix.products == 12
+    assert all(column.shape == (3,) for column in block)
     scaled = {k: 2.0 * v for k, v in derivs.items()}
-    assert np.allclose(output(scaled, later_t), [4.0 * e for e in later], rtol=1e-13, atol=0)
-    assert _CountingMatrix.products == 16
+    assert np.allclose(output(scaled, t), [4.0 * e for e in block], rtol=1e-13, atol=0)
+    assert _CountingMatrix.products == 8
     # each output of the block, bit for bit, as evaluated alone
     for k in range(3):
-        alone = output({order: v[k, 0] for order, v in derivs.items()}, float(later_t[k]))
-        assert [column[k] for column in later] == alone
-    fresh = RadialEnergies(WeightedGrid(p, 32))
-    assert np.allclose(later, [fresh.component(derivs, *idx, later_t) for idx in energy_indices()],
-                       rtol=1e-15, atol=0)
+        alone = output({order: v[k, 0] for order, v in derivs.items()}, float(t[k]))
+        assert [column[k] for column in block] == alone
 
 
 def test_energy_index_set():
