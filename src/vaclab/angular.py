@@ -95,13 +95,15 @@ class PlanarModeOperator:
         return p.kappa * radial_stretch - p.gamma * p.A_bar * (1.0 - g.s) * laplace_f
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        """(pf_t, pg_t, -d pf_t - c q_Phi, -d pg_t) of the state
+        (pf, pg, pf_t, pg_t), written into one new array."""
         m = y.size // 4
-        pf, pg, pf_t, pg_t = y[:m], y[m:2 * m], y[2 * m:3 * m], y[3 * m:]
-        coeffs = self.path.coefficients(t)
-        d, c = coeffs.d[0], coeffs.c[0]
-        acc_f = -d * pf_t - c * self.force_potential(pf, pg)
-        acc_g = -d * pg_t
-        return np.concatenate([pf_t, pg_t, acc_f, acc_g])
+        d, c = self.path.stage_coefficients(t)
+        out = np.empty_like(y)
+        out[:2 * m] = velocities = y[2 * m:]
+        acc = np.multiply(-d, velocities, out=out[2 * m:])
+        np.subtract(acc[:m], c * self.force_potential(y[:m], y[m:2 * m]), out=acc[:m])
+        return out
 
     def curl_profile(self, pg_like: np.ndarray) -> np.ndarray:
         """Scalar curl profile q_C with curl = r^l q_C(s) sin(l phi)."""
@@ -163,8 +165,10 @@ class ToroidalModeOperator:
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         m = y.size // 2
-        p, p_t = y[:m], y[m:]
-        return np.concatenate([p_t, -self.path.coefficients(t).d[0] * p_t])
+        out = np.empty_like(y)
+        out[:m] = p_t = y[m:]
+        np.multiply(-self.path.stage_coefficients(t)[0], p_t, out=out[m:])
+        return out
 
     def curl_norm(self, p_t: np.ndarray) -> float:
         """|| sigma^((iota+1)/2) curl w_t || for the toroidal field chi LY."""

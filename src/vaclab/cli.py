@@ -70,22 +70,22 @@ def cmd_selfsim(args) -> int:
     print(f"n={params.n} lambda={params.lam:g} gamma={params.gamma:g} "
           f"M={params.mass:g}  kappa={params.kappa:.6g} iota={params.iota:.6g}")
     print(f"A_bar={params.A_bar:.12g} B_bar={params.B_bar:.12g} R0={params.R0:.12g}")
-    rows = []
+    columns = {"t": [], "r": [], "density": [], "velocity": []}
     fractions = np.linspace(0.0, 1.0, args.radii)
     for t in args.times:
         edge = profile.support_radius(t)
         for frac in fractions:
             r = frac * edge
-            dens = float(profile.density_radial(t, r))
-            vel = float(profile.velocity(t, r))
-            rows.append((t, r, dens, vel))
+            for name, value in zip(columns, (t, r, float(profile.density_radial(t, r)),
+                                             float(profile.velocity(t, r)))):
+                columns[name].append(value)
         print(f"t={t:g}: support radius={edge:.8g} "
               f"vacuum gradient={profile.vacuum_gradient(t):.8g} "
               f"mass rel err={profile.mass_error(t):.2e}")
     if args.out:
         path = Path(args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
-        write_csv(path, ("t", "r", "density", "velocity"), rows)
+        write_csv(path, columns)
         print(f"wrote {path}")
     return EXIT_OK
 

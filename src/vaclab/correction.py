@@ -31,11 +31,15 @@ sets and on scripted right-hand sides that reach the rarer branches.
 A solved path keeps the steps' collocation polynomials as one float64
 table and evaluates them itself: a scalar time in Python floats, an array
 of times with the same elementwise arithmetic in NumPy, so both agree
-bitwise.  The time coefficients of the perturbation equations are read at
-every stage of every step, so ``CorrectionPath.coefficients`` computes
-d and c inline from one dense evaluation.  It shares ``_theta_ode``, which
-forms theta'' and theta''' from the ODE, with ``theta_derivatives``; the
-test reference keeps the version that called ``theta_derivatives``.
+bitwise.  The damping d and the wave coefficient c of the perturbation
+equations are read at every stage of every step, and no stage reads their
+derivatives, so ``CorrectionPath.stage_coefficients`` forms only (d, c)
+from one dense evaluation and keeps the last time's pair.
+``CorrectionPath.coefficients``, which the output pass reads, forms d and
+c by the same code (``_values``) and their first two derivatives with
+``_theta_ode``, which forms theta'' and theta''' from the ODE and which
+``theta_derivatives`` shares; the test reference keeps the version that
+called ``theta_derivatives``.
 
 One rule accepts a solved path, in the suite and the CLI alike:
 ``ThetaPropertyReport.ok`` (theta_t > 0, theta > 1, each derivative slope
@@ -445,6 +449,7 @@ class CorrectionPath:
     step_times: np.ndarray = field(repr=False)
     segments: np.ndarray = field(repr=False)
     _last_coefficients: TimeCoefficients | None = field(default=None, init=False, repr=False)
+    _last_stage: tuple = field(default=(None, None), init=False, repr=False)
     _times: list = field(init=False, repr=False, compare=False)
     _table: bytes = field(init=False, repr=False, compare=False)
     _exponents: tuple = field(init=False, repr=False, compare=False)
@@ -497,14 +502,36 @@ class CorrectionPath:
         th, th1 = self.theta_at(t), self.theta_t_at(t)
         return (th, th1) + self._theta_ode(1.0 + t, th, th1)[2:]
 
+    def _values(self, t: float):
+        """(u, theta, theta_t, d, c) at a float t, u = 1 + t, from one dense
+        evaluation.  Theta and theta_t are those of :meth:`theta_derivatives`,
+        same arithmetic, with nu and nu_t of PhysParams written out."""
+        lam, kappa, _, e = self._exponents
+        h, h_t = self._dense(t)
+        u = 1.0 + t
+        th = u ** kappa + h
+        th1 = kappa * u ** (kappa - 1.0) + h_t
+        return u, th, th1, u ** (-lam) + 2.0 * th1 / th, th ** (-e)
+
+    def stage_coefficients(self, t: float) -> tuple[float, float]:
+        """(d, c) at a scalar t, the two values a stage of the perturbation
+        equations reads.  The last time's pair is kept, so the damping, the
+        wave coefficient and the step cap at one time cost one dense
+        evaluation."""
+        last_t, last = self._last_stage
+        if last_t == t:
+            return last
+        pair = self._values(float(t))[3:]
+        self._last_stage = (t, pair)
+        return pair
+
     def coefficients(self, t) -> TimeCoefficients:
         """d, c and their first two derivatives at a scalar t.  The last
         result is kept, so the coefficients of one time cost one dense
-        evaluation however many callers read them.  Theta and its
-        derivatives are those of :meth:`theta_derivatives`, same arithmetic,
-        with nu and nu_t of PhysParams written out.  At an array of output
-        times each entry is an array shaped like t, formed time by time
-        (:func:`per_output`)."""
+        evaluation however many callers read them.  d and c are those of
+        :meth:`stage_coefficients`, formed by the same code.  At an array of
+        output times each entry is an array shaped like t, formed time by
+        time (:func:`per_output`)."""
         if isinstance(t, np.ndarray):
             values = per_output(t, lambda s: self.coefficients(s).d + self.coefficients(s).c)
             return TimeCoefficients(t, values[:3], values[3:])
@@ -512,21 +539,18 @@ class CorrectionPath:
         if last is not None and last.t == t:
             return last
         t = float(t)
-        lam, kappa, _, e = self._exponents
-        h, h_t = self._dense(t)
-        u = 1.0 + t
-        th = u ** kappa + h
-        th1 = kappa * u ** (kappa - 1.0) + h_t
-        u_lam, u_lam1, th2, th3 = self._theta_ode(u, th, th1)
+        lam, _, _, e = self._exponents
+        u, th, th1, d0, c0 = self._values(t)
+        _, u_lam1, th2, th3 = self._theta_ode(u, th, th1)
         d = (
-            u_lam + 2.0 * th1 / th,
+            d0,
             -lam * u_lam1 + 2.0 * (th2 / th - th1 ** 2 / th ** 2),
             lam * (lam + 1.0) * u ** (-lam - 2.0) + 2.0 * (
                 th3 / th - 3.0 * th1 * th2 / th ** 2 + 2.0 * th1 ** 3 / th ** 3),
         )
         th_e1 = th ** (-e - 1.0)
         c = (
-            th ** (-e),
+            c0,
             -e * th_e1 * th1,
             e * (e + 1.0) * th ** (-e - 2.0) * th1 ** 2 - e * th_e1 * th2,
         )
@@ -534,8 +558,8 @@ class CorrectionPath:
         return coefficients
 
     def write_csv(self, path) -> None:
-        write_csv(path, ("t", "h", "h_t", "theta", "theta_t"),
-                  zip(self.t_grid, self.h, self.h_t, self.theta, self.theta_t))
+        write_csv(path, {"t": self.t_grid, "h": self.h, "h_t": self.h_t,
+                         "theta": self.theta, "theta_t": self.theta_t})
 
 
 def sample_grid(t_end: float) -> np.ndarray:

@@ -74,7 +74,7 @@ def gap_series(trajectory: RadialTrajectory, path: CorrectionPath,
         (T, 1, m) fields and (T, 1, 1) columns of per-output scalars."""
         t, w, w_t = states.t[block], states.w[block], states.w_t[block]
         h, h_t, theta, theta_t, nu_n, log_ratio = per_output(t, scalars)
-        _, _, _, _, log_x, log_y = deformation(grid, w, check=False)
+        _, _, _, (log_x, log_y) = deformation(grid, w, check=False)
         log_j = log_x + (n - 1.0) * log_y
         boundary = np.full(len(t), np.nan)
         mass_err = np.full(len(t), np.nan)

@@ -14,10 +14,21 @@ the sigma weight vanishes there and the degenerate operator needs none.
 The zero perturbation is an exact solution (the ansatz absorbs the
 background through the correction ODE), and the right-hand side vanishes
 identically on it, so the anchor run is preserved to round-off.
+
+The right-hand side is evaluated six times per step, thousands of steps
+per run, mostly on a few dozen nodes, where each NumPy call costs more
+than its arithmetic.  So a stage reads d and c alone from the path's
+stage lookup, ``deformation`` forms both strains, factors and logarithms
+as stacked pairs and checks them with one minimum, and ``rhs`` writes
+(w_t, u_tt) into one new array; each value is formed by the operations it
+was before, in the same order (``tests/rhs_reference.py``).  The
+pressure's node vectors stay three separate products: folding them, or
+1/r, into one matrix would change the rounding.
 """
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +45,9 @@ from .weighted import WeightedGrid
 logger = logging.getLogger(__name__)
 
 CFL_SAFETY = 0.5   # share of the wave part's stability limit a step may take
+# 1 as a 0-d array: NumPy adds it to an array faster than a Python float,
+# with the same sums (a constant factor of a stage is kept the same way)
+_ONE = np.array(1.0)
 
 
 class RadialInvariantError(RuntimeError):
@@ -60,19 +74,25 @@ class RadialState(OutputStack):
 
 def deformation(grid: WeightedGrid, w: np.ndarray, t: float | None = None,
                 check: bool = True):
-    """(p, p_s, X, Y, log X, log Y) of a radial field w = r p(s): its strain
-    p = w/r and p_s, the deformation factors X = 1 + w_r and Y = 1 + w/r
-    (J = X Y^(n-1)) and their logarithms, of one field (m,) or of a stack
-    (T, 1, m) of them.  ``check`` raises at the first node where X, else Y,
-    is not positive; without it the logarithms read NaN there."""
-    p, p_s, u = grid.radial_strain(w)
-    x = 1.0 + u
-    # 1 + p <= 0 exactly when p <= -1 (1 + p is exact for p near -1)
-    if check and (x.min() <= 0.0 or p.min() <= -1.0):
-        failed_x = x <= 0.0
-        factor, failed = ("1 + w_r", failed_x) if failed_x.any() else ("1 + w/r", p <= -1.0)
-        raise RadialInvariantError(np.nan if t is None else t, int(np.argmax(failed)), factor)
-    return p, p_s, x, 1.0 + p, np.log1p(u), np.log1p(p)
+    """(p, p_s, factors, logs) of a radial field w = r p(s): its strain
+    p = w/r and p_s, the deformation factors [X, Y] = [1 + w_r, 1 + w/r]
+    (J = X Y^(n-1)) and their logarithms, each pair one stacked array of
+    shape (2,) + w.shape, of one field (m,) or of a stack (T, 1, m) of them.
+    ``check`` raises at the first node where X, else Y, is not positive;
+    without it the logarithms read NaN there."""
+    strain = np.empty((2,) + w.shape)     # [w_r, p]
+    p, p_s, _ = grid.radial_strain(w, out=strain)
+    factors = _ONE + strain
+    # X <= 0 exactly when w_r <= -1, and Y when p <= -1 (1 + x is exact
+    # for x near -1), so one minimum checks both; a NaN takes the two
+    # minima of each factor, which pass it
+    if check and not np.minimum.reduce(strain, axis=None) > -1.0:
+        x = factors[0]
+        if x.min() <= 0.0 or p.min() <= -1.0:
+            failed_x = x <= 0.0
+            factor, failed = ("1 + w_r", failed_x) if failed_x.any() else ("1 + w/r", p <= -1.0)
+            raise RadialInvariantError(np.nan if t is None else t, int(np.argmax(failed)), factor)
+    return p, p_s, factors, np.log1p(strain)
 
 
 class RadialOperator:
@@ -91,7 +111,14 @@ class RadialOperator:
         self._q1 = (p.n - 1.0) * (1.0 - p.gamma)
         self._p2 = 1.0 - p.gamma                # beta = X^p2 Y^q2 - 1
         self._q2 = self._q1 - 1.0
+        self._kappa = np.array(p.kappa)
         sigma = p.sigma(grid.r)
+        # the powers [p1, p2] of X and [q1, q2] of Y, shaped to broadcast
+        # against log X and log Y of one field (m,) and of a stack (T, 1, m),
+        # keyed by the ndim of the stacked logarithms
+        self._powers = {ndim: (np.reshape([self._p1, self._p2], shape),
+                               np.reshape([self._q1, self._q2], shape))
+                        for ndim, shape in ((2, (2, 1)), (4, (2, 1, 1, 1)))}
         # constant node vectors of the pressure: N = a alpha + b d_s alpha
         # + c (1 + beta) p'(s) / X, the fault's sign folded into c; K' and
         # K'' are built from the same three
@@ -103,25 +130,33 @@ class RadialOperator:
         # nodal values of w/r -> its interpolant at the boundary s = 1
         self._edge = resample_matrix(grid.s, np.array([1.0]), grid._bary)
 
+    def _exponents(self, logs: np.ndarray) -> np.ndarray:
+        """[log(1 + alpha), log(1 + beta)] from the stacked [log X, log Y]
+        of :func:`deformation`: alpha = X^p1 Y^q1 - 1, beta = X^p2 Y^q2 - 1,
+        each row p log X + q log Y as two products and a sum."""
+        powers_x, powers_y = self._powers[logs.ndim]
+        return powers_x * logs[0] + powers_y * logs[1]
+
     def pressure(self, w: np.ndarray, t: float | None = None) -> np.ndarray:
-        """N(w): sigma^(-iota)-scaled radial pressure divergence (odd field)."""
-        _, dp, x, _, la, lb = deformation(self.grid, w, t)
-        alpha = np.expm1(self._p1 * la + self._q1 * lb)
-        one_plus_beta = np.exp(self._p2 * la + self._q2 * lb)
+        """N(w): sigma^(-iota)-scaled radial pressure divergence (odd field),
+        of one field (m,) or of a stack (T, 1, m) of them."""
+        _, dp, factors, logs = deformation(self.grid, w, t)
+        exponents = self._exponents(logs)
+        alpha = np.expm1(exponents[0])
+        one_plus_beta = np.exp(exponents[1])
         # (alpha - beta)/r = -(1+beta) * (2r/R0^2) p'(s) / X, exactly
         return (self._alpha_coef * alpha + self._alpha_slope_coef * (alpha @ self.grid.d_s_t)
-                + self._tangential_coef * one_plus_beta * dp / x)
+                + self._tangential_coef * one_plus_beta * dp / factors[0])
 
     def stiffness(self, w: np.ndarray, t: float | None = None) -> np.ndarray:
         """K(w) = kappa w + N(w)."""
-        return self.params.kappa * w + self.pressure(w, t)
+        return self._kappa * w + self.pressure(w, t)
 
     def _prologue(self, w):
         """The w-dependent factors of K' and K'' at w: the strain slope
         p'(s), X, Y, 1 + alpha, 1 + beta and the slope p'(s)/X."""
-        _, dp, x, y, la, lb = deformation(self.grid, w)
-        one_plus_alpha = np.exp(self._p1 * la + self._q1 * lb)
-        one_plus_beta = np.exp(self._p2 * la + self._q2 * lb)
+        _, dp, (x, y), logs = deformation(self.grid, w)
+        one_plus_alpha, one_plus_beta = np.exp(self._exponents(logs))
         return dp, x, y, one_plus_alpha, one_plus_beta, dp / x
 
     def _variation(self, at, delta):
@@ -161,22 +196,28 @@ class RadialOperator:
             dd_alpha, dd_beta * slope + 2.0 * d_beta * d_slope + one_plus_beta * dd_slope)
 
     # -- time-dependent coefficients ---------------------------------------
-    def damping(self, t: float) -> tuple[float, float, float]:
-        """(d, d', d'') at t."""
-        return self.path.coefficients(t).d
+    def damping(self, t: float) -> float:
+        """d at t."""
+        return self.path.stage_coefficients(t)[0]
 
-    def wave_coefficient(self, t: float) -> tuple[float, float, float]:
-        """(c, c', c'') at t."""
-        return self.path.coefficients(t).c
+    def wave_coefficient(self, t: float) -> float:
+        """c at t."""
+        return self.path.stage_coefficients(t)[1]
 
     # -- dynamics ----------------------------------------------------------
     def rhs(self, t: float, state: np.ndarray) -> np.ndarray:
+        """(w_t, u_tt) of the state (w, w_t), written into one new array."""
         m = state.size // 2
-        w, w_t = state[:m], state[m:]
-        return np.concatenate([w_t, self.acceleration(t, w, w_t)])
+        out = np.empty_like(state)
+        out[:m] = w_t = state[m:]
+        self.acceleration(t, state[:m], w_t, out=out[m:])
+        return out
 
-    def acceleration(self, t: float, w: np.ndarray, w_t: np.ndarray) -> np.ndarray:
-        return -self.damping(t)[0] * w_t - self.wave_coefficient(t)[0] * self.stiffness(w, t)
+    def acceleration(self, t: float, w: np.ndarray, w_t: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """u_tt = -d w_t - c K(w), into ``out`` when one is given."""
+        out = np.multiply(-self.damping(t), w_t, out=out)
+        return np.subtract(out, self.wave_coefficient(t) * self.stiffness(w, t), out=out)
 
     def time_derivatives(self, t, w: np.ndarray, w_t: np.ndarray) -> dict[int, np.ndarray]:
         """Nodal arrays of partial_t^m w for m <= 4 from the chain of
@@ -220,8 +261,8 @@ class RadialOperator:
         rho = self.spectral_radius()
 
         def cap(t: float) -> float:
-            wave = CFL_SAFETY * 2.8 / np.sqrt(self.wave_coefficient(t)[0] * rho)
-            damp = 2.5 / self.damping(t)[0]
+            wave = CFL_SAFETY * 2.8 / math.sqrt(self.wave_coefficient(t) * rho)
+            damp = 2.5 / self.damping(t)
             return float(min(wave, damp))
 
         return cap
@@ -279,7 +320,7 @@ def reconstruct_physical(operator: RadialOperator, state: RadialState) -> Recons
         return th, float(path.theta_t_at(t)), th ** (-p.n)
 
     th, th_t, th_n = per_output(state.t, scalars)
-    pvals, _, x_fac, y_fac, _, _ = deformation(g, state.w, state.t)
+    pvals, _, (x_fac, y_fac), _ = deformation(g, state.w, state.t)
     jac = x_fac * y_fac ** (p.n - 1.0)
     density = p.rho0(g.r) / jac * th_n
     radii = th * (g.r + state.w)
@@ -304,7 +345,7 @@ def reconstructed_mass(grid: WeightedGrid, path: CorrectionPath, recon: Reconstr
 
     th, th_n = per_output(recon.t, scalars)
     state_w = recon.radii / th - grid.r
-    _, _, x_fac, y_fac, _, _ = deformation(grid, state_w)
+    _, _, (x_fac, y_fac), _ = deformation(grid, state_w)
     jac = x_fac * y_fac ** (p.n - 1.0)
     smooth = recon.density * th_n * jac / p.sigma(grid.r) ** p.iota
     rule = grid.rule(p.iota)

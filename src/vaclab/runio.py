@@ -23,8 +23,9 @@ Layout of a run directory:
 enters it with the last checkpoint at that checkpoint's output index + 1;
 it rewrites the three per-output tables with the persisted rows up to the
 checkpoint in front of the new ones, adds the new checkpoints, and
-rewrites the three reports, which cover the whole run.  ``refit``
-recomputes the three reports by the same function.
+rewrites the three reports, which cover the whole run: the integration
+counters of the persisted report are added to the resumed segment's.
+``refit`` recomputes the three reports by the same function.
 
 The columns of series.csv and energies.csv, keyed by their header names,
 are the only in-memory form of the two tables: ``gap_series`` produces
@@ -59,6 +60,7 @@ from .diagnostics import (PRESERVATION_TOL, boundedness_report, gap_series, is_a
 from .params import PhysParams, derive_constants
 from .radial import RadialState, RadialTrajectory, evolve, output_schedule, seed_profile
 from .tables import read_csv, write_csv
+from .timestepping import IntegrationStats
 from .weighted import WeightedGrid
 
 logger = logging.getLogger(__name__)
@@ -95,6 +97,22 @@ def _read_state(path: Path) -> tuple[RadialState, int]:
 
 
 RATE_GATE_HORIZON = 5e3   # below this, tail fits are pre-asymptotic
+# the IntegrationStats fields that count over a run, summed across its segments
+RUN_COUNTERS = ("steps", "rejected", "rhs_evaluations", "cap_limited", "interpolated_outputs")
+
+
+def _whole_run(segment: IntegrationStats, earlier: dict | None) -> dict:
+    """telemetry.integration of a run whose last segment has the stats
+    ``segment``: with the integration of the report it resumes
+    (``earlier``), the counters are summed, and ``last_dt`` is the
+    earlier one where the segment took no step."""
+    stats = dataclasses.asdict(segment)
+    if earlier:
+        for name in RUN_COUNTERS:
+            stats[name] += earlier[name]
+        if not segment.steps:
+            stats["last_dt"] = earlier["last_dt"]
+    return stats
 
 
 def _evaluate_assertions(cfg: RunConfig, setup: _Setup, status: str, failure: dict | None,
@@ -184,7 +202,7 @@ def _persist(run_dir: Path, cfg: RunConfig, setup: _Setup, trajectory: RadialTra
         if offset:
             columns = tables[name] = _with_prefix(run_dir / name, columns, t_resume)
         if columns is not None:
-            write_csv(run_dir / name, columns, zip(*columns.values()))
+            write_csv(run_dir / name, columns)
     return tables
 
 
@@ -231,10 +249,11 @@ def _setup(cfg: RunConfig, telemetry: dict | None = None) -> _Setup:
 
 def _execute(cfg: RunConfig, setup: _Setup, run_dir: Path, initial: RadialState,
              offset: int, t_start: float, telemetry: dict,
-             stop: int | None = None) -> RunResult:
+             stop: int | None = None, earlier: dict | None = None) -> RunResult:
     """Evolve from ``initial`` through outputs offset, offset + 1, ... (up
     to ``stop``) of the configured schedule, persist, and report over the
-    whole run."""
+    whole run; ``earlier`` is the integration telemetry of the segments
+    before ``offset``."""
     params, path, grid = setup
     schedule = output_schedule(cfg.solver.t_end, cfg.solver.outputs_per_decade)
     with _phase(telemetry, "evolve"):
@@ -251,7 +270,7 @@ def _execute(cfg: RunConfig, setup: _Setup, run_dir: Path, initial: RadialState,
     with _phase(telemetry, "diagnostics"):
         report = _evaluate_assertions(cfg, setup, trajectory.status, trajectory.failure,
                                       tables)
-    telemetry["integration"] = dataclasses.asdict(trajectory.stats)
+    telemetry["integration"] = _whole_run(trajectory.stats, earlier)
     report["telemetry"] = telemetry
     report["wall_seconds"] = time.time() - t_start
     report["rng_seed"] = cfg.rng_seed
@@ -294,9 +313,13 @@ def resume(run_dir) -> RunResult:
         raise FileNotFoundError(f"no checkpoints found under {run_dir}/states")
     # names carry the output index with at least four digits: 10000 > 5000
     state, index = _read_state(max(state_files, key=lambda f: int(f.stem)))
+    # the segments before the checkpoint, as the persisted report counts them
+    report_file = run_dir / "run_report.json"
+    earlier = (json.loads(report_file.read_text())["telemetry"]["integration"]
+               if report_file.exists() else None)
     telemetry = _new_telemetry()
     return _execute(cfg, _setup(cfg, telemetry), run_dir, state, index + 1, t_start,
-                    telemetry)
+                    telemetry, earlier=earlier)
 
 
 def refit(run_dir) -> dict:

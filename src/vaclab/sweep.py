@@ -95,8 +95,8 @@ def sweep(base_config, lambdas, gammas, epsilons, out_dir,
         row.update(outcome)
         rows.append(row)
 
-    write_csv(out_dir / "summary.csv", SUMMARY_HEADER,
-              ([row.get(k) for k in SUMMARY_HEADER] for row in rows))
+    write_csv(out_dir / "summary.csv",
+              {name: [row.get(name) for row in rows] for name in SUMMARY_HEADER})
     (out_dir / "summary.json").write_text(
         json.dumps(rows, indent=2, sort_keys=True, default=str) + "\n")
     return rows

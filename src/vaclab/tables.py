@@ -21,13 +21,24 @@ def _cell(value) -> str:
     return f"{value:.17g}"
 
 
-def write_csv(path, header, rows) -> None:
-    """A header line, then one line per row; None is written as an empty
-    cell and a boolean as true/false."""
+def write_csv(path, columns) -> None:
+    """The columns of a table, by header name and in header order (as
+    :func:`read_csv` returns them): a header line, then one line per row;
+    None is written as an empty cell and a boolean as true/false.
+
+    A table of float arrays, which every per-output table is, is written
+    from the columns' Python floats with one %-template per row, the
+    cells and line ends ``csv.writer`` gives them (a number needs no
+    quoting); any other table goes cell by cell through ``csv.writer``."""
+    values = list(columns.values())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        writer.writerow(columns)
+        if all(isinstance(v, np.ndarray) and v.dtype.kind == "f" for v in values):
+            line = ",".join(["%.17g"] * len(values)) + writer.dialect.lineterminator
+            fh.writelines(map(line.__mod__, zip(*(v.tolist() for v in values))))
+        else:
+            writer.writerows([_cell(v) for v in row] for row in zip(*values))
 
 
 def read_csv(path) -> dict[str, np.ndarray]:

@@ -9,9 +9,17 @@ on, and each output inside an accepted step is read off Dormand-Prince's
 free order-4 continuous extension (Shampine, Math. Comp. 46, 1986), so the
 step sequence does not depend on the outputs.  The fixed RK4 stepper clips
 its steps to land on every output, which the refinement studies need.
+
+A cap-limited run takes thousands of steps on small states, so the Python
+and NumPy overhead of a step counts: the stage rows of the tableau are
+sliced once (``_STAGES``), |y| is kept from the accepted step, and the
+error norm sums and divides as ``np.mean`` does without its wrapper
+(``_rms``).  Every floating-point operation is the one it replaced, in the
+same order; ``tests/rhs_reference.py`` keeps the step as it was.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,6 +43,8 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                 -92097 / 339200, 187 / 2100, 1 / 40])
 _E = _B5 - _B4   # weights of the embedded error estimate
+# (s, c_s, _A[s, :s]) of stages 1..6, sliced once
+_STAGES = tuple((s, _C[s], _A[s, :s]) for s in range(1, 7))
 # Order-4 dense output (Shampine's c6, the P matrix of SciPy's RK45): the
 # state at t + theta*dt is y + dt * (_P @ [theta, theta^2, theta^3, theta^4]) @ k.
 _P = np.array([
@@ -85,9 +95,18 @@ def _counted(rhs: Callable, stats: IntegrationStats) -> Callable:
 def _dp5_step(rhs: Callable, t: float, y: np.ndarray, dt: float,
               k: np.ndarray) -> np.ndarray:
     """The 5th-order state at t + dt; fills the stages k[1:] from k[0]."""
-    for stage in range(1, 7):
-        k[stage] = rhs(t + _C[stage] * dt, y + dt * (_A[stage, :stage] @ k[:stage]))
-    return y + dt * (_B5 @ k)
+    # dt as a 0-d array: NumPy scales an array by it faster than by a
+    # Python float, to the same product
+    h = np.array(dt)
+    for stage, c, row in _STAGES:
+        k[stage] = rhs(t + c * dt, y + h * (row @ k[:stage]))
+    return y + h * (_B5 @ k)
+
+
+def _rms(z: np.ndarray) -> float:
+    """The root mean square of z, summed and divided as ``np.mean`` does,
+    without its wrapper."""
+    return math.sqrt(np.add.reduce(z * z) / z.size)
 
 
 def _dense_output(y: np.ndarray, dt: float, k: np.ndarray, theta: float) -> np.ndarray:
@@ -148,6 +167,7 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
     k_last = np.asarray(rhs(t, y), dtype=float)
     err_prev = 1.0
     k = np.empty((7,) + y.shape)
+    abs_y = np.abs(y)
 
     while t < t_final:
         cap = max_step(t) if max_step is not None else np.inf
@@ -162,9 +182,8 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
 
         k[0] = k_last
         y5 = _dp5_step(rhs, t, y, dt, k)
-        err_vec = dt * (_E @ k)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        abs_y5 = np.abs(y5)
+        err = _rms(dt * (_E @ k) / (abs_tol + rel_tol * np.maximum(abs_y, abs_y5)))
 
         if err <= 1.0 or dt <= 1.05e-14 * max(1.0, abs(t)):
             t_new = t_final if final else t + dt
@@ -176,7 +195,7 @@ def integrate_adaptive(rhs: Callable, t0: float, y0: np.ndarray,
                 stats.interpolated_outputs += 1
                 emit(outputs[idx], _dense_output(y, dt, k, (outputs[idx] - t) / dt))
                 idx += 1
-            t, y = t_new, y5
+            t, y, abs_y = t_new, y5, abs_y5
             while idx < len(outputs) and outputs[idx] <= t:
                 emit(t, y)
                 idx += 1

@@ -59,13 +59,17 @@ class WeightedGrid:
         self.d_s_t = self.d_s.T
         self._rules: dict[float, RadialRule] = {}
 
-    def radial_strain(self, w: np.ndarray):
+    def radial_strain(self, w: np.ndarray, out: np.ndarray | None = None):
         """(p, p_s, w_r) of a radial field w = r p(s): p = w/r, its
         s-derivative d_s p, and w_r = p + 2 s p_s.  ``w`` is one nodal
-        field (m,), or a stack of fields (..., K, m), one field per row."""
-        p = w / self.r
+        field (m,), or a stack of fields (..., K, m), one field per row.
+        With ``out`` of shape (2,) + w.shape, w_r and p are written into
+        out[0] and out[1], and those are returned."""
+        w_r, p = (None, None) if out is None else (out[0], out[1])
+        p = np.divide(w, self.r, out=p)
         p_s = p @ self.d_s_t
-        return p, p_s, p + self._two_s * p_s
+        w_r = np.multiply(self._two_s, p_s, out=w_r)
+        return p, p_s, np.add(p, w_r, out=w_r)
 
     def rule(self, exponent: float) -> RadialRule:
         """Quadrature rule adapted to the sigma^exponent weight (cached)."""

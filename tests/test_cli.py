@@ -350,11 +350,29 @@ def test_resuming_a_completed_run_changes_none_of_its_artifacts(tmp_path):
         data = json.loads((run_dir / "run_report.json").read_text())
         return {key: value for key, value in data.items() if key not in volatile}
 
-    before, report_before = artifacts(), report()
+    def integration():
+        return json.loads((run_dir / "run_report.json").read_text())["telemetry"]["integration"]
+
+    before, report_before, integration_before = artifacts(), report(), integration()
     resumed = resume(run_dir)
     assert resumed.ok and resumed.trajectory.times.size == 0
     assert artifacts() == before
     assert report() == report_before
+    # the report still counts the whole run's steps, and keeps its last one
+    assert integration_before["steps"] > 0
+    assert integration() == integration_before
+
+
+def test_a_resumed_run_reports_the_integration_of_both_segments(tmp_path):
+    cfg = parse_config(base_config(
+        tmp_path, **{"solver.seed": {"shape": "parabolic", "amplitude": 1e-3}}))
+    first = run(cfg, stop_after_outputs=40).report["telemetry"]["integration"]
+    second = resume(tmp_path / "run").trajectory.stats
+    whole = json.loads((tmp_path / "run" / "run_report.json").read_text())
+    assert first["steps"] > 0 and second.steps > 0
+    assert whole["telemetry"]["integration"] == {
+        name: (first[name] + getattr(second, name) if name != "last_dt" else second.last_dt)
+        for name in first}
 
 
 def test_resume_picks_the_checkpoint_with_the_highest_output_index(tmp_path):

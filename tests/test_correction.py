@@ -544,7 +544,9 @@ def test_time_coefficients_equal_their_reference(n, lam):
     for t in times.tolist():
         assert path._dense(t) == reference._evaluate(path.step_times, path.segments, t)
         assert path.theta_derivatives(t) == reference.theta_derivatives(path, t), t
-        assert path.coefficients(t) == reference.coefficients(path, t), t
+        coefficients = reference.coefficients(path, t)
+        assert path.coefficients(t) == coefficients, t
+        assert path.stage_coefficients(t) == (coefficients.d[0], coefficients.c[0]), t
     for ours, theirs in zip(path.theta_derivatives(times),
                             reference.theta_derivatives(path, times)):
         assert np.array_equal(ours, theirs)

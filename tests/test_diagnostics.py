@@ -1,4 +1,6 @@
 """Decay-rate fitting and the theorem-rate / boundedness reports."""
+import csv
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from vaclab.energy import energy_indices
 from vaclab.fitting import FitWindowError, decay_fit
 from vaclab.params import derive_constants
 from vaclab.radial import RadialState, evolve, seed_profile
-from vaclab.tables import read_csv, write_csv
+from vaclab.tables import _cell, read_csv, write_csv
 from vaclab.weighted import WeightedGrid
 
 
@@ -119,7 +121,29 @@ def test_energy_csv_roundtrip(tmp_path, anchor_setup):
     traj = evolve(g, path, RadialState(0.0, w0, np.zeros_like(w0)), 10.0,
                   output_times=np.linspace(0.0, 10.0, 6))
     out = tmp_path / "energies.csv"
-    write_csv(out, traj.energies, zip(*traj.energies.values()))
+    write_csv(out, traj.energies)
     back = read_csv(out)
     assert list(back) == list(traj.energies)
     np.testing.assert_allclose(back["E_total"], traj.energies["E_total"], rtol=1e-15)
+
+
+def test_columns_are_written_as_their_cells(tmp_path):
+    # a table of float arrays, written a row template at a time, and a mixed
+    # table, written cell by cell, read as csv.writer writes every _cell
+    rng = np.random.default_rng(3)
+    floats = np.concatenate([rng.standard_normal(50) * 10.0 ** rng.uniform(-300, 300, 50),
+                             [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 0.1]])
+    tables = {
+        "floats": {"x": floats, "y": floats[::-1].copy(), "t": np.linspace(0.0, 1.0, 58)},
+        "mixed": {"x": floats, "k": np.arange(len(floats)),
+                  "cell": [None, True, False, "a,b", 3, 2.5, np.float64(0.3)] + [1.0] * 51},
+        "empty": {"t": np.array([]), "h": np.array([])},
+    }
+    for name, columns in tables.items():
+        out, expected = tmp_path / f"{name}.csv", tmp_path / f"{name}-expected.csv"
+        write_csv(out, columns)
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows([_cell(v) for v in row] for row in zip(*columns.values()))
+        assert out.read_bytes() == expected.read_bytes(), name
